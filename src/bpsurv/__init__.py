@@ -18,7 +18,15 @@ from .baseline import (
     bernstein_pdf,
     tbp_log_prior,
 )
-from .criteria import bf_linearity, bf_parametric, dic, ess, lpml, pseudo_bayes_factor, waic
+from .criteria import (
+    dic,
+    ess,
+    log_bf_linearity,
+    log_bf_parametric,
+    lpml,
+    pseudo_bayes_factor,
+    waic,
+)
 from .data import (
     CensoredObservation,
     CsvSchema,
@@ -30,7 +38,6 @@ from .data import (
 )
 from .diagnostics import coxsnell_residuals, residual_plot_data, turnbull_npmle
 from .frailty import FrailtySpec, assign_blocks, fsa_build, powexp_corr, select_knots
-from .models import RegressionState, dens, linear_predictor, obs_loglik, surv, total_loglik
 from .sampler import ChainSampler, McmcConfig, PosteriorArchive, parametric_prerun, run_chain
 from .simulate import DESIGNS, SimDesign, bundled_adjacency37
 from .splines import SplineTerm, build_basis

@@ -62,14 +62,18 @@ def compute_criteria(archive):
     if archive.L >= 2:
         d, p_d = cr.dic(archive)
         out.update(dic=d, p_d=p_d)
-        out["bf_parametric"] = cr.bf_parametric(archive)
+        out["log_bf_parametric"] = cr.log_bf_parametric(archive)
         for name in archive.spline_names:
-            out[f"bf_linear_{name}"] = cr.bf_linearity(archive, name)
+            out[f"log_bf_linear_{name}"] = cr.log_bf_linearity(archive, name)
     return out
 
 
-def save_archive(archive, outdir, loglik_csv=False):
-    """Write draws.csv, loglik.npy (optionally loglik.csv), and meta.json."""
+def save_archive(archive, outdir, loglik_csv=False, cli=None):
+    """Write draws.csv, loglik.npy (optionally loglik.csv), and meta.json.
+
+    cli, when given, is stored under meta.json's "cli" key: the resolved
+    command-line options that reproduce the run.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     names, mat = archive.parameter_matrix()
@@ -106,6 +110,8 @@ def save_archive(archive, outdir, loglik_csv=False):
              "proportion": prop}
             for key, prop in archive.submodel_table()[:10]
         ]
+    if cli is not None:
+        meta["cli"] = cli
     with open(outdir / "meta.json", "w") as fh:
         json.dump(meta, fh, indent=1, default=_jsonable)
     return crit
@@ -244,10 +250,10 @@ def summary_text(archive, criteria=None):
             lines.append(f"  {label:<30}{prop:>8.4f}")
         lines.append("")
     criteria = criteria if criteria is not None else compute_criteria(archive)
-    for key in ("lpml", "dic", "waic", "p_d", "p_w", "bf_parametric"):
+    for key in ("lpml", "dic", "waic", "p_d", "p_w", "log_bf_parametric"):
         if key in criteria:
             lines.append(f"{key.upper().replace('_', ' ')}: {criteria[key]:.4f}")
     for key, val in criteria.items():
-        if key.startswith("bf_linear_"):
-            lines.append(f"BF nonlinearity [{key[10:]}]: {val:.4f}")
+        if key.startswith("log_bf_linear_"):
+            lines.append(f"LOG BF nonlinearity [{key[14:]}]: {val:.4f}")
     return "\n".join(lines) + "\n"

@@ -20,7 +20,6 @@ from . import frailty as fr
 from .archive_io import (
     compute_criteria,
     load_archive,
-    rebuild_frailty_spec,
     save_archive,
     summary_text,
 )
@@ -249,12 +248,8 @@ def cmd_fit(args):
         raise ValueError("--outdir is required unless --dry-run")
     archive = run_chain(dataset, cfg)
     outdir = Path(args.outdir)
-    crit = save_archive(archive, outdir, loglik_csv=bool(opts["loglik_csv"]))
-    with open(outdir / "meta.json") as fh:
-        meta = json.load(fh)
-    meta["cli"] = {k: opts[k] for k in _FIT_KEYS}
-    with open(outdir / "meta.json", "w") as fh:
-        json.dump(meta, fh, indent=1)
+    crit = save_archive(archive, outdir, loglik_csv=bool(opts["loglik_csv"]),
+                        cli={k: opts[k] for k in _FIT_KEYS})
     text = summary_text(archive, crit)
     (outdir / "summary.txt").write_text(text)
     print(text, end="")
@@ -266,14 +261,11 @@ def cmd_simulate(args):
     ds, truth = design.generate(args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    if design.frailty_kind == "grf":
-        _write_geo_csv(ds, out)
-    else:
-        ds.to_csv(out)
-        if design.frailty_kind == "icar":
-            adj_path = out.with_name(out.stem + "_adjacency.txt")
-            np.savetxt(adj_path, _design_adjacency(design), fmt="%d")
-            print(f"adjacency written to {adj_path}")
+    ds.to_csv(out)
+    if design.frailty_kind == "icar":
+        adj_path = out.with_name(out.stem + "_adjacency.txt")
+        np.savetxt(adj_path, _design_adjacency(design), fmt="%d")
+        print(f"adjacency written to {adj_path}")
     if args.truth_out:
         blob = {"model": truth.model, "beta": truth.beta.tolist(),
                 "tau2": truth.tau2, "phi": truth.phi,
@@ -286,18 +278,6 @@ def cmd_simulate(args):
 def _design_adjacency(design):
     from .simulate import bundled_adjacency37
     return design.adjacency if design.adjacency is not None else bundled_adjacency37()
-
-
-def _write_geo_csv(ds, path):
-    import csv as _csv
-    with open(path, "w", newline="") as fh:
-        wr = _csv.writer(fh)
-        wr.writerow(["t1", "t2", "trunc", *ds.covariate_names, "lon", "lat"])
-        for o in ds.observations:
-            t2 = "" if math.isinf(o.b) else repr(o.b)
-            lon, lat = ds.coords[o.location - 1]
-            wr.writerow([repr(o.a), t2, repr(o.u), *[repr(v) for v in o.x],
-                         repr(float(lon)), repr(float(lat))])
 
 
 def cmd_diagnose(args):

@@ -84,19 +84,19 @@ def _mvn_logpdf_at_zero(mean, cov, ridge=1e-10):
     return -0.5 * (d * np.log(2.0 * np.pi) + logdet + half @ half)
 
 
-def bf_parametric(archive):
-    """Savage-Dickey Bayes factor of the Bernstein baseline against its
-    parametric center: p(z=0 | alpha_hat) / N(0; posterior mean, cov of z)."""
+def log_bf_parametric(archive):
+    """Log Savage-Dickey Bayes factor of the Bernstein baseline against its
+    parametric center: log p(z=0 | alpha_hat) - log N(0; posterior mean, cov of z)."""
     z = archive.draws["z"]
     alpha_hat = float(archive.draws["alpha"].mean())
     log_num = alpha_log_prior_at_zero(alpha_hat, archive.J)
     log_den = _mvn_logpdf_at_zero(z.mean(axis=0), np.cov(z.T))
-    return float(np.exp(log_num - log_den))
+    return float(log_num - log_den)
 
 
-def bf_linearity(archive, name):
-    """Savage-Dickey Bayes factor for dropping the spline term of a covariate:
-    prior density at xi=0 over posterior density at xi=0."""
+def log_bf_linearity(archive, name):
+    """Log Savage-Dickey Bayes factor for dropping the spline term of a
+    covariate: log prior density minus log posterior density at xi=0."""
     key = f"xi_{name}"
     if key not in archive.draws:
         raise ValueError(f"no spline term for covariate {name!r}")
@@ -106,7 +106,7 @@ def bf_linearity(archive, name):
         raise ValueError("archive does not carry spline term metadata")
     log_num = _mvn_logpdf_at_zero(np.zeros(term.K), term.prior_cov)
     log_den = _mvn_logpdf_at_zero(xi.mean(axis=0), np.cov(xi.T))
-    return float(np.exp(log_num - log_den))
+    return float(log_num - log_den)
 
 
 def ess(series):

@@ -179,16 +179,23 @@ class Dataset:
     def to_csv(self, path):
         """Write in the standard schema (t1, t2, trunc, covariates..., location).
 
-        An infinite upper endpoint is written as an empty t2 field so the file
-        round-trips exactly.
+        Georeferenced data (coords set) end in lon, lat columns instead of
+        location.  An infinite upper endpoint is written as an empty t2 field
+        so the file round-trips exactly.
         """
+        if self.coords is None:
+            site_cols = ["location"]
+            sites = [[label] for label in self.location_ids]
+        else:
+            site_cols = ["lon", "lat"]
+            sites = [[repr(float(lon)), repr(float(lat))] for lon, lat in self.coords]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["t1", "t2", "trunc", *self.covariate_names, "location"])
+            writer.writerow(["t1", "t2", "trunc", *self.covariate_names, *site_cols])
             for o in self.observations:
                 t2 = "" if math.isinf(o.b) else repr(o.b)
                 writer.writerow([repr(o.a), t2, repr(o.u), *[repr(v) for v in o.x],
-                                 self.location_ids[o.location - 1]])
+                                 *sites[o.location - 1]])
 
 
 @dataclass(frozen=True)

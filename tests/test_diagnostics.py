@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 
 from bpsurv import diagnostics as dg
+from bpsurv import frailty as fr
+from bpsurv import sampler as sm
+from bpsurv.data import CensoredObservation, Dataset
+from bpsurv.simulate import SimDesign
+
+import oracle
 
 
 def kaplan_meier(times, events):
@@ -111,6 +117,46 @@ class TestResidualPlot:
     def test_empty_selection(self):
         with pytest.raises(ValueError):
             dg.cumhaz_slope([])
+
+
+class TestCoxSnellResiduals:
+    @pytest.mark.parametrize("model", ["aft", "ph", "po"])
+    def test_spline_selection_frailty_match_oracle(self, model):
+        ds, _ = SimDesign(model=model, m=4, n_per_site=10, frailty_kind="iid").generate(2)
+        # left-truncate every third record with a positive left end
+        obs = [CensoredObservation(a=o.a, b=o.b, x=o.x, location=o.location,
+                                   u=0.5 * o.a if k % 3 == 0 else 0.0)
+               for k, o in enumerate(ds.observations)]
+        ds = Dataset(observations=obs, m=ds.m, covariate_names=ds.covariate_names)
+        cfg = sm.McmcConfig(model=model, J=4, nburn=20, nsave=10, seed=5, prerun_iters=60,
+                            prerun_burn=30, selection=True, nonlinear=("x2",), spline_K=4,
+                            frailty=fr.FrailtySpec(kind="iid"))
+        arch = sm.run_chain(ds, cfg)
+        arch.draws["gamma"][[3, 9], 0] = 0.0  # exercise the selection mask
+        samples = dg.coxsnell_residuals(arch, ds, draws=[3, 9])
+        assert [r.draw for r in samples] == [3, 9]
+        for res in samples:
+            s = res.draw
+            state = oracle.RegressionState(beta=arch.draws["beta"][s],
+                                           gamma=arch.draws["gamma"][s],
+                                           xi=[arch.draws["xi_x2"][s]], v=arch.draws["v"][s])
+            eta = oracle.linear_predictor(ds, state, arch.spline_terms)
+            base = arch.baseline_for_draw(s)
+
+            def r(t, i):
+                return -math.log(oracle.surv(model, t, float(eta[i]), base))
+
+            for i, o in enumerate(ds.observations):
+                assert res.lo[i] == pytest.approx(r(o.a, i) if o.a > 0 else 0.0,
+                                                  rel=1e-9, abs=1e-12)
+                if o.a == o.b:
+                    assert res.hi[i] == res.lo[i]
+                elif math.isinf(o.b):
+                    assert res.hi[i] == math.inf
+                else:
+                    assert res.hi[i] == pytest.approx(r(o.b, i), rel=1e-9, abs=1e-12)
+                assert res.trunc[i] == pytest.approx(r(o.u, i) if o.u > 0 else 0.0,
+                                                     rel=1e-9, abs=1e-12)
 
 
 class TestResidualSample:

@@ -108,7 +108,7 @@ class TestIcarStructure:
         spec = fr.FrailtySpec(kind="icar", adjacency=path_graph(3))
         st = fr.build_structure(spec)
         v = np.array([1.0, 0.0, -1.0])
-        quad, rank, logdet = fr.quad_form_and_logdet(st, v)
+        quad, rank, logdet = st.quad_form(v), st.rank, st.logdet_half
         assert quad == pytest.approx(2.0, abs=1e-14)  # (1-0)^2 + (0-(-1))^2
         assert rank == 2
         assert logdet == 0.0
@@ -131,7 +131,7 @@ class TestIcarStructure:
         spec = fr.FrailtySpec(kind="icar", adjacency=path_graph(4))
         st = fr.build_structure(spec)
         v = np.array([2.0, 5.0, 2.0, 0.0])
-        mean, var = fr.conditional_params(spec, st, 1, v, tau2=3.0)
+        mean, var = st.conditional(1, v, tau2=3.0)
         assert mean == pytest.approx(2.0)  # both neighbors equal 2
         assert var == pytest.approx(3.0 / 2.0)
 
@@ -140,13 +140,13 @@ class TestIidStructure:
     def test_conditional(self):
         spec = fr.FrailtySpec(kind="iid")
         st = fr.build_structure(spec, m=4)
-        mean, var = fr.conditional_params(spec, st, 2, np.ones(4), tau2=2.5)
+        mean, var = st.conditional(2, np.ones(4), tau2=2.5)
         assert mean == 0.0 and var == 2.5
 
     def test_quad(self):
         st = fr.build_iid(3)
         v = np.array([1.0, 2.0, 2.0])
-        quad, rank, _ = fr.quad_form_and_logdet(st, v)
+        quad, rank = st.quad_form(v), st.rank
         assert quad == pytest.approx(9.0)
         assert rank == 3
 
@@ -163,7 +163,7 @@ class TestGrfDense:
             o = [j for j in range(3) if j != i]
             mean_schur = R[i, o] @ np.linalg.solve(R[np.ix_(o, o)], v[o])
             var_schur = tau2 * (R[i, i] - R[i, o] @ np.linalg.solve(R[np.ix_(o, o)], R[o, i]))
-            mean, var = fr.conditional_params(spec, st, i, v, tau2)
+            mean, var = st.conditional(i, v, tau2)
             assert mean == pytest.approx(mean_schur, abs=1e-12)
             assert var == pytest.approx(var_schur, abs=1e-12)
 
@@ -173,7 +173,7 @@ class TestGrfDense:
         st = fr.build_structure(spec, phi=0.4)
         rng = np.random.default_rng(1)
         v = rng.normal(size=25)
-        quad, rank, logdet_half = fr.quad_form_and_logdet(st, v)
+        quad, rank, logdet_half = st.quad_form(v), st.rank, st.logdet_half
         assert rank == 25
         assert quad == pytest.approx(v @ np.linalg.solve(st.R, v), rel=1e-10)
         sign, ld = np.linalg.slogdet(st.R)

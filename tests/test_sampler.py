@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -206,9 +207,7 @@ class TestGammaBlock:
             .sim4_design(1).generate(3)
         s = make_sampler(ds, selection=True, q_incl=0.5, J=4)
         s.state.beta[:] = 0.0  # likelihood ratio is exactly 1
-        s.eta_lin = s._eta_lin()
-        s.eta = s._eta()
-        s.state.ll_obs = s.ev.loglik_obs(s.cache, s.state.w, s.eta)
+        s._refresh_likelihood()
         hits = np.zeros(ds.p)
         reps = 4000
         for _ in range(reps):
@@ -267,6 +266,20 @@ class TestRunChain:
         for key in a1.draws:
             assert np.array_equal(a1.draws[key], a2.draws[key]), key
         assert np.array_equal(a1.loglik_total, a2.loglik_total)
+
+    def test_elapsed_covers_prerun(self, monkeypatch):
+        ds = self.dataset()
+        prerun = sm.parametric_prerun
+
+        def slow_prerun(*args, **kwargs):
+            time.sleep(0.5)
+            return prerun(*args, **kwargs)
+
+        monkeypatch.setattr(sm, "parametric_prerun", slow_prerun)
+        t0 = time.perf_counter()
+        arch = sm.run_chain(ds, self.small_config(debug_checks=False))
+        wall = time.perf_counter() - t0
+        assert 0.5 <= arch.elapsed <= wall
 
     def test_nsave_zero_diagnostics_only(self):
         ds = self.dataset()
