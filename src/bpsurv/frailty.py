@@ -204,12 +204,11 @@ class PrecisionStructure:
         where it equals -0.5 log det R.
     """
 
-    def __init__(self, kind, C, rank, logdet_half=0.0, e_plus=None, R=None):
+    def __init__(self, kind, C, rank, logdet_half=0.0, R=None):
         self.kind = kind
         self.C = C
         self.rank = rank
         self.logdet_half = logdet_half
-        self.e_plus = e_plus
         self.R = R
         self.diag = np.diag(C).copy()
 
@@ -243,9 +242,8 @@ def build_structure(spec, phi=None, m=None):
         return build_iid(m)
     if spec.kind == "icar":
         E = np.asarray(spec.adjacency, dtype=float)
-        e_plus = E.sum(axis=1)
-        C = np.diag(e_plus) - E
-        return PrecisionStructure("icar", C, rank=E.shape[0] - 1, e_plus=e_plus)
+        C = np.diag(E.sum(axis=1)) - E
+        return PrecisionStructure("icar", C, rank=E.shape[0] - 1)
     if phi is None or phi <= 0.0:
         raise ValueError("grf structures require phi > 0")
     coords = np.asarray(spec.coords, dtype=float)

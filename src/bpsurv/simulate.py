@@ -65,7 +65,9 @@ def sample_survival_time(model, eta, truth, u, bracket=(1e-10, 1e3), rtol=1e-12)
 
     def g(t):
         s0 = truth.survival(model_time(model, t, eta))
-        return (1.0 - float(survival_transform(model, s0, eta)[0])) - u
+        # the kernel floors s0 for the PH log; S_x must still reach 0 where s0 does
+        s = np.where(s0 > 0.0, survival_transform(model, s0, eta)[0], 0.0)
+        return (1.0 - float(s)) - u
 
     lo, hi = bracket
     expansions = 0

@@ -1,7 +1,8 @@
 """Scalar reference for the survival models, used as a test oracle.
 
-The closed forms below are written out per model and share no code with
-bpsurv.models.survival_transform, the vectorized kernel they check:
+The closed forms in surv, dens, obs_loglik and linear_predictor are written
+out per model and share no code with bpsurv.models.survival_transform, the
+vectorized kernel they check:
 
     aft:  S_x(t) = S0(e^eta t)
     ph:   S_x(t) = S0(t)^(e^eta)
@@ -107,7 +108,12 @@ def obs_loglik(model, obs, eta, baseline):
 
 def total_loglik(model, dataset, state, baseline, spline_terms=None):
     """Sum of per-observation log-likelihoods plus the per-observation vector,
-    from the vectorized evaluator at the state's linear predictor."""
+    from the vectorized evaluator at the state's linear predictor.
+
+    A thin driver of the kernel, not part of the independent reference:
+    comparing it with LikelihoodEvaluator.loglik_obs checks cache handling,
+    not the closed forms.
+    """
     if dataset.n == 0:
         return 0.0, np.zeros(0)
     ev = LikelihoodEvaluator(dataset, model, baseline.family.name, baseline.J)

@@ -64,6 +64,15 @@ class TestSampleSurvivalTime:
         res = kstest(t, lambda x: 1.0 - base.survival(x))
         assert res.pvalue > 0.01
 
+    def test_ph_step_where_baseline_underflows(self):
+        # S0^(e^-10) = 0.5 lies past the point where S0 underflows to 0, so
+        # the inverse is that point: S_x is near 1 before it and 0 after it
+        base = sg.BimodalBaseline()
+        t = sg.sample_survival_time("ph", -10.0, base, 0.5)
+        assert np.isfinite(t)
+        assert base.survival(t * 1.001) == 0.0
+        assert base.survival(t / 1.001) > 0.0
+
     def test_domain(self):
         with pytest.raises(ValueError):
             sg.sample_survival_time("aft", 0.0, sg.BimodalBaseline(), 0.0)
@@ -162,6 +171,12 @@ class TestDesignPipeline:
         assert ds.n == 750 and ds.m == 150
         assert ds.coords.shape == (150, 2)
         assert truth.phi == 1.0
+
+    def test_sim4_ex3_wide_predictor(self):
+        # PH with an eta SD of about 5.6: some rows meet an underflowed S0
+        ds, _ = sg.DESIGNS["sim4-ex3"]().generate(1)
+        assert ds.n == 740
+        assert np.all(np.isfinite(ds.a))
 
     def test_adjacency_is_valid_icar_input(self):
         E = sg.bundled_adjacency37()
