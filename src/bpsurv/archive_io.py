@@ -250,10 +250,14 @@ def summary_text(archive, criteria=None):
             lines.append(f"  {label:<30}{prop:>8.4f}")
         lines.append("")
     criteria = criteria if criteria is not None else compute_criteria(archive)
+
+    def fmt(val):  # a Bayes factor the draws cannot support is None
+        return "n/a" if val is None else f"{val:.4f}"
+
     for key in ("lpml", "dic", "waic", "p_d", "p_w", "log_bf_parametric"):
         if key in criteria:
-            lines.append(f"{key.upper().replace('_', ' ')}: {criteria[key]:.4f}")
+            lines.append(f"{key.upper().replace('_', ' ')}: {fmt(criteria[key])}")
     for key, val in criteria.items():
         if key.startswith("log_bf_linear_"):
-            lines.append(f"LOG BF nonlinearity [{key[14:]}]: {val:.4f}")
+            lines.append(f"LOG BF nonlinearity [{key[14:]}]: {fmt(val)}")
     return "\n".join(lines) + "\n"

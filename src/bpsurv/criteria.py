@@ -84,19 +84,31 @@ def _mvn_logpdf_at_zero(mean, cov, ridge=1e-10):
     return -0.5 * (d * np.log(2.0 * np.pi) + logdet + half @ half)
 
 
+def _posterior_logpdf_at_zero(draws):
+    """Log density at zero of the Gaussian fitted to (L, d) draws, or None
+    when the centered draws have rank below d: their sample covariance is
+    then singular, and the density only reflects the ridge."""
+    draws = np.asarray(draws, dtype=float)
+    mean = draws.mean(axis=0)
+    if np.linalg.matrix_rank(draws - mean) < draws.shape[1]:
+        return None
+    return _mvn_logpdf_at_zero(mean, np.cov(draws.T))
+
+
 def log_bf_parametric(archive):
     """Log Savage-Dickey Bayes factor of the Bernstein baseline against its
-    parametric center: log p(z=0 | alpha_hat) - log N(0; posterior mean, cov of z)."""
-    z = archive.draws["z"]
+    parametric center: log p(z=0 | alpha_hat) - log N(0; posterior mean, cov of z).
+    None (unavailable) when the z draws span fewer than all dimensions."""
     alpha_hat = float(archive.draws["alpha"].mean())
     log_num = alpha_log_prior_at_zero(alpha_hat, archive.J)
-    log_den = _mvn_logpdf_at_zero(z.mean(axis=0), np.cov(z.T))
-    return float(log_num - log_den)
+    log_den = _posterior_logpdf_at_zero(archive.draws["z"])
+    return None if log_den is None else float(log_num - log_den)
 
 
 def log_bf_linearity(archive, name):
     """Log Savage-Dickey Bayes factor for dropping the spline term of a
-    covariate: log prior density minus log posterior density at xi=0."""
+    covariate: log prior density minus log posterior density at xi=0.
+    None (unavailable) when the xi draws span fewer than all dimensions."""
     key = f"xi_{name}"
     if key not in archive.draws:
         raise ValueError(f"no spline term for covariate {name!r}")
@@ -105,8 +117,8 @@ def log_bf_linearity(archive, name):
     if term is None:
         raise ValueError("archive does not carry spline term metadata")
     log_num = _mvn_logpdf_at_zero(np.zeros(term.K), term.prior_cov)
-    log_den = _mvn_logpdf_at_zero(xi.mean(axis=0), np.cov(xi.T))
-    return float(log_num - log_den)
+    log_den = _posterior_logpdf_at_zero(xi)
+    return None if log_den is None else float(log_num - log_den)
 
 
 def ess(series):

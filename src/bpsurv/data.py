@@ -233,7 +233,8 @@ def load_csv(path, schema=None):
     Returns a Dataset.  Location labels (or deduplicated coordinate pairs) are
     densely re-indexed to 1..m; the original labels are kept on
     Dataset.location_ids.  Censoring kinds follow the (u, a, b) rules; an
-    empty t2 field means +inf.
+    empty t2 field means +inf.  A covariate column with one value on every
+    row is rejected.
     """
     schema = schema or CsvSchema()
     with open(path, newline="") as fh:
@@ -297,6 +298,13 @@ def load_csv(path, schema=None):
                 a=a, b=bval, x=x, location=key_index[key], u=uval))
         except ValueError as exc:
             raise ValueError(f"row {row_no}: {exc}") from None
+
+    for j, name in enumerate(cov_names):
+        if len({row[4][j] for row in rows}) == 1:
+            raise ValueError(
+                f"{path}: covariate column {name!r} has the same value on every row, "
+                f"so its coefficient is not identified; if it holds truncation "
+                f"times, name it with --trunc-col {name}")
 
     coords = None
     if rows and isinstance(keys[0], tuple):

@@ -10,6 +10,7 @@ and (for random fields) the log-determinant of the correlation matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
@@ -47,13 +48,6 @@ def solve_phi0(dmax, nu=1.0, rho=0.001):
     return (-np.log(rho)) ** (1.0 / nu) / dmax
 
 
-def _maximin_criterion(dist, chosen):
-    others = [i for i in range(dist.shape[0]) if i not in chosen]
-    if not others:
-        return np.inf
-    return dist[np.ix_(others, list(chosen))].min(axis=1).min()
-
-
 def select_knots(coords, A, refine=True):
     """Pick A space-filling knots from a site set.
 
@@ -76,38 +70,31 @@ def select_knots(coords, A, refine=True):
         nxt = int(np.argmax(mind))
         chosen.append(nxt)
         np.minimum(mind, dist[nxt], out=mind)
-    if refine:
-        chosen_set = set(chosen)
+    # A single knot has no pairwise distance: every swap scores inf, and
+    # inf - inf is no gain.
+    if refine and A >= 2:
+        iu = np.triu_indices(A - 1, k=1)
         for _ in range(3):  # bounded number of sweeps
             improved = False
             for pos in range(A):
-                base = _swap_score(dist, chosen)
+                # Swapping site c in at pos scores the minimum pairwise knot
+                # distance (the maximin criterion): the smaller of the
+                # closest pair among the other knots and c's distance to them.
+                others = np.delete(chosen, pos)
+                within = dist[np.ix_(others, others)][iu].min() if iu[0].size else np.inf
+                base = min(within, dist[chosen[pos], others].min())
+                gain = np.minimum(within, dist[:, others].min(axis=1)) - base
+                gain[chosen] = -np.inf
                 best_gain, best_site = 0.0, None
-                for cand in range(m):
-                    if cand in chosen_set:
-                        continue
-                    old = chosen[pos]
-                    chosen[pos] = cand
-                    score = _swap_score(dist, chosen)
-                    chosen[pos] = old
-                    if score - base > best_gain + 1e-12:
-                        best_gain, best_site = score - base, cand
+                for cand in np.flatnonzero(gain > best_gain + 1e-12):
+                    if gain[cand] > best_gain + 1e-12:
+                        best_gain, best_site = gain[cand], int(cand)
                 if best_site is not None:
-                    chosen_set.discard(chosen[pos])
                     chosen[pos] = best_site
-                    chosen_set.add(best_site)
                     improved = True
             if not improved:
                 break
     return np.array(sorted(chosen))
-
-
-def _swap_score(dist, chosen):
-    # minimum pairwise distance among knots: the maximin design criterion
-    idx = np.asarray(chosen)
-    sub = dist[np.ix_(idx, idx)]
-    iu = np.triu_indices(len(idx), k=1)
-    return sub[iu].min() if iu[0].size else np.inf
 
 
 def assign_blocks(coords, B):
@@ -123,7 +110,12 @@ def assign_blocks(coords, B):
 
 @dataclass(frozen=True)
 class FrailtySpec:
-    """What kind of frailty field to use and its structural data."""
+    """What kind of frailty field to use and its structural data.
+
+    A grf spec keeps what does not depend on the range phi: the site
+    distances, computed at validation, and the FSA knots and blocks, chosen
+    at the first structure build.  Every build_structure call reuses them.
+    """
 
     kind: str = "none"
     adjacency: np.ndarray = None  # (m, m) 0/1 symmetric, icar only
@@ -152,7 +144,7 @@ class FrailtySpec:
             c = np.asarray(self.coords, dtype=float)
             if c is None or c.ndim != 2:
                 raise ValueError("grf requires an (m, d) coordinate array")
-            d = pairwise_distances(c)
+            d = self.distances
             iu = np.triu_indices(c.shape[0], k=1)
             if iu[0].size and d[iu].min() <= 0.0:
                 raise ValueError("grf sites must be pairwise distinct")
@@ -175,7 +167,39 @@ class FrailtySpec:
         """Default range anchor: correlation rho at the maximum pairwise distance."""
         if self.kind != "grf":
             raise ValueError("phi0 is defined for grf frailties only")
-        return solve_phi0(pairwise_distances(self.coords).max(), self.nu, rho)
+        return solve_phi0(self.distances.max(), self.nu, rho)
+
+    @cached_property
+    def distances(self):
+        """(m, m) distances between the grf sites."""
+        return pairwise_distances(self.coords)
+
+    @cached_property
+    def fsa_geometry(self):
+        """Knots and blocks of the full-scale approximation, chosen at the
+        first structure build (not at validation) and reused for every phi."""
+        A, B = self.fsa
+        coords = np.asarray(self.coords, dtype=float)
+        knots = select_knots(coords, A)
+        labels = assign_blocks(coords, B)
+        blocks = [np.flatnonzero(labels == b) for b in range(B)]
+        d = self.distances
+        # A column gather leaves a non-C-ordered array, and BLAS rounds the
+        # products of rho_mA differently on it.
+        d_mA = np.ascontiguousarray(d[:, knots])
+        return FsaGeometry(blocks=blocks, d_AA=d[np.ix_(knots, knots)], d_mA=d_mA,
+                           d_bb=[d[np.ix_(I, I)] for I in blocks])
+
+
+@dataclass(frozen=True)
+class FsaGeometry:
+    """Everything in the full-scale approximation that does not depend on
+    the range phi: the blocks, and the distances the correlations need."""
+
+    blocks: list       # site indices of each block
+    d_AA: np.ndarray   # (A, A) knot-to-knot distances
+    d_mA: np.ndarray   # (m, A) site-to-knot distances
+    d_bb: list         # within-block distance matrices, one per block
 
 
 def _connected(E):
@@ -246,17 +270,15 @@ def build_structure(spec, phi=None, m=None):
         return PrecisionStructure("icar", C, rank=E.shape[0] - 1)
     if phi is None or phi <= 0.0:
         raise ValueError("grf structures require phi > 0")
-    coords = np.asarray(spec.coords, dtype=float)
     if spec.fsa is None:
-        R = dense_correlation(coords, phi, spec.nu)
+        R = dense_correlation(spec.distances, phi, spec.nu)
         cf = cho_factor(R, lower=True)
         Rinv = cho_solve(cf, np.eye(R.shape[0]))
         logdet = 2.0 * np.log(np.diag(cf[0])).sum()
         return PrecisionStructure("grf", Rinv, rank=R.shape[0],
                                   logdet_half=-0.5 * logdet, R=R)
-    A, B = spec.fsa
-    Rdag, Rinv, logdet = fsa_build(coords, phi, spec.nu, A, B)
-    return PrecisionStructure("grf", Rinv, rank=coords.shape[0],
+    Rdag, Rinv, logdet = fsa_build(spec.fsa_geometry, phi, spec.nu)
+    return PrecisionStructure("grf", Rinv, rank=Rdag.shape[0],
                               logdet_half=-0.5 * logdet, R=Rdag)
 
 
@@ -264,15 +286,15 @@ def build_iid(m):
     return PrecisionStructure("iid", np.eye(m), rank=m)
 
 
-def dense_correlation(coords, phi, nu=1.0):
-    """R = (1 - eps) rho_mm + eps I with the powered-exponential correlation."""
-    d = pairwise_distances(coords)
+def dense_correlation(d, phi, nu=1.0):
+    """R = (1 - eps) rho_mm + eps I with the powered-exponential correlation
+    of the (m, m) site distances d."""
     rho = corr_from_distance(d, phi, nu)
     m = rho.shape[0]
     return (1.0 - _NUGGET) * rho + _NUGGET * np.eye(m)
 
 
-def fsa_build(coords, phi, nu, A, B):
+def fsa_build(geometry, phi, nu):
     """Full-scale approximation of the correlation matrix.
 
     Returns (R_dag, R_dag^{-1}, log det R_dag) where
@@ -280,19 +302,14 @@ def fsa_build(coords, phi, nu, A, B):
         R_dag = (1-eps) rho_mA rho_AA^{-1} rho_mA' + R_s,
         R_s   = (1-eps)(rho_mm - rho_mA rho_AA^{-1} rho_mA') o Delta + eps I,
 
-    Delta the same-block indicator.  The inverse uses the Sherman-Morrison-
-    Woodbury identity and the determinant its companion formula, so only
-    A x A and within-block solves are performed.
+    Delta the same-block indicator, for the knots and blocks of geometry (a
+    FrailtySpec.fsa_geometry).  The inverse uses the Sherman-Morrison-Woodbury
+    identity and the determinant its companion formula, so only A x A and
+    within-block solves are performed.
     """
-    coords = np.asarray(coords, dtype=float)
-    m = coords.shape[0]
-    knots = select_knots(coords, A)
-    blocks = assign_blocks(coords, B)
-    sk = coords[knots]
-    d_AA = pairwise_distances(sk)
-    rho_AA = corr_from_distance(d_AA, phi, nu)
-    d_mA = np.sqrt(((coords[:, None, :] - sk[None, :, :]) ** 2).sum(-1))
-    rho_mA = corr_from_distance(d_mA, phi, nu)
+    m = geometry.d_mA.shape[0]
+    rho_AA = corr_from_distance(geometry.d_AA, phi, nu)
+    rho_mA = corr_from_distance(geometry.d_mA, phi, nu)
     try:
         L_AA = cholesky(rho_AA, lower=True)
     except np.linalg.LinAlgError as exc:
@@ -305,11 +322,7 @@ def fsa_build(coords, phi, nu, A, B):
     Rs_logdet = 0.0
     Rs = np.zeros((m, m))
     one = 1.0 - _NUGGET
-    for bidx in range(blocks.max() + 1):
-        I = np.flatnonzero(blocks == bidx)
-        if I.size == 0:
-            continue
-        d_bb = pairwise_distances(coords[I])
+    for I, d_bb in zip(geometry.blocks, geometry.d_bb):
         rho_bb = corr_from_distance(d_bb, phi, nu)
         resid = rho_bb - half[:, I].T @ half[:, I]
         S = one * resid + _NUGGET * np.eye(I.size)

@@ -131,7 +131,7 @@ def gen_frailty_truth(spec, tau2, rng, phi=None):
         v = rng.multivariate_normal(np.zeros(m), cov, method="cholesky")
         return v - v.mean()
     if spec.kind == "grf":
-        R = fr.dense_correlation(spec.coords, phi, spec.nu)
+        R = fr.dense_correlation(spec.distances, phi, spec.nu)
         chol = np.linalg.cholesky(tau2 * R)
         return chol @ rng.standard_normal(R.shape[0])
     if spec.kind == "iid":

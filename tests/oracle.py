@@ -1,4 +1,4 @@
-"""Scalar reference for the survival models, used as a test oracle.
+"""Scalar references used as test oracles.
 
 The closed forms in surv, dens, obs_loglik and linear_predictor are written
 out per model and share no code with bpsurv.models.survival_transform, the
@@ -7,6 +7,9 @@ vectorized kernel they check:
     aft:  S_x(t) = S0(e^eta t)
     ph:   S_x(t) = S0(t)^(e^eta)
     po:   S_x(t) = e^-eta S0(t) / (1 + (e^-eta - 1) S0(t))
+
+select_knots is the candidate-by-candidate form of the maximin knot search
+that bpsurv.frailty.select_knots vectorizes.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from bpsurv.frailty import pairwise_distances
 from bpsurv.models import MODELS, LikelihoodEvaluator
 
 _FLOOR = 1e-300
@@ -121,3 +125,55 @@ def total_loglik(model, dataset, state, baseline, spline_terms=None):
     cache = ev.build_cache(np.asarray(baseline.family.theta, dtype=float), eta)
     ll = ev.loglik_obs(cache, baseline.w, eta)
     return float(ll.sum()), ll
+
+
+def select_knots(coords, A, refine=True):
+    """Greedy farthest-point knots, then up to three swap sweeps that rescore
+    the whole knot set for every candidate site at every position."""
+    coords = np.asarray(coords, dtype=float)
+    m = coords.shape[0]
+    if not 1 <= A <= m:
+        raise ValueError(f"knot count must lie in 1..{m}, got {A}")
+    if A == m:
+        return np.arange(m)
+    dist = pairwise_distances(coords)
+    centroid = coords.mean(axis=0)
+    start = int(np.argmax(np.linalg.norm(coords - centroid, axis=1)))
+    chosen = [start]
+    mind = dist[start].copy()
+    while len(chosen) < A:
+        nxt = int(np.argmax(mind))
+        chosen.append(nxt)
+        np.minimum(mind, dist[nxt], out=mind)
+    if refine:
+        chosen_set = set(chosen)
+        for _ in range(3):
+            improved = False
+            for pos in range(A):
+                base = _swap_score(dist, chosen)
+                best_gain, best_site = 0.0, None
+                for cand in range(m):
+                    if cand in chosen_set:
+                        continue
+                    old = chosen[pos]
+                    chosen[pos] = cand
+                    score = _swap_score(dist, chosen)
+                    chosen[pos] = old
+                    if score - base > best_gain + 1e-12:
+                        best_gain, best_site = score - base, cand
+                if best_site is not None:
+                    chosen_set.discard(chosen[pos])
+                    chosen[pos] = best_site
+                    chosen_set.add(best_site)
+                    improved = True
+            if not improved:
+                break
+    return np.array(sorted(chosen))
+
+
+def _swap_score(dist, chosen):
+    # minimum pairwise distance among knots: the maximin design criterion
+    idx = np.asarray(chosen)
+    sub = dist[np.ix_(idx, idx)]
+    iu = np.triu_indices(len(idx), k=1)
+    return sub[iu].min() if iu[0].size else np.inf

@@ -59,6 +59,20 @@ class TestFit:
         assert rc == 0
         assert "phi0 = " in capsys.readouterr().out
 
+    def test_constant_trunc_column_is_not_a_covariate(self, tmp_path, capsys):
+        data = tmp_path / "sim.csv"
+        assert main(["simulate", "--design", "sim1-ph", "--seed", "1",
+                     "--out", str(data)]) == 0
+        argv = ["fit", "--data", str(data), "--location-col", "location", *FAST,
+                "--outdir", str(tmp_path / "fit")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "'trunc'" in err and "--trunc-col" in err
+        assert main(argv + ["--trunc-col", "trunc"]) == 0
+        header = (tmp_path / "fit" / "draws.csv").read_text().splitlines()[0]
+        assert "beta.trunc" not in header
+
     def test_missing_data_file(self, tmp_path, capsys):
         rc = main(["fit", "--data", str(tmp_path / "nope.csv"), "--outdir",
                    str(tmp_path / "o")])

@@ -135,6 +135,32 @@ class TestBfParametric:
                                       cov=np.cov(z.T) + 1e-10 * np.eye(4)).logpdf(np.zeros(4))
         assert cr.log_bf_parametric(arch) == pytest.approx(log_num - log_den, abs=1e-8)
 
+    def test_fewer_distinct_draws_than_dimensions_is_unavailable(self):
+        rng = np.random.default_rng(7)
+        z = rng.normal(0.3, 0.5, size=(3, 14))[np.arange(400) % 3]
+        arch = FakeArchive(np.zeros(400), 0.0, draws={"z": z, "alpha": np.ones(400)})
+        assert cr.log_bf_parametric(arch) is None
+
+    def test_unavailable_in_meta_json_and_summary(self, tmp_path):
+        import json
+
+        from bpsurv import archive_io, sampler
+        from bpsurv.simulate import SimDesign
+        ds = SimDesign(model="ph", m=4, n_per_site=10, frailty_kind="none").generate(2)[0]
+        cfg = sampler.McmcConfig(J=6, nburn=20, nsave=30, seed=3, prerun=False,
+                                 nonlinear=("x2",), spline_K=4)
+        arch = sampler.run_chain(ds, cfg)
+        stuck = np.arange(arch.L) % 3  # three distinct states in 5 and 4 dimensions
+        arch.draws["z"] = arch.draws["z"][stuck]
+        arch.draws["xi_x2"] = arch.draws["xi_x2"][stuck]
+        crit = archive_io.save_archive(arch, tmp_path)
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["criteria"]["log_bf_parametric"] is None
+        assert meta["criteria"]["log_bf_linear_x2"] is None
+        text = archive_io.summary_text(arch, crit)
+        assert "LOG BF PARAMETRIC: n/a" in text
+        assert "LOG BF nonlinearity [x2]: n/a" in text
+
 
 class TestEss:
     def test_iid_series(self):

@@ -1,6 +1,7 @@
 import itertools
 
 import numpy as np
+import oracle
 import pytest
 
 from bpsurv import frailty as fr
@@ -9,6 +10,17 @@ from bpsurv import frailty as fr
 def grid_coords(m, seed=0, extent=10.0):
     rng = np.random.default_rng(seed)
     return rng.uniform(0, extent, size=(m, 2))
+
+
+def lattice_coords(m, seed=0):
+    """m points of a unit lattice in shuffled order: many tied distances."""
+    side = int(np.ceil(np.sqrt(m)))
+    pts = np.array([(i, j) for i in range(side) for j in range(side)], dtype=float)
+    return np.random.default_rng(seed).permutation(pts)[:m]
+
+
+def fsa_spec(coords, A, B):
+    return fr.FrailtySpec(kind="grf", coords=coords, fsa=(A, B))
 
 
 class TestCorrelation:
@@ -69,6 +81,15 @@ class TestDesign:
         coords = grid_coords(40, seed=3)
         assert np.array_equal(fr.select_knots(coords, 8), fr.select_knots(coords, 8))
         assert np.array_equal(fr.assign_blocks(coords, 5), fr.assign_blocks(coords, 5))
+
+    @pytest.mark.parametrize("layout", [grid_coords, lattice_coords])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_knots_match_loop_reference(self, layout, seed):
+        m = 17 + 6 * seed
+        coords = layout(m, seed=seed)
+        for A in (1, 2, 3, m // 3, m - 1, m):
+            assert np.array_equal(fr.select_knots(coords, A),
+                                  oracle.select_knots(coords, A)), A
 
 
 def path_graph(m):
@@ -192,21 +213,22 @@ class TestGrfDense:
 class TestFsa:
     @pytest.mark.parametrize("A", [5, 10])
     def test_single_block_is_exact(self, A):
-        coords = grid_coords(40, seed=2)
-        R = fr.dense_correlation(coords, 0.5, 1.0)
-        Rdag, Rinv, logdet = fr.fsa_build(coords, 0.5, 1.0, A=A, B=1)
+        spec = fsa_spec(grid_coords(40, seed=2), A, 1)
+        R = fr.dense_correlation(spec.distances, 0.5, 1.0)
+        Rdag, Rinv, logdet = fr.fsa_build(spec.fsa_geometry, 0.5, 1.0)
         assert np.max(np.abs(Rdag - R)) < 1e-10
 
     def test_inverse_identity(self):
-        coords = grid_coords(60, seed=4)
-        Rdag, Rinv, _ = fr.fsa_build(coords, 0.5, 1.0, A=10, B=5)
+        spec = fsa_spec(grid_coords(60, seed=4), 10, 5)
+        Rdag, Rinv, _ = fr.fsa_build(spec.fsa_geometry, 0.5, 1.0)
         off = Rinv @ Rdag - np.eye(60)
         assert np.max(np.abs(off)) < 1e-8
 
     def test_within_block_entries_exact(self):
         coords = grid_coords(50, seed=6)
-        R = fr.dense_correlation(coords, 0.7, 1.0)
-        Rdag, _, _ = fr.fsa_build(coords, 0.7, 1.0, A=8, B=4)
+        spec = fsa_spec(coords, 8, 4)
+        R = fr.dense_correlation(spec.distances, 0.7, 1.0)
+        Rdag, _, _ = fr.fsa_build(spec.fsa_geometry, 0.7, 1.0)
         blocks = fr.assign_blocks(coords, 4)
         same = blocks[:, None] == blocks[None, :]
         assert np.max(np.abs((Rdag - R)[same])) < 1e-12
@@ -214,8 +236,8 @@ class TestFsa:
     @pytest.mark.parametrize("m", [60, 200])
     @pytest.mark.parametrize("A,B", [(5, 1), (5, 4), (20, 10)])
     def test_logdet_and_inverse_against_dense(self, m, A, B):
-        coords = grid_coords(m, seed=m + A + B)
-        Rdag, Rinv, logdet = fr.fsa_build(coords, 0.5, 1.0, A=A, B=B)
+        spec = fsa_spec(grid_coords(m, seed=m + A + B), A, B)
+        Rdag, Rinv, logdet = fr.fsa_build(spec.fsa_geometry, 0.5, 1.0)
         sign, ld = np.linalg.slogdet(Rdag)
         assert sign > 0
         assert logdet == pytest.approx(ld, rel=1e-6)
@@ -231,3 +253,32 @@ class TestFsa:
         v = rng.normal(size=80)
         dense = v @ np.linalg.solve(st.R, v)
         assert st.quad_form(v) == pytest.approx(dense, rel=1e-6)
+
+
+class TestGeometryReuse:
+    @pytest.mark.parametrize("nu", [1.0, 1.5])
+    @pytest.mark.parametrize("fsa", [None, (12, 4)])
+    def test_build_matches_fresh_spec(self, fsa, nu):
+        coords = grid_coords(70, seed=13)
+        spec = fr.FrailtySpec(kind="grf", coords=coords, nu=nu, fsa=fsa)
+        for phi in (0.3, 0.8, 2.0, 0.3):
+            reused = fr.build_structure(spec, phi=phi)
+            fresh = fr.build_structure(
+                fr.FrailtySpec(kind="grf", coords=coords, nu=nu, fsa=fsa), phi=phi)
+            assert np.array_equal(reused.R, fresh.R)
+            assert np.array_equal(reused.C, fresh.C)
+            assert reused.logdet_half == fresh.logdet_half
+
+    def test_knots_and_blocks_chosen_once_and_lazily(self, monkeypatch):
+        calls = []
+        for name in ("select_knots", "assign_blocks"):
+            def counted(coords, k, _f=getattr(fr, name), _name=name):
+                calls.append((_name, k))
+                return _f(coords, k)
+            monkeypatch.setattr(fr, name, counted)
+        spec = fsa_spec(grid_coords(40, seed=1), 9, 3)
+        spec.phi0()
+        assert calls == []
+        for phi in (0.4, 0.9, 1.3):
+            fr.build_structure(spec, phi=phi)
+        assert calls == [("select_knots", 9), ("assign_blocks", 3), ("select_knots", 3)]

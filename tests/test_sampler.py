@@ -252,6 +252,25 @@ class TestRunChain:
         assert "phi" in arch.draws
         assert arch.draws["phi"].min() > 0
 
+    def test_fsa_knots_and_blocks_chosen_once(self, monkeypatch):
+        from bpsurv.simulate import SimDesign
+        ds, _ = SimDesign(model="ph", m=12, n_per_site=4, frailty_kind="grf").generate(8)
+        calls = []
+        for name in ("select_knots", "assign_blocks", "build_structure"):
+            def counted(*args, _f=getattr(fr, name), _name=name, **kw):
+                calls.append(_name)
+                return _f(*args, **kw)
+            monkeypatch.setattr(fr, name, counted)
+        spec = fr.FrailtySpec(kind="grf", coords=ds.coords, fsa=(6, 3))
+        cfg = self.small_config(nburn=10, nsave=20, nskip=1, frailty=spec)
+        arch = sm.run_chain(ds, cfg)
+        assert arch.L == 20
+        # the initial structure, then one per positive phi proposal
+        assert 10 < calls.count("build_structure") <= 31
+        assert calls.count("assign_blocks") == 1
+        # once for the knots, once inside assign_blocks for the block centers
+        assert calls.count("select_knots") == 2
+
     def test_nonlinear_terms_run(self):
         ds = self.dataset()
         cfg = self.small_config(nonlinear=("x2",), spline_K=4)
