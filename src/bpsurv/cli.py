@@ -222,8 +222,6 @@ def _mcmc_config(opts, spec):
         spline_K=opts["spline_k"],
         frailty=spec,
         prerun=not opts["no_prerun"], prerun_iters=opts["prerun_iters"],
-        prerun_burn=opts["prerun_iters"] // 2,
-        keep_loglik=True,
     )
 
 
@@ -364,8 +362,6 @@ def cmd_mc_study(args):
         val = getattr(args, key)
         if val is not None:
             cfg_kwargs[field] = val
-    if "prerun_iters" in cfg_kwargs:
-        cfg_kwargs["prerun_burn"] = cfg_kwargs["prerun_iters"] // 2
     models = _split(args.models)
     result = run_mc_study(design, args.replicates, master_seed=args.seed,
                           jobs=args.jobs, fit_models=models, cfg_kwargs=cfg_kwargs,

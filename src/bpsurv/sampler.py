@@ -4,21 +4,24 @@ One sweep updates, in order: baseline weight logits z, centering parameters
 theta, regression block (beta and any spline coefficients), the weight-prior
 precision alpha, frailties v site by site, tau^2 by a Gibbs draw, the range
 parameter phi (random fields only), and the inclusion indicators gamma when
-variable selection is on.  The z/theta/beta/alpha/phi blocks use Gaussian
-random-walk proposals whose covariance switches from a fixed seed matrix to
-(2.4^2/d) times the running sample covariance of the chain after l0
-iterations.
+variable selection is on.  The z/theta/beta/alpha/phi blocks share one
+adaptive random-walk Metropolis step (ChainSampler._metropolis): Gaussian
+proposals whose covariance switches from a fixed seed matrix to (2.4^2/d)
+times the running sample covariance of the block after l0 recorded states
+(Haario et al. 2001).
 
-A short pre-run with weights pinned at 1/J (the parametric special case) and
-vague priors supplies starting values, the informative theta prior, and the
-initial proposal covariances for theta and beta.
+The parametric pre-run is a ChainSampler too: z pinned at 0 (weights 1/J,
+the parametric special case), vague priors, no frailties or selection, and
+only the theta and regression blocks updated.  Its second half supplies the
+starting values, the informative theta prior, and the seed proposal
+covariances for theta and beta.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,6 +37,8 @@ from .splines import build_basis, gprior_scale
 
 _BLOCKS = ("prerun", "init", "z", "theta", "beta", "alpha", "frailty", "tau2",
            "phi", "gamma")
+_SEED_SCALE = 0.16  # seed proposal variance per coordinate
+_PRERUN_L0 = 200
 
 
 @dataclass
@@ -43,7 +48,10 @@ class McmcConfig:
     Defaults follow the source methodology: W0 = 1e10 I (or the g-prior with
     M=10, q=0.9 under selection), theta0/V0 from the pre-run with V0 = 10 Vhat,
     a_alpha = b_alpha = 1, a_tau = b_tau = 0.001, a_phi = 2 with
-    b_phi = (a_phi - 1)/phi0, and seed proposal scales 0.16 for z, alpha, phi.
+    b_phi = (a_phi - 1)/phi0.  The seed proposal covariances are fixed:
+    0.16 I for z, alpha and phi, and the pre-run's Vhat and What for theta and
+    beta (0.16 I without a pre-run).  phi starts at phi0, and the pre-run keeps
+    the second half of its prerun_iters iterations.
     """
 
     model: str = "ph"
@@ -65,11 +73,6 @@ class McmcConfig:
     V0: np.ndarray = None
     # adaptive proposals
     l0: int = 5000
-    z_sigma0: float = 0.16
-    alpha_sigma0: float = 0.16
-    phi_sigma0: float = 0.16
-    beta_sigma0: np.ndarray = None  # default: pre-run What
-    theta_sigma0: np.ndarray = None  # default: pre-run Vhat
     # variable selection
     selection: bool = False
     q_incl: float = 0.5
@@ -83,14 +86,21 @@ class McmcConfig:
     # initial values
     alpha_init: float = 1.0
     tau2_init: float = 1.0
-    phi_init: float = None
     # pre-run
     prerun: bool = True
     prerun_iters: int = 2000
-    prerun_burn: int = 1000
     # diagnostics
     debug_checks: bool = False
-    keep_loglik: bool = True
+
+    def __post_init__(self):
+        if self.nskip < 1:
+            raise ValueError(f"nskip must be at least 1, got {self.nskip}")
+        for name in ("nburn", "nsave", "l0", "prerun_iters"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if self.prerun and self.prerun_iters - self.prerun_iters // 2 < 2:
+            raise ValueError("prerun_iters must be at least 3, so that the pre-run keeps "
+                             f"two draws, got {self.prerun_iters}")
 
 
 @dataclass
@@ -116,9 +126,10 @@ class ChainState:
 class AdaptiveProposal:
     """Random-walk proposal with the running-covariance adaptation rule.
 
-    The proposal covariance equals sigma0 for the first l0 recorded states and
-    (2.4^2 / d) (C_l + 1e-10 I) afterwards, C_l being the sample covariance of
-    all past states of the block (rejections included).
+    The proposal covariance equals sigma0 for the first max(l0, 1) recorded
+    states and (2.4^2 / d) (C_l + 1e-10 I) afterwards, C_l being the sample
+    covariance of all past states of the block (rejections included); C_l
+    needs two states, so sigma0 is kept for the first state even at l0 = 0.
     """
 
     def __init__(self, dim, sigma0, l0, jitter=1e-10):
@@ -147,14 +158,17 @@ class AdaptiveProposal:
             return None
         return self._m2 / (self.count - 1)
 
+    def _seeded(self):
+        return self.count <= max(self.l0, 1)
+
     def current_sigma(self):
-        if self.count <= self.l0:
+        if self._seeded():
             return self.sigma0
         cov = self.covariance()
         return (2.4 ** 2 / self.d) * (cov + self.jitter * np.eye(self.d))
 
     def step(self, rng):
-        if self.count <= self.l0:
+        if self._seeded():
             L = self._chol0
         else:
             sigma = self.current_sigma()
@@ -203,69 +217,46 @@ def _spawn_rngs(seed):
 def parametric_prerun(dataset, config, spline_terms=None, rng=None):
     """Short pinned-weights chain giving (theta_hat, V_hat, beta_hat, W_hat).
 
-    Runs the same Metropolis blocks for theta and the regression vector with
-    w fixed at 1/J, vague priors, and no frailties or selection.  The
-    posterior means/covariances seed the main chain's theta prior and the
-    initial proposal covariances.
+    A ChainSampler with z pinned at 0 (w = 1/J), no frailties or selection,
+    vague priors (precisions 1e-6 I for theta around 0, 1e-10 I for the
+    regression block) and seed proposals 0.16 I for theta and
+    0.16 diag(1/max(var(column), 0.05)) for the regression block, adapting
+    after l0 = 200 states.  Each of the prerun_iters iterations runs the
+    theta then the regression update, both drawing from rng; the means and
+    covariances of the second half seed the main chain's theta prior,
+    starting values and proposal covariances.
     """
     if dataset.n == 0:
         raise ValueError("the parametric pre-run needs at least one observation")
     spline_terms = spline_terms or []
     rng = rng or np.random.default_rng(config.seed)
-    ev = LikelihoodEvaluator(dataset, config.model, config.family, config.J)
-    w = np.full(config.J, 1.0 / config.J)
-    p = dataset.p
-    dims = p + sum(t.K for t in spline_terms)
-    designs = [t.design for t in spline_terms]
-
-    theta = _theta_moment_init(dataset, config.family)
-    beta = np.zeros(dims)
-    eta = linear_predictor(dataset.X, designs, beta)
-    cache = ev.build_cache(theta, eta)
-    ll = ev.loglik_obs(cache, w, eta)
-    if not np.all(np.isfinite(ll)):
-        bad = int(np.flatnonzero(~np.isfinite(ll))[0])
+    pinned = replace(config, frailty=fr.FrailtySpec(), selection=False, prerun=False,
+                     l0=_PRERUN_L0, theta0=tuple(_theta_moment_init(dataset, config.family)))
+    s = ChainSampler(dataset, pinned, spline_terms, rngs={"theta": rng, "beta": rng})
+    if not np.all(np.isfinite(s.state.ll_obs)):
+        bad = int(np.flatnonzero(~np.isfinite(s.state.ll_obs))[0])
         raise ValueError(f"non-finite likelihood at initialization (observation {bad}); "
                          "check for zero-probability intervals")
-    ll_tot = float(ll.sum())
+    s.theta0 = np.zeros(2)
+    s.V0inv = 1e-6 * np.eye(2)
+    s.W0inv = 1e-10 * np.eye(s.dims)
+    if s.dims:
+        col_scale = np.concatenate([1.0 / np.maximum(D.var(axis=0), 0.05)
+                                    for D in (dataset.X, *s._designs)])
+        s.prop["beta"] = AdaptiveProposal(s.dims, _SEED_SCALE * np.diag(col_scale),
+                                          _PRERUN_L0)
 
-    col_scale = np.concatenate([
-        1.0 / np.maximum(dataset.X.var(axis=0), 0.05) if p else np.zeros(0),
-        *[1.0 / np.maximum(D.var(axis=0), 0.05) for D in designs]]) if dims else np.zeros(0)
-    prop_theta = AdaptiveProposal(2, 0.16 * np.eye(2), l0=200)
-    prop_beta = AdaptiveProposal(dims, 0.16 * np.diag(col_scale), l0=200) if dims else None
-    vague_theta, vague_beta = 1e-6, 1e-10  # prior precisions
-
-    keep_theta, keep_beta = [], []
+    burn = config.prerun_iters // 2
+    TH = np.empty((config.prerun_iters - burn, 2))
+    BE = np.empty((config.prerun_iters - burn, s.dims))
     for it in range(config.prerun_iters):
-        th_star = theta + prop_theta.step(rng)
-        cache_star = ev.build_cache(th_star, eta)
-        ll_star = ev.loglik_obs(cache_star, w, eta)
-        lt = float(ll_star.sum())
-        dprior = -0.5 * vague_theta * (th_star @ th_star - theta @ theta)
-        if np.isfinite(lt) and math.log(rng.uniform()) < lt - ll_tot + dprior:
-            theta, cache, ll, ll_tot = th_star, cache_star, ll_star, lt
-        prop_theta.record(theta)
-
-        if dims:
-            b_star = beta + prop_beta.step(rng)
-            eta_star = linear_predictor(dataset.X, designs, b_star)
-            cache_b = ev.cache_for_eta(cache, eta_star)
-            ll_star = ev.loglik_obs(cache_b, w, eta_star)
-            lt = float(ll_star.sum())
-            dprior = -0.5 * vague_beta * (b_star @ b_star - beta @ beta)
-            if np.isfinite(lt) and math.log(rng.uniform()) < lt - ll_tot + dprior:
-                beta, eta, cache, ll, ll_tot = b_star, eta_star, cache_b, ll_star, lt
-            prop_beta.record(beta)
-
-        if it >= config.prerun_burn:
-            keep_theta.append(theta.copy())
-            keep_beta.append(beta.copy())
-
-    TH = np.array(keep_theta)
-    BE = np.array(keep_beta) if dims else np.zeros((len(keep_theta), 0))
+        s.update_theta()
+        s.update_beta()
+        if it >= burn:
+            TH[it - burn] = s.state.theta
+            BE[it - burn] = s.state.beta
     V_hat = np.cov(TH.T) + 1e-8 * np.eye(2)
-    W_hat = (np.cov(BE.T).reshape(dims, dims) + 1e-8 * np.eye(dims)) if dims \
+    W_hat = (np.cov(BE.T).reshape(s.dims, s.dims) + 1e-8 * np.eye(s.dims)) if s.dims \
         else np.zeros((0, 0))
     return PrerunEstimates(theta_hat=TH.mean(axis=0), V_hat=V_hat,
                            beta_hat=BE.mean(axis=0), W_hat=W_hat)
@@ -309,27 +300,23 @@ class ChainSampler:
             self.b_phi = config.b_phi if config.b_phi is not None \
                 else (config.a_phi - 1.0) / self.phi0
         # proposals
-        theta_sigma0 = config.theta_sigma0 if config.theta_sigma0 is not None \
-            else (est.V_hat if est else 0.16 * np.eye(2))
-        beta_sigma0 = config.beta_sigma0 if config.beta_sigma0 is not None \
-            else (est.W_hat if est and est.W_hat.size else 0.16 * np.eye(self.dims))
+        theta_sigma0 = est.V_hat if est else _SEED_SCALE * np.eye(2)
+        beta_sigma0 = est.W_hat if est and est.W_hat.size else _SEED_SCALE * np.eye(self.dims)
         self.prop = {
-            "z": AdaptiveProposal(config.J - 1, config.z_sigma0 * np.eye(config.J - 1),
-                                  config.l0),
+            "z": AdaptiveProposal(config.J - 1, _SEED_SCALE * np.eye(config.J - 1), config.l0),
             "theta": AdaptiveProposal(2, theta_sigma0, config.l0),
-            "alpha": AdaptiveProposal(1, config.alpha_sigma0, config.l0),
+            "alpha": AdaptiveProposal(1, _SEED_SCALE, config.l0),
         }
         if self.dims:
             self.prop["beta"] = AdaptiveProposal(self.dims, beta_sigma0, config.l0)
         if self.has_phi:
-            self.prop["phi"] = AdaptiveProposal(1, config.phi_sigma0, config.l0)
+            self.prop["phi"] = AdaptiveProposal(1, _SEED_SCALE, config.l0)
 
         # initial state
         beta_init = np.zeros(self.dims)
         if est is not None and est.beta_hat.size == self.dims:
             beta_init = est.beta_hat.copy()
-        phi_init = (config.phi_init if config.phi_init is not None
-                    else (self.phi0 if self.has_phi else 0.0))
+        phi_init = self.phi0 if self.has_phi else 0.0
         self.state = ChainState(
             z=np.zeros(config.J - 1),
             theta=self.theta0.copy(),
@@ -413,83 +400,92 @@ class ChainSampler:
 
     # -- block updates ------------------------------------------------------
 
+    def _metropolis(self, block, x, target, positive=False):
+        """One adaptive random-walk Metropolis step of `block` from state x.
+
+        Draws the step, then log u; x* = x + step.  When x* is in the support
+        (x*[0] > 0 for a positive block), target(x*) returns (ll*, log_ratio,
+        extra): the proposal's per-observation log-likelihood (None for a
+        block the likelihood does not see), the rest of the log acceptance
+        ratio, and anything the caller needs on acceptance.  A non-finite
+        total ll* is counted and rejected.  The post-decision state is
+        recorded; returns (x*, ll*, extra) on acceptance, else None.
+        """
+        prop, rng = self.prop[block], self.rngs[block]
+        step = prop.step(rng)
+        logu = math.log(rng.uniform())
+        x_star = x + step
+        hit = None
+        if not positive or x_star[0] > 0.0:
+            ll_star, log_ratio, extra = target(x_star)
+            if ll_star is not None:
+                lt = float(ll_star.sum())
+                if np.isfinite(lt):
+                    log_ratio = lt - self.state.ll_total + log_ratio
+                else:
+                    self.nonfinite_rejects += 1
+                    log_ratio = -math.inf
+            if logu < log_ratio:
+                hit = x_star, ll_star, extra
+                self.accept[block] += 1
+        prop.record(x if hit is None else x_star)
+        return hit
+
     def update_z(self):
         st = self.state
-        rng = self.rngs["z"]
-        step = self.prop["z"].step(rng)
-        logu = math.log(rng.uniform())
-        z_star = st.z + step
-        w_star = weights_from_logits(z_star)
-        ll_star = self.ev.loglik_obs(self.cache, w_star, self.eta)
-        lt = float(ll_star.sum())
-        # full conditional: likelihood times prod_j w_j^alpha (Jacobian included)
-        dprior = st.alpha * float(np.log(w_star).sum() - np.log(st.w).sum())
-        ok = np.isfinite(lt)
-        if not ok:
-            self.nonfinite_rejects += 1
-        if ok and logu < lt - st.ll_total + dprior:
-            st.z, st.w, st.ll_obs = z_star, w_star, ll_star
-            self.accept["z"] += 1
-        self.prop["z"].record(st.z)
+
+        def target(z):
+            w = weights_from_logits(z)
+            # full conditional: likelihood times prod_j w_j^alpha (Jacobian included)
+            dprior = st.alpha * float(np.log(w).sum() - np.log(st.w).sum())
+            return self.ev.loglik_obs(self.cache, w, self.eta), dprior, w
+
+        hit = self._metropolis("z", st.z, target)
+        if hit:
+            st.z, st.ll_obs, st.w = hit
 
     def update_theta(self):
         st = self.state
-        rng = self.rngs["theta"]
-        step = self.prop["theta"].step(rng)
-        logu = math.log(rng.uniform())
-        th_star = st.theta + step
-        cache_star = self.ev.build_cache(th_star, self.eta)
-        ll_star = self.ev.loglik_obs(cache_star, st.w, self.eta)
-        lt = float(ll_star.sum())
-        d0 = st.theta - self.theta0
-        d1 = th_star - self.theta0
-        dprior = -0.5 * float(d1 @ self.V0inv @ d1 - d0 @ self.V0inv @ d0)
-        ok = np.isfinite(lt)
-        if not ok:
-            self.nonfinite_rejects += 1
-        if ok and logu < lt - st.ll_total + dprior:
-            st.theta, self.cache, st.ll_obs = th_star, cache_star, ll_star
-            self.accept["theta"] += 1
-        self.prop["theta"].record(st.theta)
+
+        def target(theta):
+            cache = self.ev.build_cache(theta, self.eta)
+            d0, d1 = st.theta - self.theta0, theta - self.theta0
+            dprior = -0.5 * float(d1 @ self.V0inv @ d1 - d0 @ self.V0inv @ d0)
+            return self.ev.loglik_obs(cache, st.w, self.eta), dprior, cache
+
+        hit = self._metropolis("theta", st.theta, target)
+        if hit:
+            st.theta, st.ll_obs, self.cache = hit
 
     def update_beta(self):
         if not self.dims:
             return
         st = self.state
-        rng = self.rngs["beta"]
-        step = self.prop["beta"].step(rng)
-        logu = math.log(rng.uniform())
-        b_star = st.beta + step
-        eta_lin_star, eta_star = self._etas(beta=b_star)
-        cache_star = self.ev.cache_for_eta(self.cache, eta_star)
-        ll_star = self.ev.loglik_obs(cache_star, st.w, eta_star)
-        lt = float(ll_star.sum())
-        dprior = self._regression_logprior(b_star) - self._regression_logprior(st.beta)
-        ok = np.isfinite(lt)
-        if not ok:
-            self.nonfinite_rejects += 1
-        if ok and logu < lt - st.ll_total + dprior:
-            st.beta, st.ll_obs = b_star, ll_star
-            self.eta_lin, self.eta, self.cache = eta_lin_star, eta_star, cache_star
-            self.accept["beta"] += 1
-        self.prop["beta"].record(st.beta)
+
+        def target(beta):
+            eta_lin, eta = self._etas(beta=beta)
+            cache = self.ev.cache_for_eta(self.cache, eta)
+            dprior = self._regression_logprior(beta) - self._regression_logprior(st.beta)
+            return self.ev.loglik_obs(cache, st.w, eta), dprior, (eta_lin, eta, cache)
+
+        hit = self._metropolis("beta", st.beta, target)
+        if hit:
+            st.beta, st.ll_obs, (self.eta_lin, self.eta, self.cache) = hit
 
     def update_alpha(self):
         st = self.state
-        rng = self.rngs["alpha"]
-        step = float(self.prop["alpha"].step(rng)[0])
-        logu = math.log(rng.uniform())
-        a_star = st.alpha + step
-        if a_star > 0.0:
-            cfg = self.cfg
-            cur = (dirichlet_symmetric_logpdf(st.w, st.alpha)
-                   + (cfg.a_alpha - 1.0) * math.log(st.alpha) - cfg.b_alpha * st.alpha)
-            new = (dirichlet_symmetric_logpdf(st.w, a_star)
-                   + (cfg.a_alpha - 1.0) * math.log(a_star) - cfg.b_alpha * a_star)
-            if logu < new - cur:
-                st.alpha = a_star
-                self.accept["alpha"] += 1
-        self.prop["alpha"].record(np.array([st.alpha]))
+        cfg = self.cfg
+
+        def logpost(alpha):
+            return (dirichlet_symmetric_logpdf(st.w, alpha)
+                    + (cfg.a_alpha - 1.0) * math.log(alpha) - cfg.b_alpha * alpha)
+
+        def target(x):
+            return None, logpost(float(x[0])) - logpost(st.alpha), None
+
+        hit = self._metropolis("alpha", np.array([st.alpha]), target, positive=True)
+        if hit:
+            st.alpha = float(hit[0][0])
 
     def update_frailties(self):
         """One Metropolis scan over sites with conditional-prior-variance proposals.
@@ -564,22 +560,19 @@ class ChainSampler:
         if not self.has_phi:
             return
         st = self.state
-        rng = self.rngs["phi"]
-        step = float(self.prop["phi"].step(rng)[0])
-        logu = math.log(rng.uniform())
-        phi_star = st.phi + step
-        if phi_star > 0.0:
-            struct_star = fr.build_structure(self.spec, phi=phi_star, m=self.m)
 
-            def logpost(struct, phi):
-                return (struct.logdet_half - 0.5 * struct.quad_form(st.v) / st.tau2
-                        + (self.cfg.a_phi - 1.0) * math.log(phi) - self.b_phi * phi)
+        def logpost(struct, phi):
+            return (struct.logdet_half - 0.5 * struct.quad_form(st.v) / st.tau2
+                    + (self.cfg.a_phi - 1.0) * math.log(phi) - self.b_phi * phi)
 
-            if logu < logpost(struct_star, phi_star) - logpost(self.structure, st.phi):
-                st.phi = phi_star
-                self.structure = struct_star
-                self.accept["phi"] += 1
-        self.prop["phi"].record(np.array([st.phi]))
+        def target(x):
+            phi = float(x[0])
+            struct = fr.build_structure(self.spec, phi=phi, m=self.m)
+            return None, logpost(struct, phi) - logpost(self.structure, st.phi), struct
+
+        hit = self._metropolis("phi", np.array([st.phi]), target, positive=True)
+        if hit:
+            st.phi, self.structure = float(hit[0][0]), hit[2]
 
     def update_gamma(self):
         """Gibbs sweep over inclusion indicators (Bernoulli full conditionals)."""
@@ -661,7 +654,7 @@ class ChainSampler:
             draws["tau2"] = np.empty(L)
         if self.has_phi:
             draws["phi"] = np.empty(L)
-        ll_obs = np.empty((L, self.ds.n)) if cfg.keep_loglik else None
+        ll_obs = np.empty((L, self.ds.n))
         ll_total = np.empty(L)
 
         for s in range(L):
@@ -683,8 +676,7 @@ class ChainSampler:
                 draws["tau2"][s] = st.tau2
             if self.has_phi:
                 draws["phi"][s] = st.phi
-            if ll_obs is not None:
-                ll_obs[s] = st.ll_obs
+            ll_obs[s] = st.ll_obs
             ll_total[s] = st.ll_total
 
         ll_at_mean = self._loglik_at_posterior_mean(draws) if L else math.nan

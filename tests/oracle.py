@@ -10,6 +10,10 @@ vectorized kernel they check:
 
 select_knots is the candidate-by-candidate form of the maximin knot search
 that bpsurv.frailty.select_knots vectorizes.
+
+parametric_prerun is the pre-run written as its own Metropolis loop, the
+reference for bpsurv.sampler.parametric_prerun, which runs the theta and
+regression blocks of a pinned ChainSampler instead.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ import numpy as np
 
 from bpsurv.frailty import pairwise_distances
 from bpsurv.models import MODELS, LikelihoodEvaluator
+from bpsurv.models import linear_predictor as stacked_predictor
+from bpsurv.sampler import AdaptiveProposal, PrerunEstimates, _theta_moment_init
 
 _FLOOR = 1e-300
 
@@ -177,3 +183,71 @@ def _swap_score(dist, chosen):
     sub = dist[np.ix_(idx, idx)]
     iu = np.triu_indices(len(idx), k=1)
     return sub[iu].min() if iu[0].size else np.inf
+
+
+def parametric_prerun(dataset, config, spline_terms=None, rng=None):
+    """Pinned-weights Metropolis loop over theta and the regression vector:
+    w = 1/J, vague priors, no frailties or selection; the second half of
+    config.prerun_iters iterations gives the estimates."""
+    if dataset.n == 0:
+        raise ValueError("the parametric pre-run needs at least one observation")
+    spline_terms = spline_terms or []
+    rng = rng or np.random.default_rng(config.seed)
+    ev = LikelihoodEvaluator(dataset, config.model, config.family, config.J)
+    w = np.full(config.J, 1.0 / config.J)
+    p = dataset.p
+    dims = p + sum(t.K for t in spline_terms)
+    designs = [t.design for t in spline_terms]
+
+    theta = _theta_moment_init(dataset, config.family)
+    beta = np.zeros(dims)
+    eta = stacked_predictor(dataset.X, designs, beta)
+    cache = ev.build_cache(theta, eta)
+    ll = ev.loglik_obs(cache, w, eta)
+    if not np.all(np.isfinite(ll)):
+        bad = int(np.flatnonzero(~np.isfinite(ll))[0])
+        raise ValueError(f"non-finite likelihood at initialization (observation {bad}); "
+                         "check for zero-probability intervals")
+    ll_tot = float(ll.sum())
+
+    col_scale = np.concatenate([
+        1.0 / np.maximum(dataset.X.var(axis=0), 0.05) if p else np.zeros(0),
+        *[1.0 / np.maximum(D.var(axis=0), 0.05) for D in designs]]) if dims else np.zeros(0)
+    prop_theta = AdaptiveProposal(2, 0.16 * np.eye(2), l0=200)
+    prop_beta = AdaptiveProposal(dims, 0.16 * np.diag(col_scale), l0=200) if dims else None
+    vague_theta, vague_beta = 1e-6, 1e-10  # prior precisions
+    burn = config.prerun_iters // 2
+
+    keep_theta, keep_beta = [], []
+    for it in range(config.prerun_iters):
+        th_star = theta + prop_theta.step(rng)
+        cache_star = ev.build_cache(th_star, eta)
+        ll_star = ev.loglik_obs(cache_star, w, eta)
+        lt = float(ll_star.sum())
+        dprior = -0.5 * vague_theta * (th_star @ th_star - theta @ theta)
+        if np.isfinite(lt) and math.log(rng.uniform()) < lt - ll_tot + dprior:
+            theta, cache, ll, ll_tot = th_star, cache_star, ll_star, lt
+        prop_theta.record(theta)
+
+        if dims:
+            b_star = beta + prop_beta.step(rng)
+            eta_star = stacked_predictor(dataset.X, designs, b_star)
+            cache_b = ev.cache_for_eta(cache, eta_star)
+            ll_star = ev.loglik_obs(cache_b, w, eta_star)
+            lt = float(ll_star.sum())
+            dprior = -0.5 * vague_beta * (b_star @ b_star - beta @ beta)
+            if np.isfinite(lt) and math.log(rng.uniform()) < lt - ll_tot + dprior:
+                beta, eta, cache, ll, ll_tot = b_star, eta_star, cache_b, ll_star, lt
+            prop_beta.record(beta)
+
+        if it >= burn:
+            keep_theta.append(theta.copy())
+            keep_beta.append(beta.copy())
+
+    TH = np.array(keep_theta)
+    BE = np.array(keep_beta) if dims else np.zeros((len(keep_theta), 0))
+    V_hat = np.cov(TH.T) + 1e-8 * np.eye(2)
+    W_hat = (np.cov(BE.T).reshape(dims, dims) + 1e-8 * np.eye(dims)) if dims \
+        else np.zeros((0, 0))
+    return PrerunEstimates(theta_hat=TH.mean(axis=0), V_hat=V_hat,
+                           beta_hat=BE.mean(axis=0), W_hat=W_hat)

@@ -73,6 +73,15 @@ class TestFit:
         header = (tmp_path / "fit" / "draws.csv").read_text().splitlines()[0]
         assert "beta.trunc" not in header
 
+    @pytest.mark.parametrize("flag, value", [("--nskip", "0"), ("--prerun-iters", "2"),
+                                             ("--nsave", "-1")])
+    def test_broken_chain_setting_is_an_error(self, tmp_path, capsys, flag, value):
+        path = tiny_dataset_csv(tmp_path)
+        rc = main(["fit", "--data", str(path), "--location-col", "location",
+                   "--trunc-col", "trunc", *FAST, flag, value, "--dry-run"])
+        assert rc == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
     def test_missing_data_file(self, tmp_path, capsys):
         rc = main(["fit", "--data", str(tmp_path / "nope.csv"), "--outdir",
                    str(tmp_path / "o")])

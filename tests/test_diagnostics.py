@@ -129,7 +129,7 @@ class TestCoxSnellResiduals:
                for k, o in enumerate(ds.observations)]
         ds = Dataset(observations=obs, m=ds.m, covariate_names=ds.covariate_names)
         cfg = sm.McmcConfig(model=model, J=4, nburn=20, nsave=10, seed=5, prerun_iters=60,
-                            prerun_burn=30, selection=True, nonlinear=("x2",), spline_K=4,
+                            selection=True, nonlinear=("x2",), spline_K=4,
                             frailty=fr.FrailtySpec(kind="iid"))
         arch = sm.run_chain(ds, cfg)
         arch.draws["gamma"][[3, 9], 0] = 0.0  # exercise the selection mask

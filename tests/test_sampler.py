@@ -3,12 +3,17 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import kstest, norm
 
 from bpsurv import data as dm
 from bpsurv import frailty as fr
 from bpsurv import sampler as sm
 from bpsurv.baseline import dirichlet_symmetric_logpdf, weights_from_logits
+from bpsurv.simulate import SimDesign
+from bpsurv.splines import build_basis
+
+import oracle
 
 
 def two_obs_dataset():
@@ -60,6 +65,48 @@ class TestAdaptiveProposal:
             prop.record(x)
         assert np.allclose(prop.covariance(), np.cov(xs.T), atol=1e-12)
 
+    def test_l0_zero_keeps_seed_until_two_states(self):
+        prop = sm.AdaptiveProposal(2, 0.16 * np.eye(2), l0=0)
+        rng = np.random.default_rng(3)
+        xs = []
+        for _ in range(3):
+            xs.append(prop.step(rng))
+            prop.record(xs[-1])
+            if prop.count == 1:
+                assert np.array_equal(prop.current_sigma(), 0.16 * np.eye(2))
+        expected = (2.4 ** 2 / 2) * (np.cov(np.array(xs).T) + 1e-10 * np.eye(2))
+        assert np.allclose(prop.current_sigma(), expected, rtol=1e-10)
+
+
+class TestMcmcConfigValidation:
+    @pytest.mark.parametrize("settings, name", [
+        (dict(nskip=0), "nskip"),
+        (dict(nskip=-1), "nskip"),
+        (dict(nburn=-1), "nburn"),
+        (dict(nsave=-1), "nsave"),
+        (dict(l0=-1), "l0"),
+        (dict(prerun_iters=-1, prerun=False), "prerun_iters"),
+        (dict(prerun_iters=0), "prerun_iters"),
+        (dict(prerun_iters=1), "prerun_iters"),
+        (dict(prerun_iters=2), "prerun_iters"),
+    ])
+    def test_rejects_broken_chain_settings(self, settings, name):
+        with pytest.raises(ValueError, match=name):
+            sm.McmcConfig(**settings)
+
+    @pytest.mark.parametrize("settings", [
+        dict(nburn=0, nsave=0, l0=0),
+        dict(prerun_iters=3),
+        dict(prerun_iters=0, prerun=False),
+    ])
+    def test_accepts_edge_settings(self, settings):
+        sm.McmcConfig(**settings)
+
+    def test_l0_zero_chain_runs(self):
+        ds = SimDesign(model="ph", m=4, n_per_site=6, frailty_kind="none").generate(1)[0]
+        cfg = sm.McmcConfig(J=4, nburn=5, nsave=5, l0=0, prerun_iters=20, seed=2)
+        assert sm.run_chain(ds, cfg).L == 5
+
 
 class TestPrerun:
     def test_empty_data_errors(self):
@@ -78,7 +125,7 @@ class TestPrerun:
                for tt, xx in zip(t, x)]
         ds = dm.Dataset(observations=obs, m=1, covariate_names=["x"])
         cfg = sm.McmcConfig(model="aft", family="loglogistic", seed=3,
-                            prerun_iters=1500, prerun_burn=600)
+                            prerun_iters=1500)
         est = sm.parametric_prerun(ds, cfg)
         # truth: theta = (0, log 2), beta = 1
         assert abs(est.beta_hat[0] - 1.0) < 3 * math.sqrt(est.W_hat[0, 0])
@@ -88,13 +135,39 @@ class TestPrerun:
     def test_deterministic(self):
         ds, _ = __import__("bpsurv.simulate", fromlist=["sim1_design"]) \
             .sim1_design("ph").generate(0)
-        cfg = sm.McmcConfig(seed=42, prerun_iters=200, prerun_burn=100)
+        cfg = sm.McmcConfig(seed=42, prerun_iters=200)
         rng1 = np.random.default_rng(np.random.SeedSequence(7))
         rng2 = np.random.default_rng(np.random.SeedSequence(7))
         e1 = sm.parametric_prerun(ds, cfg, rng=rng1)
         e2 = sm.parametric_prerun(ds, cfg, rng=rng2)
         assert np.array_equal(e1.theta_hat, e2.theta_hat)
         assert np.array_equal(e1.W_hat, e2.W_hat)
+
+    @pytest.mark.parametrize("model, covariates, spline", [
+        ("ph", False, False),   # no regression block
+        ("aft", True, True),    # covariates plus a spline term
+        ("po", True, False),
+    ])
+    def test_matches_loop_reference(self, model, covariates, spline):
+        ds = SimDesign(model=model, m=5, n_per_site=12, frailty_kind="none").generate(6)[0]
+        if not covariates:
+            ds = dm.Dataset(observations=[dm.CensoredObservation(a=o.a, b=o.b, x=())
+                                          for o in ds.observations],
+                            m=1, covariate_names=[])
+        terms = [build_basis(ds.column("x2"), 4, "x2")] if spline else []
+        cfg = sm.McmcConfig(model=model, J=5, prerun_iters=400, seed=1)
+        got = sm.parametric_prerun(ds, cfg, terms, np.random.default_rng(11))
+        ref = oracle.parametric_prerun(ds, cfg, terms, np.random.default_rng(11))
+        assert got.beta_hat.size == ds.p + 4 * spline
+        for key in ("theta_hat", "V_hat", "beta_hat", "W_hat"):
+            assert np.array_equal(getattr(got, key), getattr(ref, key)), key
+
+    def test_does_not_count_as_sweeps(self, monkeypatch):
+        sweeps = []
+        monkeypatch.setattr(sm.ChainSampler, "sweep", lambda self: sweeps.append(1))
+        ds = SimDesign(model="ph", m=4, n_per_site=6, frailty_kind="none").generate(1)[0]
+        sm.parametric_prerun(ds, sm.McmcConfig(prerun_iters=10))
+        assert not sweeps
 
 
 class TestBlockFullConditionals:
@@ -153,6 +226,49 @@ class TestBlockFullConditionals:
         grid = np.linspace(1e-4, 25, 4001)
         cdf = grid_cdf(grid, [target(a) for a in grid])
         draws = self.collect(s, s.update_alpha, lambda: s.state.alpha, iters=60000)
+        assert kstest(draws, cdf).statistic < 0.05
+
+    def test_theta_block_against_grid(self):
+        # w = (1/2, 1/2), theta ~ N(0, I): 2-D grid, then theta[0]'s marginal
+        ds = two_obs_dataset()
+        s = make_sampler(ds, J=2)
+        g0 = np.linspace(-6, 6, 121)
+        g1 = np.linspace(-6, 6, 41)
+
+        def target(th):
+            cache = s.ev.build_cache(th, s.eta)
+            return float(s.ev.loglik_obs(cache, s.state.w, s.eta).sum()) - 0.5 * th @ th
+
+        logdens = np.array([[target(np.array([a, b])) for b in g1] for a in g0])
+        # cumulated cell masses give the CDF at the right edge of each cell
+        cdf = grid_cdf(g0 + 0.05, logsumexp(logdens, axis=1))
+        draws = self.collect(s, s.update_theta, lambda: s.state.theta[0])
+        assert kstest(draws, cdf).statistic < 0.05
+
+    def test_phi_block_against_grid(self):
+        # GRF on three sites with v and tau2 fixed: phi | v, tau2 only
+        coords = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 6.9]])
+        spec = fr.FrailtySpec(kind="grf", coords=coords)
+        ds = dm.Dataset(observations=[], m=3, covariate_names=[])
+        s = make_sampler(ds, frailty=spec, tau2_init=0.8)
+        # unit proposal variance: mixes faster than the 0.16 seed and often
+        # proposes phi <= 0, which must be rejected without changing the target
+        s.prop["phi"] = sm.AdaptiveProposal(1, 1.0, 10 ** 9)
+        v = np.array([0.9, -0.4, 0.2])
+        s.state.v = v.copy()
+        b_phi = (s.cfg.a_phi - 1.0) / spec.phi0()
+
+        def target(phi):
+            R = fr.dense_correlation(spec.distances, phi, spec.nu)
+            _, logdet = np.linalg.slogdet(R)
+            quad = v @ np.linalg.solve(R, v)
+            return (-0.5 * logdet - 0.5 * quad / 0.8
+                    + (s.cfg.a_phi - 1.0) * math.log(phi) - b_phi * phi)
+
+        grid = np.linspace(1e-3, 20, 4001)
+        cdf = grid_cdf(grid, [target(phi) for phi in grid])
+        draws = self.collect(s, s.update_phi, lambda: s.state.phi)
+        assert np.array_equal(s.state.v, v) and s.state.tau2 == 0.8
         assert kstest(draws, cdf).statistic < 0.05
 
     def test_iid_frailty_prior_only_ks(self):
@@ -220,7 +336,7 @@ class TestGammaBlock:
 class TestRunChain:
     def small_config(self, **kw):
         defaults = dict(model="ph", family="loglogistic", J=6, nburn=50, nsave=40,
-                        nskip=2, seed=12, prerun_iters=150, prerun_burn=50, l0=30,
+                        nskip=2, seed=12, prerun_iters=150, l0=30,
                         debug_checks=True)
         defaults.update(kw)
         return sm.McmcConfig(**defaults)
