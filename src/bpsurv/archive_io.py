@@ -61,7 +61,7 @@ def compute_criteria(archive):
         out.update(lpml=lp, waic=wa, p_w=p_w)
     if archive.L >= 2:
         d, p_d = cr.dic(archive)
-        out.update(dic=d, p_d=p_d)
+        out.update(dic=d, p_d=p_d, p_v=cr.p_v(archive.loglik_total))
         out["log_bf_parametric"] = cr.log_bf_parametric(archive)
         for name in archive.spline_names:
             out[f"log_bf_linear_{name}"] = cr.log_bf_linearity(archive, name)
@@ -254,9 +254,12 @@ def summary_text(archive, criteria=None):
     def fmt(val):  # a Bayes factor the draws cannot support is None
         return "n/a" if val is None else f"{val:.4f}"
 
-    for key in ("lpml", "dic", "waic", "p_d", "p_w", "log_bf_parametric"):
+    for key in ("lpml", "dic", "waic", "p_d", "p_v", "p_w", "log_bf_parametric"):
         if key in criteria:
             lines.append(f"{key.upper().replace('_', ' ')}: {fmt(criteria[key])}")
+            if key == "p_d" and criteria[key] < 0:
+                lines[-1] += ("  (negative: the posterior-mean plug-in point fits worse "
+                              "than the average draw; read P V)")
     for key, val in criteria.items():
         if key.startswith("log_bf_linear_"):
             lines.append(f"LOG BF nonlinearity [{key[14:]}]: {fmt(val)}")

@@ -4,7 +4,8 @@ Everything operates on the (draws x observations) matrix of per-observation
 log-likelihoods, in log space throughout.  The CPO importance weights are
 truncated at sqrt(L) times their mean to tame infinite-variance cases before
 summing, and DIC's plug-in deviance uses the total log-likelihood evaluated at
-the posterior-mean parameters stored with the archive.
+the posterior-mean parameters stored with the archive; p_V, the variance of
+the total log-likelihood, is reported beside its p_D.
 """
 
 from __future__ import annotations
@@ -24,6 +25,13 @@ def dic(archive):
     mean_ll = float(archive.loglik_total.mean())
     p_d = 2.0 * (ll_hat - mean_ll)
     return -2.0 * ll_hat + 2.0 * p_d, p_d
+
+
+def p_v(loglik_total):
+    """Variance-based effective number of parameters, p_V = 2 var(log L) over
+    the draws (Gelman et al., BDA3, sec. 7.2).  Unlike DIC's plug-in p_D it
+    needs no point estimate and cannot be negative."""
+    return float(2.0 * np.var(loglik_total, ddof=1))
 
 
 def cpo(loglik_matrix):

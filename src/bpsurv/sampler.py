@@ -26,12 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import frailty as fr
-from .baseline import (
-    CenteringFamily,
-    TbpBaseline,
-    dirichlet_symmetric_logpdf,
-    weights_from_logits,
-)
+from .baseline import dirichlet_symmetric_logpdf, weights_from_logits
 from .models import LikelihoodEvaluator, linear_predictor
 from .splines import build_basis, gprior_scale
 
@@ -739,11 +734,6 @@ class PosteriorArchive:
         W = np.exp(np.concatenate([Z, np.zeros((Z.shape[0], 1))], axis=1))
         W /= W.sum(axis=1, keepdims=True)
         return W
-
-    def baseline_for_draw(self, s):
-        return TbpBaseline(J=self.J, w=self.weights()[s],
-                           family=CenteringFamily(self.family,
-                                                  tuple(self.draws["theta"][s])))
 
     def fitted_baseline_survival(self, tgrid):
         """Posterior mean of S0(t) over the grid."""

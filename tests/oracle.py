@@ -14,15 +14,24 @@ that bpsurv.frailty.select_knots vectorizes.
 parametric_prerun is the pre-run written as its own Metropolis loop, the
 reference for bpsurv.sampler.parametric_prerun, which runs the theta and
 regression blocks of a pinned ChainSampler instead.
+
+turnbull_npmle is the self-consistency EM over dense n x K membership
+matrices, built from a Python event list; bpsurv.diagnostics.turnbull_npmle
+works on contiguous runs of innermost intervals instead and accelerates the
+same EM map.  turnbull_loglik scores a support and masses with the same dense
+membership rule.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from bpsurv.baseline import CenteringFamily, TbpBaseline
+from bpsurv.diagnostics import TurnbullEstimate
 from bpsurv.frailty import pairwise_distances
 from bpsurv.models import MODELS, LikelihoodEvaluator
 from bpsurv.models import linear_predictor as stacked_predictor
@@ -251,3 +260,140 @@ def parametric_prerun(dataset, config, spline_terms=None, rng=None):
         else np.zeros((0, 0))
     return PrerunEstimates(theta_hat=TH.mean(axis=0), V_hat=V_hat,
                            beta_hat=BE.mean(axis=0), W_hat=W_hat)
+
+
+def baseline_for_draw(archive, s):
+    """The TBP baseline of retained draw s of a PosteriorArchive."""
+    return TbpBaseline(J=archive.J, w=archive.weights()[s],
+                       family=CenteringFamily(archive.family,
+                                              tuple(archive.draws["theta"][s])))
+
+
+def survival_after(est, t):
+    """S(t+) = P(T > t): mass of a TurnbullEstimate's support lying strictly
+    beyond t.
+
+    A non-atom (q, p] contributes whenever q >= t (its content exceeds q);
+    an atom at q only when q > t.
+    """
+    qs = np.array([q for q, _, _ in est.support])
+    atoms = np.array([a for _, _, a in est.support])
+    keep = (qs > t) | ((qs == t) & ~atoms)
+    return float(est.masses[keep].sum())
+
+
+def _membership(lo, hi, trunc, support):
+    """Dense alpha (observation contains innermost k) and beta (innermost k
+    lies beyond the truncation time) matrices; beta is None untruncated."""
+    exact = lo == hi
+    qs = np.array([q for q, _, _ in support])
+    ps = np.array([p for _, p, _ in support])
+    atoms = np.array([a for _, _, a in support], dtype=bool)
+    alpha = np.where(exact[:, None], atoms & (qs == lo[:, None]),
+                     ((qs > lo[:, None]) | ((qs == lo[:, None]) & ~atoms))
+                     & (ps <= hi[:, None]))
+    beta = None
+    if np.any(trunc > 0.0):
+        beta = (qs[None, :] > trunc[:, None]) | \
+               ((qs[None, :] == trunc[:, None]) & ~atoms[None, :])
+    return alpha, beta
+
+
+def turnbull_loglik(lo, hi, trunc, support, masses):
+    """Observed log-likelihood sum_i log(alpha_i . s) - log(beta_i . s)."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    trunc = np.zeros(lo.shape[0]) if trunc is None else np.asarray(trunc, dtype=float)
+    alpha, beta = _membership(lo, hi, trunc, support)
+    ll = float(np.log(alpha @ masses).sum())
+    if beta is not None:
+        ll -= float(np.log(beta @ masses).sum())
+    return ll
+
+
+def turnbull_npmle(lo, hi, trunc=None, tol=1e-8, max_iter=1000):
+    """Self-consistency EM on the Turnbull innermost intervals.
+
+    lo/hi follow the ResidualSample convention: lo == hi marks an exact value
+    (a point mass candidate), otherwise the observation interval is (lo, hi].
+    Left-truncated entries (trunc > 0) condition their contribution on the
+    event landing beyond trunc.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    n = lo.shape[0]
+    if n == 0:
+        raise ValueError("empty residual sample")
+    trunc = np.zeros(n) if trunc is None else np.asarray(trunc, dtype=float)
+    exact = lo == hi
+
+    # innermost intervals: sort candidate endpoints; an L-point immediately
+    # followed by an R-point forms one.  Exact values are closed L-points that
+    # sort before R-points at the same value; censored left endpoints are open
+    # and sort after them.
+    events = []
+    for i in range(n):
+        if exact[i]:
+            events.append((lo[i], 0, "L", True))
+        else:
+            events.append((lo[i], 2, "L", False))
+            events.append((hi[i], 1, "R", False))
+    for i in range(n):
+        if exact[i]:
+            events.append((lo[i], 1, "R", False))
+    events.sort(key=lambda e: (e[0], e[1]))
+    support = []
+    pending = None  # (value, closed)
+    for value, _, kind, closed in events:
+        if kind == "L":
+            pending = (value, closed)
+        elif pending is not None:
+            q, q_closed = pending
+            support.append((q, value, q_closed and value == q))
+            pending = None
+    if not support:
+        raise ValueError("no innermost intervals (is every interval empty?)")
+    K = len(support)
+    qs = np.array([s[0] for s in support])
+    ps = np.array([s[1] for s in support])
+    atoms = np.array([s[2] for s in support])
+
+    # membership: alpha[i, k] = 1 iff innermost k lies inside observation i
+    alpha = np.zeros((n, K), dtype=bool)
+    for i in range(n):
+        if exact[i]:
+            alpha[i] = atoms & (qs == lo[i])
+        else:
+            starts_inside = (qs > lo[i]) | ((qs == lo[i]) & ~atoms)
+            alpha[i] = starts_inside & (ps <= hi[i])
+    if np.any(~alpha.any(axis=1)):
+        raise ValueError("an observation matches no innermost interval")
+    # truncation: beta[i, k] = 1 iff innermost k lies beyond the truncation time
+    has_trunc = np.any(trunc > 0.0)
+    if has_trunc:
+        beta = (qs[None, :] > trunc[:, None]) | \
+               ((qs[None, :] == trunc[:, None]) & ~atoms[None, :])
+
+    s = np.full(K, 1.0 / K)
+    converged = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        denom = alpha @ s
+        mu = alpha * (s / denom[:, None])
+        if has_trunc:
+            bden = beta @ s
+            nu = (~beta) * (s / np.maximum(bden, 1e-300)[:, None])
+            weights = mu + nu
+        else:
+            weights = mu
+        s_new = weights.sum(axis=0)
+        s_new /= s_new.sum()
+        delta = np.max(np.abs(s_new - s))
+        s = s_new
+        if delta < tol:
+            converged = True
+            break
+    if not converged:
+        warnings.warn(f"Turnbull EM did not converge in {max_iter} iterations "
+                      f"(last change {delta:.2e})")
+    return TurnbullEstimate(support=support, masses=s, converged=converged, iterations=it)

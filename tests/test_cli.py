@@ -150,6 +150,7 @@ class TestDiagnose:
         assert tree.getroot().tag.endswith("svg")
         report = json.loads((fit / "diagnose.json").read_text())
         assert "coxsnell_slope" in report
+        assert report["p_v"] >= 0.0
 
 
 class TestMcStudy:

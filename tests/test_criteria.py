@@ -30,6 +30,32 @@ class TestDic:
         assert p_d == pytest.approx(1.0)
         assert val == pytest.approx(23.0)
 
+    def test_p_v_is_twice_the_loglik_variance(self):
+        # var([-10, -11, -12], ddof=1) = 1
+        assert cr.p_v(np.array([-10.0, -11.0, -12.0])) == pytest.approx(2.0)
+
+    def test_negative_p_d_is_flagged_beside_p_v(self, tmp_path):
+        import json
+
+        from bpsurv import archive_io, sampler
+        from bpsurv.simulate import SimDesign
+        ds = SimDesign(model="ph", m=4, n_per_site=10, frailty_kind="none").generate(2)[0]
+        cfg = sampler.McmcConfig(J=4, nburn=20, nsave=30, seed=3, prerun=False)
+        arch = sampler.run_chain(ds, cfg)
+        # a plug-in point fitting worse than the average draw: p_D = -6
+        arch.loglik_at_mean = float(arch.loglik_total.mean()) - 3.0
+        crit = archive_io.save_archive(arch, tmp_path)
+        assert crit["p_d"] == pytest.approx(-6.0)
+        p_v = 2.0 * np.var(arch.loglik_total, ddof=1)
+        assert crit["p_v"] == pytest.approx(p_v, rel=1e-12) and p_v > 0.0
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["criteria"]["p_v"] == pytest.approx(p_v, rel=1e-12)
+        text = archive_io.summary_text(arch, crit)
+        assert "P D: -6.0000  (negative:" in text
+        assert f"P V: {p_v:.4f}" in text
+        arch.loglik_at_mean += 6.0  # p_D = +6: no flag
+        assert "(negative:" not in archive_io.summary_text(arch)
+
 
 class TestLpml:
     def test_constant_likelihood(self):

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -35,16 +37,16 @@ class TestTurnbull:
         est = dg.turnbull_npmle(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0]))
         assert est.converged
         assert np.allclose(est.masses, 1.0 / 3.0, atol=1e-8)
-        assert est.survival_after(1.0) == pytest.approx(2.0 / 3.0, abs=1e-8)
-        assert est.survival_after(3.0) == pytest.approx(0.0, abs=1e-8)
+        assert oracle.survival_after(est, 1.0) == pytest.approx(2.0 / 3.0, abs=1e-8)
+        assert oracle.survival_after(est, 3.0) == pytest.approx(0.0, abs=1e-8)
 
     def test_exact_plus_right_censored_matches_km(self):
         # exact 1, censored 2, exact 3 -> masses 1/3 at {1}, 2/3 at {3}
         lo = np.array([1.0, 2.0, 3.0])
         hi = np.array([1.0, np.inf, 3.0])
         est = dg.turnbull_npmle(lo, hi)
-        assert est.survival_after(1.0) == pytest.approx(2.0 / 3.0, abs=1e-8)
-        assert est.survival_after(3.0) == pytest.approx(0.0, abs=1e-8)
+        assert oracle.survival_after(est, 1.0) == pytest.approx(2.0 / 3.0, abs=1e-8)
+        assert oracle.survival_after(est, 3.0) == pytest.approx(0.0, abs=1e-8)
         masses = {tuple(s[:2]): m for s, m in zip(est.support, est.masses)}
         assert masses[(1.0, 1.0)] == pytest.approx(1.0 / 3.0, abs=1e-8)
         assert masses[(3.0, 3.0)] == pytest.approx(2.0 / 3.0, abs=1e-8)
@@ -71,7 +73,7 @@ class TestTurnbull:
         km = kaplan_meier(times, events)
         for tt, s_km in km.items():
             if events[np.asarray(times) == tt].any():
-                assert est.survival_after(tt) == pytest.approx(s_km, abs=1e-7)
+                assert oracle.survival_after(est, tt) == pytest.approx(s_km, abs=1e-7)
 
     def test_masses_sum_to_one_and_monotone(self):
         rng = np.random.default_rng(33)
@@ -83,7 +85,7 @@ class TestTurnbull:
         est = dg.turnbull_npmle(lo, hi)
         assert est.masses.sum() == pytest.approx(1.0, abs=1e-8)
         grid = np.linspace(0, 3, 30)
-        vals = [est.survival_after(g) for g in grid]
+        vals = [oracle.survival_after(est, g) for g in grid]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.filterwarnings("ignore:Turnbull EM")
@@ -97,6 +99,79 @@ class TestTurnbull:
         # conditioning on late entry means the later values represent fewer
         # "survivors", so the estimate puts more mass on the earliest value
         assert trunc.masses[0] > plain.masses[0]
+
+
+def mixed_sample(rng, n, truncate):
+    """Censored sample on a coarse grid, so exact values repeat and tie with
+    censored endpoints; it mixes exact, interval, right-censored (hi = inf)
+    and left-censored (lo = 0) records and, when truncate, entry times at or
+    below each record's left end (strictly below for exact values)."""
+    lo = 0.5 * rng.integers(0, 8, n).astype(float)
+    kind = rng.integers(0, 4, n)
+    hi = lo + 0.5 * rng.integers(1, 4, n)
+    hi[kind == 2] = np.inf
+    lo[kind == 3] = 0.0
+    exact = kind == 0
+    lo[exact] = np.maximum(lo[exact], 0.5)
+    hi[exact] = lo[exact]
+    trunc = np.zeros(n)
+    if truncate:
+        factor = np.where(exact, 0.5, rng.choice([0.5, 1.0], n))
+        trunc = np.where(rng.uniform(size=n) < 0.4, lo * factor, 0.0)
+    return lo, hi, trunc
+
+
+class TestTurnbullAgainstOracle:
+    """The contiguous-run SQUAREM estimate against the dense plain EM."""
+
+    @staticmethod
+    def fit_both(seed, truncate):
+        rng = np.random.default_rng(seed)
+        lo, hi, trunc = mixed_sample(rng, int(rng.integers(5, 80)), truncate)
+        est = dg.turnbull_npmle(lo, hi, trunc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the slow plain EM may stop at max_iter
+            ref = oracle.turnbull_npmle(lo, hi, trunc)
+        return (lo, hi, trunc), est, ref
+
+    @pytest.mark.parametrize("truncate", [False, True])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_support_loglik_and_masses(self, seed, truncate):
+        data, est, ref = self.fit_both(seed, truncate)
+        assert est.support == ref.support
+        assert est.converged
+        assert oracle.turnbull_loglik(*data, est.support, est.masses) >= \
+            oracle.turnbull_loglik(*data, ref.support, ref.masses) - 1e-10
+        if ref.converged:
+            assert np.max(np.abs(est.masses - ref.masses)) <= 1e-6
+        assert np.all(est.masses >= 0.0)
+        assert est.masses.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_observation_covering_nothing_is_rejected(self):
+        with pytest.raises(ValueError, match="matches no innermost interval"):
+            dg.turnbull_npmle(np.array([2.0, 0.0]), np.array([1.0, 1.0]))
+
+    def test_memory_stays_linear_in_n(self):
+        # dense n x K membership matrices would take gigabytes here
+        rng = np.random.default_rng(7)
+        n = 50_000
+        t = rng.exponential(1.0, n)
+        width = rng.uniform(0.1, 1.0, n)
+        kind = rng.integers(0, 4, n)
+        lo = np.where(kind == 1, np.maximum(t - width / 2, 0.0), t)
+        lo = np.where(kind == 2, t * rng.uniform(size=n), lo)
+        lo = np.where(kind == 3, 0.0, lo)
+        hi = np.select([kind == 0, kind == 2], [t, np.inf], default=lo + width)
+        hi = np.where(kind == 3, t + width, hi)
+        trunc = np.where(rng.uniform(size=n) < 0.2, 0.5 * lo, 0.0)
+        tracemalloc.start()
+        try:
+            est = dg.turnbull_npmle(lo, hi, trunc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.converged
+        assert peak < 64 * 2**20
 
 
 def exp_exact_archive_rows(n, seed):
@@ -141,7 +216,7 @@ class TestCoxSnellResiduals:
                                            gamma=arch.draws["gamma"][s],
                                            xi=[arch.draws["xi_x2"][s]], v=arch.draws["v"][s])
             eta = oracle.linear_predictor(ds, state, arch.spline_terms)
-            base = arch.baseline_for_draw(s)
+            base = oracle.baseline_for_draw(arch, s)
 
             def r(t, i):
                 return -math.log(oracle.surv(model, t, float(eta[i]), base))
