@@ -1,10 +1,13 @@
 """On-disk form of a fitted model: draws.csv + loglik.npy + meta.json.
 
-draws.csv has one column per scalar parameter (stable header names like
-beta.x1, theta.1, z.3, v.12) in full-precision scientific notation, so a
-byte-for-byte comparison doubles as a determinism check.  meta.json echoes the
-resolved configuration together with criteria, acceptance rates and effective
-sample sizes; feeding it back to the CLI reproduces the run.
+draws.csv is the archive's draw matrix under its header of stable column
+names (beta.x1, theta.1, z.3, v.12, ...) in full-precision scientific
+notation, so a byte-for-byte comparison doubles as a determinism check.
+loglik.npy holds the per-observation log-likelihood of every draw.  meta.json
+echoes the resolved configuration together with criteria, acceptance rates
+and effective sample sizes; feeding it back to the CLI reproduces the run.
+load_archive splits the draws with the chain's own splitter (split_draws), so
+a loaded archive equals the one that wrote the files.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import criteria as cr
-from .sampler import McmcConfig, PosteriorArchive
+from .sampler import PosteriorArchive
 from .splines import build_basis
 
 
@@ -55,13 +58,12 @@ def config_to_dict(config):
 def compute_criteria(archive):
     """All model-comparison numbers derivable from the archive."""
     out = {"loglik_at_mean": archive.loglik_at_mean}
-    if archive.loglik_obs is not None and archive.L >= 2:
+    if archive.L >= 2:
         lp, _ = cr.lpml(archive.loglik_obs)
         wa, p_w = cr.waic(archive.loglik_obs)
-        out.update(lpml=lp, waic=wa, p_w=p_w)
-    if archive.L >= 2:
         d, p_d = cr.dic(archive)
-        out.update(dic=d, p_d=p_d, p_v=cr.p_v(archive.loglik_total))
+        out.update(lpml=lp, waic=wa, p_w=p_w, dic=d, p_d=p_d,
+                   p_v=cr.p_v(archive.loglik_total))
         out["log_bf_parametric"] = cr.log_bf_parametric(archive)
         for name in archive.spline_names:
             out[f"log_bf_linear_{name}"] = cr.log_bf_linearity(archive, name)
@@ -81,11 +83,9 @@ def save_archive(archive, outdir, loglik_csv=False, cli=None):
         fh.write(",".join(names) + "\n")
         for row in mat:
             fh.write(",".join(f"{v:.17e}" for v in row) + "\n")
-    if archive.loglik_obs is not None:
-        np.save(outdir / "loglik.npy", archive.loglik_obs)
-        if loglik_csv:
-            np.savetxt(outdir / "loglik.csv", archive.loglik_obs,
-                       delimiter=",", fmt="%.17e")
+    np.save(outdir / "loglik.npy", archive.loglik_obs)
+    if loglik_csv:
+        np.savetxt(outdir / "loglik.csv", archive.loglik_obs, delimiter=",", fmt="%.17e")
     crit = compute_criteria(archive)
     meta = {
         "model": archive.model,
@@ -117,47 +117,15 @@ def save_archive(archive, outdir, loglik_csv=False, cli=None):
     return crit
 
 
-def _unflatten_draws(names, mat, meta):
-    covs = meta["covariate_names"]
-    draws = {}
+def load_archive(outdir, dataset=None):
+    """Rebuild the PosteriorArchive that save_archive wrote to a fit directory.
 
-    def grab(prefix, width=None):
-        cols = [i for i, nm in enumerate(names) if nm == prefix or
-                nm.startswith(prefix + ".")]
-        if not cols:
-            return None
-        arr = mat[:, cols]
-        return arr[:, 0] if width == 1 else arr
-
-    beta_cols = [i for i, nm in enumerate(names) if nm.startswith("beta.")]
-    draws["beta"] = mat[:, beta_cols]
-    gamma_cols = [i for i, nm in enumerate(names) if nm.startswith("gamma.")]
-    if gamma_cols:
-        draws["gamma"] = mat[:, gamma_cols]
-    for sn in meta["spline_names"]:
-        cols = [i for i, nm in enumerate(names) if nm.startswith(f"xi.{sn}.")]
-        draws[f"xi_{sn}"] = mat[:, cols]
-    draws["theta"] = grab("theta")
-    draws["z"] = grab("z")
-    draws["alpha"] = grab("alpha", width=1)
-    for key in ("tau2", "phi"):
-        col = grab(key, width=1)
-        if col is not None:
-            draws[key] = col
-    vcols = grab("v")
-    if vcols is not None:
-        draws["v"] = vcols
-    return draws
-
-
-def load_archive(outdir, dataset=None, adjacency=None):
-    """Rebuild a PosteriorArchive from a fit directory.
-
-    Spline term metadata is reconstructed from the dataset (the basis build is
-    deterministic), so dataset is required when the fit used nonlinear terms.
-    The frailty spec is restored when its structural data (dataset coords or
-    the adjacency matrix) is supplied; otherwise the loaded config carries a
-    plain spec, which is enough for residuals and criteria.
+    The draws.csv header splits the draw matrix into blocks as in the chain,
+    so every block, weights(), the residuals and the criteria of the loaded
+    archive equal those of the writing one bit for bit.  Spline terms are
+    rebuilt from the dataset (the basis build is deterministic), so dataset
+    is required when the fit used nonlinear terms.  The loaded archive has no
+    McmcConfig (config is None): meta.json keeps the settings.
     """
     outdir = Path(outdir)
     with open(outdir / "meta.json") as fh:
@@ -166,51 +134,21 @@ def load_archive(outdir, dataset=None, adjacency=None):
         names = fh.readline().strip().split(",")
         mat = np.loadtxt(fh, delimiter=",", ndmin=2) if meta["retained_draws"] \
             else np.zeros((0, len(names)))
-    draws = _unflatten_draws(names, mat, meta)
-    loglik_path = outdir / "loglik.npy"
-    loglik_obs = np.load(loglik_path) if loglik_path.exists() else None
-    cfg_dict = dict(meta["config"])
-    frailty_info = cfg_dict.pop("frailty", {"kind": "none", "nu": 1.0, "fsa": None})
-    from . import frailty as fr
-    spec = fr.FrailtySpec(kind="none")
-    kind = frailty_info["kind"]
-    if kind == "iid" or (kind == "grf" and dataset is not None
-                         and dataset.coords is not None) \
-            or (kind == "icar" and adjacency is not None):
-        spec = rebuild_frailty_spec(frailty_info, dataset, adjacency=adjacency)
-    known = {f.name for f in dataclasses.fields(McmcConfig)}
-    cfg = McmcConfig(**{k: (tuple(v) if isinstance(v, list) else v)
-                        for k, v in cfg_dict.items() if k in known and k != "frailty"},
-                     frailty=spec)
     terms = []
     if meta["spline_names"]:
         if dataset is None:
             raise ValueError("loading a fit with spline terms needs the dataset")
-        terms = [build_basis(dataset.column(nm), cfg.spline_K, nm)
+        terms = [build_basis(dataset.column(nm), meta["config"]["spline_K"], nm)
                  for nm in meta["spline_names"]]
-    ll_total = np.array(meta["loglik_total"], dtype=float)
     return PosteriorArchive(
         model=meta["model"], family=meta["family"], J=meta["J"],
         covariate_names=meta["covariate_names"], spline_names=meta["spline_names"],
-        draws=draws, loglik_obs=loglik_obs, loglik_total=ll_total,
-        loglik_at_mean=meta["criteria"]["loglik_at_mean"],
-        accept_rates=meta["accept_rates"], config=cfg,
+        names=names, matrix=mat, loglik_obs=np.load(outdir / "loglik.npy"),
+        loglik_total=np.array(meta["loglik_total"], dtype=float),
+        loglik_at_mean=float(meta["criteria"]["loglik_at_mean"]),
+        accept_rates=meta["accept_rates"], config=None,
         n=meta["n"], m=meta["m"], elapsed=meta["elapsed_seconds"],
-        nonfinite_rejects=meta.get("nonfinite_rejects", 0), spline_terms=terms)
-
-
-def rebuild_frailty_spec(info, dataset, adjacency=None):
-    from . import frailty as fr
-    kind = info["kind"]
-    if kind == "icar":
-        if adjacency is None:
-            raise ValueError("icar spec needs the adjacency matrix")
-        return fr.FrailtySpec(kind="icar", adjacency=adjacency)
-    if kind == "grf":
-        fsa = tuple(info["fsa"]) if info.get("fsa") else None
-        return fr.FrailtySpec(kind="grf", coords=dataset.coords, nu=info.get("nu", 1.0),
-                              fsa=fsa)
-    return fr.FrailtySpec(kind=kind)
+        nonfinite_rejects=meta["nonfinite_rejects"], spline_terms=terms)
 
 
 def summary_text(archive, criteria=None):

@@ -259,10 +259,6 @@ class TbpBaseline:
         J = int(J if J is not None else z.shape[0] + 1)
         return cls(J=J, w=weights_from_logits(z), family=family)
 
-    @classmethod
-    def equal_weights(cls, J, family):
-        return cls(J=J, w=np.full(J, 1.0 / J), family=family)
-
     def __post_init__(self):
         _check_simplex(self.w, self.J, tol=1e-10)
 

@@ -16,17 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import criteria as cr
 from . import frailty as fr
-from .archive_io import (
-    compute_criteria,
-    load_archive,
-    save_archive,
-    summary_text,
-)
+from .archive_io import load_archive, save_archive, summary_text
 from .data import CsvSchema, load_adjacency, load_csv
 from .diagnostics import cumhaz_slope, residual_plot_data
 from .sampler import McmcConfig, run_chain
-from .simulate import DESIGNS
+from .simulate import DESIGNS, bundled_adjacency37
 from .splines import gprior_scale
 from .study import run_mc_study
 
@@ -186,6 +182,14 @@ def _load_dataset(opts):
     return load_csv(opts["data"], schema)
 
 
+def _region_adjacency(path, dataset):
+    """The adjacency file, checked against the data's region count."""
+    E = load_adjacency(path, m=dataset.m)
+    if E.shape[0] != dataset.m:
+        raise ValueError(f"adjacency has {E.shape[0]} regions, data has {dataset.m}")
+    return E
+
+
 def _frailty_spec(opts, dataset):
     kind = opts["frailty"]
     if kind == "none":
@@ -195,9 +199,7 @@ def _frailty_spec(opts, dataset):
     if kind == "icar":
         if not opts["adjacency"]:
             raise ValueError("icar frailties need --adjacency")
-        E = load_adjacency(opts["adjacency"], m=dataset.m)
-        if E.shape[0] != dataset.m:
-            raise ValueError(f"adjacency has {E.shape[0]} regions, data has {dataset.m}")
+        E = _region_adjacency(opts["adjacency"], dataset)
         return fr.FrailtySpec(kind="icar", adjacency=E)
     if dataset.coords is None:
         raise ValueError("grf frailties need lon/lat columns in the data")
@@ -262,7 +264,8 @@ def cmd_simulate(args):
     ds.to_csv(out)
     if design.frailty_kind == "icar":
         adj_path = out.with_name(out.stem + "_adjacency.txt")
-        np.savetxt(adj_path, _design_adjacency(design), fmt="%d")
+        E = design.adjacency if design.adjacency is not None else bundled_adjacency37()
+        np.savetxt(adj_path, E, fmt="%d")
         print(f"adjacency written to {adj_path}")
     if args.truth_out:
         blob = {"model": truth.model, "beta": truth.beta.tolist(),
@@ -271,11 +274,6 @@ def cmd_simulate(args):
         Path(args.truth_out).write_text(json.dumps(blob, indent=1))
     print(f"dataset written to {out} (n={ds.n}, m={ds.m}, p={ds.p})")
     return 0
-
-
-def _design_adjacency(design):
-    from .simulate import bundled_adjacency37
-    return design.adjacency if design.adjacency is not None else bundled_adjacency37()
 
 
 def cmd_diagnose(args):
@@ -287,17 +285,19 @@ def cmd_diagnose(args):
         if val is not None:
             opts[key] = val
     dataset = _load_dataset(opts)
-    adjacency = load_adjacency(args.adjacency, m=dataset.m) if args.adjacency else None
-    archive = load_archive(args.fit, dataset=dataset, adjacency=adjacency)
+    if args.adjacency:
+        _region_adjacency(args.adjacency, dataset)
+    archive = load_archive(args.fit, dataset=dataset)
     outdir = Path(args.outdir or args.fit)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    crit = compute_criteria(archive)
+    # The criteria are the stored ones; LPML is recomputed to catch a fit
+    # directory whose files disagree.
     with open(Path(args.fit) / "meta.json") as fh:
         stored = json.load(fh)["criteria"]
-    drift = abs(crit["lpml"] - stored["lpml"])
-    print(f"stored LPML {stored['lpml']:.8f}, recomputed {crit['lpml']:.8f}")
-    if drift > 1e-8:
+    lpml, _ = cr.lpml(archive.loglik_obs)
+    print(f"stored LPML {stored['lpml']:.8f}, recomputed {lpml:.8f}")
+    if abs(lpml - stored["lpml"]) > 1e-8:
         print("error: recomputed LPML deviates from the stored value", file=sys.stderr)
         return 1
 
@@ -307,8 +307,7 @@ def cmd_diagnose(args):
         for draw_id, r, h in rows:
             fh.write(f"{draw_id},{r:.17e},{h:.17e}\n")
     slope = cumhaz_slope(rows)
-    report = dict(crit)
-    report["coxsnell_slope"] = slope
+    report = dict(stored, coxsnell_slope=slope)
     with open(outdir / "diagnose.json", "w") as fh:
         json.dump(report, fh, indent=1)
     if args.svg:

@@ -343,21 +343,3 @@ def _label_key(tok):
     except ValueError:
         return (1, tok)
 
-
-def load_site_table(path):
-    """Read a site coordinate table CSV with columns (id, x, y).
-
-    Returns (ids, coords) in file order.
-    """
-    ids, pts = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if len(header) < 3:
-            raise ValueError("site table needs columns id, x, y")
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
-            ids.append(row[0].strip())
-            pts.append((float(row[1]), float(row[2])))
-    return ids, np.array(pts, dtype=float)

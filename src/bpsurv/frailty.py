@@ -2,9 +2,9 @@
 fields over georeferenced sites, with an optional low-rank-plus-block
 (full-scale) approximation of the correlation matrix.
 
-Exposed quantities are exactly what the sampler needs: conditional means and
-variances of single frailties, the quadratic form v'Cv with the rank of C,
-and (for random fields) the log-determinant of the correlation matrix.
+Exposed quantities are exactly what the sampler needs: the precision kernel C
+and its diagonal, which give each frailty's full conditional, the quadratic
+form v'Cv with the rank of C, and the log-determinant of a random field's R.
 """
 
 from __future__ import annotations
@@ -18,16 +18,6 @@ from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 KINDS = ("none", "iid", "icar", "grf")
 
 _NUGGET = 1e-10
-
-
-def powexp_corr(s, t, phi, nu=1.0):
-    """Powered-exponential correlation exp{-(phi * ||s - t||)^nu}."""
-    if phi <= 0.0:
-        raise ValueError("phi must be positive")
-    if not 0.0 < nu <= 2.0:
-        raise ValueError("nu must lie in (0, 2]")
-    d = np.linalg.norm(np.asarray(s, dtype=float) - np.asarray(t, dtype=float), axis=-1)
-    return np.exp(-((phi * d) ** nu))
 
 
 def corr_from_distance(d, phi, nu=1.0):
@@ -228,28 +218,14 @@ class PrecisionStructure:
         where it equals -0.5 log det R.
     """
 
-    def __init__(self, kind, C, rank, logdet_half=0.0, R=None):
-        self.kind = kind
+    def __init__(self, C, rank, logdet_half=0.0):
         self.C = C
         self.rank = rank
         self.logdet_half = logdet_half
-        self.R = R
         self.diag = np.diag(C).copy()
 
     def quad_form(self, v):
         return float(v @ self.C @ v)
-
-    def conditional(self, i, v, tau2):
-        """Mean and variance of v_i given the other components.
-
-        Both icar and grf reduce to the Gaussian full conditional implied by
-        the precision kernel: mean -sum_{j != i} C_ij v_j / C_ii (which is the
-        neighbor average for icar), variance tau2 / C_ii.
-        """
-        if self.kind == "iid":
-            return 0.0, tau2
-        s = float(self.C[i] @ v) - self.diag[i] * v[i]
-        return -s / self.diag[i], tau2 / self.diag[i]
 
 
 def build_structure(spec, phi=None, m=None):
@@ -267,7 +243,7 @@ def build_structure(spec, phi=None, m=None):
     if spec.kind == "icar":
         E = np.asarray(spec.adjacency, dtype=float)
         C = np.diag(E.sum(axis=1)) - E
-        return PrecisionStructure("icar", C, rank=E.shape[0] - 1)
+        return PrecisionStructure(C, rank=E.shape[0] - 1)
     if phi is None or phi <= 0.0:
         raise ValueError("grf structures require phi > 0")
     if spec.fsa is None:
@@ -275,15 +251,13 @@ def build_structure(spec, phi=None, m=None):
         cf = cho_factor(R, lower=True)
         Rinv = cho_solve(cf, np.eye(R.shape[0]))
         logdet = 2.0 * np.log(np.diag(cf[0])).sum()
-        return PrecisionStructure("grf", Rinv, rank=R.shape[0],
-                                  logdet_half=-0.5 * logdet, R=R)
+        return PrecisionStructure(Rinv, rank=R.shape[0], logdet_half=-0.5 * logdet)
     Rdag, Rinv, logdet = fsa_build(spec.fsa_geometry, phi, spec.nu)
-    return PrecisionStructure("grf", Rinv, rank=Rdag.shape[0],
-                              logdet_half=-0.5 * logdet, R=Rdag)
+    return PrecisionStructure(Rinv, rank=Rdag.shape[0], logdet_half=-0.5 * logdet)
 
 
 def build_iid(m):
-    return PrecisionStructure("iid", np.eye(m), rank=m)
+    return PrecisionStructure(np.eye(m), rank=m)
 
 
 def dense_correlation(d, phi, nu=1.0):

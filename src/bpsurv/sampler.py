@@ -19,6 +19,7 @@ covariances for theta and beta.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -84,8 +85,6 @@ class McmcConfig:
     # pre-run
     prerun: bool = True
     prerun_iters: int = 2000
-    # diagnostics
-    debug_checks: bool = False
 
     def __post_init__(self):
         if self.nskip < 1:
@@ -608,11 +607,6 @@ class ChainSampler:
         self.update_phi()
         self.update_gamma()
         self.n_sweeps += 1
-        if self.cfg.debug_checks:
-            fresh = self.ev.loglik_obs(self.ev.build_cache(self.state.theta, self.eta),
-                                       self.state.w, self.eta)
-            if not np.allclose(fresh, self.state.ll_obs, atol=1e-10, equal_nan=True):
-                raise AssertionError("cached log-likelihood diverged from a fresh evaluation")
 
     # -- driver -------------------------------------------------------------
 
@@ -627,71 +621,79 @@ class ChainSampler:
             rates["phi"] = self.accept["phi"] / denom
         return rates
 
+    def _draw_blocks(self):
+        """The draw layout, in draws.csv column order: one (column names,
+        getter on the chain state) pair per block.  split_draws recovers the
+        blocks from the names alone."""
+        st, p, J = self.state, self.p, self.cfg.J
+        covs = self.ds.covariate_names
+        blocks = [([f"beta.{c}" for c in covs], lambda: st.beta[:p])]
+        if self.cfg.selection:
+            blocks.append(([f"gamma.{c}" for c in covs], lambda: st.gamma))
+        off = p
+        for t in self.terms:
+            blocks.append(([f"xi.{t.name}.{i + 1}" for i in range(t.K)],
+                           lambda a=off, b=off + t.K: st.beta[a:b]))
+            off += t.K
+        blocks += [(["theta.1", "theta.2"], lambda: st.theta),
+                   ([f"z.{j + 1}" for j in range(J - 1)], lambda: st.z),
+                   (["alpha"], lambda: st.alpha)]
+        if self.has_frailty:
+            blocks.append((["tau2"], lambda: st.tau2))
+        if self.has_phi:
+            blocks.append((["phi"], lambda: st.phi))
+        if self.has_frailty:
+            blocks.append(([f"v.{i + 1}" for i in range(self.m)], lambda: st.v))
+        return blocks
+
     def run(self, t_start=None):
-        """Burn-in and saved sweeps; elapsed counts from t_start (default: now)."""
+        """Burn-in and saved sweeps; elapsed counts from t_start (default: now).
+
+        Each saved state fills one row of an (L, k) matrix, every block
+        written into its own slice of the row.
+        """
         cfg = self.cfg
         t_start = time.perf_counter() if t_start is None else t_start
         for _ in range(cfg.nburn):
             self.sweep()
         L = cfg.nsave
-        draws = {
-            "z": np.empty((L, cfg.J - 1)),
-            "theta": np.empty((L, 2)),
-            "beta": np.empty((L, self.p)),
-            "alpha": np.empty(L),
-        }
-        if cfg.selection:
-            draws["gamma"] = np.empty((L, self.p))
-        for t in self.terms:
-            draws[f"xi_{t.name}"] = np.empty((L, t.K))
-        if self.has_frailty:
-            draws["v"] = np.empty((L, self.m))
-            draws["tau2"] = np.empty(L)
-        if self.has_phi:
-            draws["phi"] = np.empty(L)
+        names, slots = [], []
+        for cols, get in self._draw_blocks():
+            slots.append((slice(len(names), len(names) + len(cols)), get))
+            names += cols
+        mat = np.empty((L, len(names)))
         ll_obs = np.empty((L, self.ds.n))
         ll_total = np.empty(L)
 
         for s in range(L):
             for _ in range(cfg.nskip):
                 self.sweep()
-            st = self.state
-            draws["z"][s] = st.z
-            draws["theta"][s] = st.theta
-            draws["beta"][s] = st.beta[:self.p]
-            draws["alpha"][s] = st.alpha
-            if cfg.selection:
-                draws["gamma"][s] = st.gamma
-            off = self.p
-            for t in self.terms:
-                draws[f"xi_{t.name}"][s] = st.beta[off:off + t.K]
-                off += t.K
-            if self.has_frailty:
-                draws["v"][s] = st.v
-                draws["tau2"][s] = st.tau2
-            if self.has_phi:
-                draws["phi"][s] = st.phi
-            ll_obs[s] = st.ll_obs
-            ll_total[s] = st.ll_total
+            row = mat[s]
+            for sl, get in slots:
+                row[sl] = get()
+            ll_obs[s] = self.state.ll_obs
+            ll_total[s] = self.state.ll_total
 
-        ll_at_mean = self._loglik_at_posterior_mean(draws) if L else math.nan
-        elapsed = time.perf_counter() - t_start
-        return PosteriorArchive(
+        archive = PosteriorArchive(
             model=cfg.model, family=cfg.family, J=cfg.J,
             covariate_names=list(self.ds.covariate_names),
             spline_names=[t.name for t in self.terms],
-            draws=draws, loglik_obs=ll_obs, loglik_total=ll_total,
-            loglik_at_mean=ll_at_mean, accept_rates=self.acceptance_rates(),
-            config=cfg, n=self.ds.n, m=self.ds.m, elapsed=elapsed,
+            names=names, matrix=mat, loglik_obs=ll_obs, loglik_total=ll_total,
+            loglik_at_mean=math.nan, accept_rates=self.acceptance_rates(),
+            config=cfg, n=self.ds.n, m=self.ds.m, elapsed=math.nan,
             nonfinite_rejects=self.nonfinite_rejects,
             spline_terms=self.terms)
+        if L:
+            archive.loglik_at_mean = self._loglik_at_posterior_mean(archive.draws)
+        archive.elapsed = time.perf_counter() - t_start
+        return archive
 
     def _loglik_at_posterior_mean(self, draws):
         """Plug-in total log-likelihood at the componentwise posterior mean
         (sampling scales; effective coefficients averaged under selection)."""
         w = weights_from_logits(draws["z"].mean(axis=0))
         theta = draws["theta"].mean(axis=0)
-        if self.cfg.selection:
+        if "gamma" in draws:
             beta_eff = (draws["beta"] * draws["gamma"]).mean(axis=0)
         else:
             beta_eff = draws["beta"].mean(axis=0)
@@ -703,16 +705,46 @@ class ChainSampler:
         return float(self.ev.loglik_obs(cache, w, eta).sum())
 
 
+def _block_key(name):
+    """The draws key of a draws.csv column: beta.x1 -> beta, xi.x2.3 -> xi_x2."""
+    head, _, rest = name.partition(".")
+    return "xi_" + rest.rpartition(".")[0] if head == "xi" else head
+
+
+def split_draws(names, matrix):
+    """Per-block draws of an (L, k) draw matrix with draws.csv column names.
+
+    Consecutive columns with one key form a block: 1-D for a column name
+    without a dot (alpha, tau2, phi), (L, width) otherwise.  Every block is
+    a C-ordered copy, so its summaries sum in the same order whether the
+    matrix came from a chain or from draws.csv.  beta is always present.
+    """
+    draws = {"beta": np.empty((matrix.shape[0], 0))}
+    start = 0
+    for key, cols in itertools.groupby(names, _block_key):
+        cols = list(cols)
+        block = matrix[:, start] if cols == [key] else matrix[:, start:start + len(cols)]
+        draws[key] = block.copy()
+        start += len(cols)
+    return draws
+
+
 @dataclass
 class PosteriorArchive:
-    """Retained draws plus everything the criteria and diagnostics need."""
+    """Retained draws plus everything the criteria and diagnostics need.
+
+    names and matrix hold the draws as draws.csv does, one row per retained
+    draw; draws is their split into blocks (split_draws).  config is None
+    for an archive loaded from disk.
+    """
 
     model: str
     family: str
     J: int
     covariate_names: list
     spline_names: list
-    draws: dict
+    names: list
+    matrix: np.ndarray
     loglik_obs: np.ndarray
     loglik_total: np.ndarray
     loglik_at_mean: float
@@ -723,15 +755,22 @@ class PosteriorArchive:
     elapsed: float
     nonfinite_rejects: int = 0
     spline_terms: list = None
+    draws: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.draws = split_draws(self.names, self.matrix)
 
     @property
     def L(self):
         return self.loglik_total.shape[0]
 
     def weights(self):
-        """Baseline weight vectors, one row per draw."""
+        """Baseline weight vectors, one row per draw: weights_from_logits of
+        each row of z, max shift included."""
         Z = self.draws["z"]
-        W = np.exp(np.concatenate([Z, np.zeros((Z.shape[0], 1))], axis=1))
+        W = np.concatenate([Z, np.zeros((Z.shape[0], 1))], axis=1)
+        W -= W.max(axis=1, keepdims=True)
+        np.exp(W, out=W)
         W /= W.sum(axis=1, keepdims=True)
         return W
 
@@ -767,34 +806,8 @@ class PosteriorArchive:
         return table
 
     def parameter_matrix(self):
-        """Flat (L, k) matrix of all scalar draws with stable column names."""
-        cols, names = [], []
-
-        def add(name, arr):
-            if arr.ndim == 1:
-                cols.append(arr[:, None])
-                names.append(name)
-            else:
-                cols.append(arr)
-                names.extend(f"{name}.{i + 1}" for i in range(arr.shape[1]))
-
-        for j, cn in enumerate(self.covariate_names):
-            add(f"beta.{cn}", self.draws["beta"][:, j])
-        if "gamma" in self.draws:
-            for j, cn in enumerate(self.covariate_names):
-                add(f"gamma.{cn}", self.draws["gamma"][:, j])
-        for name in self.spline_names:
-            add(f"xi.{name}", self.draws[f"xi_{name}"])
-        add("theta", self.draws["theta"])
-        add("z", self.draws["z"])
-        add("alpha", self.draws["alpha"])
-        if "tau2" in self.draws:
-            add("tau2", self.draws["tau2"])
-        if "phi" in self.draws:
-            add("phi", self.draws["phi"])
-        if "v" in self.draws:
-            add("v", self.draws["v"])
-        return names, (np.concatenate(cols, axis=1) if cols else np.zeros((self.L, 0)))
+        """(column names, (L, k) matrix) of all scalar draws, as in draws.csv."""
+        return self.names, self.matrix
 
 
 def run_chain(dataset, config):

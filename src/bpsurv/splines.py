@@ -60,12 +60,6 @@ class SplineTerm:
         """Centered basis rows at new points (what enters the predictor)."""
         return self.raw_rows(x) - self.col_means
 
-    def evaluate(self, x, xi):
-        """u(x) = centered basis row dot xi; scalar in, scalar out."""
-        xi = np.asarray(xi, dtype=float)
-        out = self.rows(x) @ xi
-        return float(out[0]) if np.ndim(x) == 0 else out
-
 
 def build_basis(values, K=5, name="x"):
     """Construct a SplineTerm from observed covariate values.

@@ -138,7 +138,7 @@ class TestTbpBaseline:
 
     def test_equal_weights_recover_centering(self):
         fam = bl.CenteringFamily("loglogistic", (0.3, -0.2))
-        base = bl.TbpBaseline.equal_weights(15, fam)
+        base = bl.TbpBaseline(J=15, w=np.full(15, 1.0 / 15), family=fam)
         t = np.logspace(-3, 2, 200)
         assert np.max(np.abs(base.survival(t) - fam.survival(t))) < 1e-12
 

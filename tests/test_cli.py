@@ -149,8 +149,43 @@ class TestDiagnose:
         tree = ET.parse(fit / "coxsnell.svg")  # well-formed XML
         assert tree.getroot().tag.endswith("svg")
         report = json.loads((fit / "diagnose.json").read_text())
-        assert "coxsnell_slope" in report
+        slope = report.pop("coxsnell_slope")
+        assert 0.0 < slope < 10.0
+        assert report == json.loads((fit / "meta.json").read_text())["criteria"]
         assert report["p_v"] >= 0.0
+
+    def fit_dir(self, tmp_path):
+        path = tiny_dataset_csv(tmp_path)
+        fit = tmp_path / "fit"
+        assert main(["fit", "--data", str(path), "--location-col", "location",
+                     "--trunc-col", "trunc", "--seed", "2", *FAST, "--outdir", str(fit)]) == 0
+        return fit, ["diagnose", "--fit", str(fit), "--data", str(path),
+                     "--location-col", "location", "--trunc-col", "trunc", "--draws", "3"]
+
+    def test_lpml_drift_is_an_error(self, tmp_path, capsys):
+        fit, argv = self.fit_dir(tmp_path)
+        meta = json.loads((fit / "meta.json").read_text())
+        meta["criteria"]["lpml"] += 1e-6
+        (fit / "meta.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert "deviates" in capsys.readouterr().err
+        assert not (fit / "diagnose.json").exists()
+
+    def test_missing_loglik_is_a_missing_file(self, tmp_path, capsys):
+        fit, argv = self.fit_dir(tmp_path)
+        (fit / "loglik.npy").unlink()
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "missing file" in capsys.readouterr().err
+
+    def test_adjacency_must_match_the_regions(self, tmp_path, capsys):
+        fit, argv = self.fit_dir(tmp_path)
+        adj = tmp_path / "adj.txt"
+        adj.write_text("0 1 0\n1 0 1\n0 1 0\n")  # three regions, the data has four
+        capsys.readouterr()
+        assert main(argv + ["--adjacency", str(adj)]) == 2
+        assert "regions" in capsys.readouterr().err
 
 
 class TestMcStudy:

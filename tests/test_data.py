@@ -121,17 +121,11 @@ class TestAdjacencyIO:
         assert E[0, 1] == 1 and E[1, 2] == 1 and E[0, 3] == 0
         assert np.array_equal(E, E.T)
 
-    def test_site_table(self, tmp_path):
-        path = tmp_path / "sites.csv"
-        path.write_text("id,x,y\nA,0.0,1.0\nB,2.0,3.0\n")
-        ids, coords = dm.load_site_table(path)
-        assert ids == ["A", "B"]
-        assert coords.shape == (2, 2)
-
 
 class TestTimeVarying:
     def baseline(self):
-        return TbpBaseline.equal_weights(8, CenteringFamily("loglogistic", (0.1, 0.2)))
+        return TbpBaseline(J=8, w=np.full(8, 1.0 / 8),
+                           family=CenteringFamily("loglogistic", (0.1, 0.2)))
 
     def test_single_epoch_degenerates(self):
         subj = dm.TimeVaryingSubject(a=2.0, b=2.0, epochs=((0.0, (1.0,)),))

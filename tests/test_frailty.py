@@ -25,11 +25,12 @@ def fsa_spec(coords, A, B):
 
 class TestCorrelation:
     def test_same_point(self):
-        assert fr.powexp_corr([1.0, 2.0], [1.0, 2.0], phi=0.5) == 1.0
+        assert fr.corr_from_distance(0.0, phi=0.5) == 1.0
 
     def test_unit_scaled_distance(self):
         # phi * d = 1, nu = 1 -> exp(-1)
-        assert fr.powexp_corr([0.0, 0.0], [2.0, 0.0], phi=0.5, nu=1.0) == pytest.approx(
+        d = fr.pairwise_distances([[0.0, 0.0], [2.0, 0.0]])
+        assert fr.corr_from_distance(d[0, 1], phi=0.5, nu=1.0) == pytest.approx(
             np.exp(-1.0), rel=1e-14)
 
     def test_decreasing_in_distance(self):
@@ -45,10 +46,11 @@ class TestCorrelation:
         assert fr.corr_from_distance(4.0, phi0b, 1.5) == pytest.approx(0.001, rel=1e-12)
 
     def test_domain(self):
+        coords = np.array([[0.0], [1.0]])
         with pytest.raises(ValueError):
-            fr.powexp_corr([0.0], [1.0], phi=-1.0)
+            fr.build_structure(fr.FrailtySpec(kind="grf", coords=coords), phi=-1.0)
         with pytest.raises(ValueError):
-            fr.powexp_corr([0.0], [1.0], phi=1.0, nu=2.5)
+            fr.FrailtySpec(kind="grf", coords=coords, nu=2.5)
 
 
 class TestDesign:
@@ -124,6 +126,13 @@ class TestSpecValidation:
         assert spec.phi0() == pytest.approx(fr.solve_phi0(10.0, 1.0))
 
 
+def conditional(structure, i, v, tau2):
+    """Mean and variance of v_i given the rest under precision kernel C:
+    -sum_{j != i} C_ij v_j / C_ii and tau2 / C_ii, as the frailty scan uses."""
+    C = structure.C
+    return -(C[i] @ v - C[i, i] * v[i]) / C[i, i], tau2 / C[i, i]
+
+
 class TestIcarStructure:
     def test_quad_form_edge_sum(self):
         spec = fr.FrailtySpec(kind="icar", adjacency=path_graph(3))
@@ -152,7 +161,7 @@ class TestIcarStructure:
         spec = fr.FrailtySpec(kind="icar", adjacency=path_graph(4))
         st = fr.build_structure(spec)
         v = np.array([2.0, 5.0, 2.0, 0.0])
-        mean, var = st.conditional(1, v, tau2=3.0)
+        mean, var = conditional(st, 1, v, tau2=3.0)
         assert mean == pytest.approx(2.0)  # both neighbors equal 2
         assert var == pytest.approx(3.0 / 2.0)
 
@@ -161,7 +170,7 @@ class TestIidStructure:
     def test_conditional(self):
         spec = fr.FrailtySpec(kind="iid")
         st = fr.build_structure(spec, m=4)
-        mean, var = st.conditional(2, np.ones(4), tau2=2.5)
+        mean, var = conditional(st, 2, np.ones(4), tau2=2.5)
         assert mean == 0.0 and var == 2.5
 
     def test_quad(self):
@@ -177,14 +186,14 @@ class TestGrfDense:
         coords = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, 2.0]])
         spec = fr.FrailtySpec(kind="grf", coords=coords)
         st = fr.build_structure(spec, phi=0.8)
-        R = st.R
+        R = fr.dense_correlation(spec.distances, 0.8)
         v = np.array([0.4, -0.2, 0.9])
         tau2 = 1.7
         for i in range(3):
             o = [j for j in range(3) if j != i]
             mean_schur = R[i, o] @ np.linalg.solve(R[np.ix_(o, o)], v[o])
             var_schur = tau2 * (R[i, i] - R[i, o] @ np.linalg.solve(R[np.ix_(o, o)], R[o, i]))
-            mean, var = st.conditional(i, v, tau2)
+            mean, var = conditional(st, i, v, tau2)
             assert mean == pytest.approx(mean_schur, abs=1e-12)
             assert var == pytest.approx(var_schur, abs=1e-12)
 
@@ -196,8 +205,9 @@ class TestGrfDense:
         v = rng.normal(size=25)
         quad, rank, logdet_half = st.quad_form(v), st.rank, st.logdet_half
         assert rank == 25
-        assert quad == pytest.approx(v @ np.linalg.solve(st.R, v), rel=1e-10)
-        sign, ld = np.linalg.slogdet(st.R)
+        R = fr.dense_correlation(spec.distances, 0.4)
+        assert quad == pytest.approx(v @ np.linalg.solve(R, v), rel=1e-10)
+        sign, ld = np.linalg.slogdet(R)
         assert sign > 0
         assert logdet_half == pytest.approx(-0.5 * ld, rel=1e-10)
 
@@ -206,8 +216,8 @@ class TestGrfDense:
         coords = np.vstack([rng.uniform(0, 1, size=(198, 2)),
                             [[0.5, 0.5], [0.5, 0.5 + 1e-6]]])
         spec = fr.FrailtySpec(kind="grf", coords=coords, nu=2.0)
-        st = fr.build_structure(spec, phi=1.0)  # must not raise (nugget keeps R PD)
-        np.linalg.cholesky(st.R)
+        fr.build_structure(spec, phi=1.0)  # must not raise (nugget keeps R PD)
+        np.linalg.cholesky(fr.dense_correlation(spec.distances, 1.0, 2.0))
 
 
 class TestFsa:
@@ -251,7 +261,8 @@ class TestFsa:
         st = fr.build_structure(spec, phi=0.6)
         rng = np.random.default_rng(2)
         v = rng.normal(size=80)
-        dense = v @ np.linalg.solve(st.R, v)
+        Rdag = fr.fsa_build(spec.fsa_geometry, 0.6, 1.0)[0]
+        dense = v @ np.linalg.solve(Rdag, v)
         assert st.quad_form(v) == pytest.approx(dense, rel=1e-6)
 
 
@@ -265,7 +276,6 @@ class TestGeometryReuse:
             reused = fr.build_structure(spec, phi=phi)
             fresh = fr.build_structure(
                 fr.FrailtySpec(kind="grf", coords=coords, nu=nu, fsa=fsa), phi=phi)
-            assert np.array_equal(reused.R, fresh.R)
             assert np.array_equal(reused.C, fresh.C)
             assert reused.logdet_half == fresh.logdet_half
 

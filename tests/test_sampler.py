@@ -32,6 +32,21 @@ def make_sampler(dataset, **kw):
     return sm.ChainSampler(dataset, cfg, [], None, sm._spawn_rngs(cfg.seed))
 
 
+@pytest.fixture
+def checked_sweeps(monkeypatch):
+    """After every sweep, the cached log-likelihood must equal a fresh one."""
+    sweep = sm.ChainSampler.sweep
+
+    def checked(self):
+        sweep(self)
+        fresh = self.ev.loglik_obs(self.ev.build_cache(self.state.theta, self.eta),
+                                   self.state.w, self.eta)
+        assert np.allclose(fresh, self.state.ll_obs, atol=1e-10, equal_nan=True), \
+            "cached log-likelihood diverged from a fresh evaluation"
+
+    monkeypatch.setattr(sm.ChainSampler, "sweep", checked)
+
+
 def grid_cdf(grid, logdens):
     logdens = np.asarray(logdens)
     dens = np.exp(logdens - logdens.max())
@@ -336,8 +351,7 @@ class TestGammaBlock:
 class TestRunChain:
     def small_config(self, **kw):
         defaults = dict(model="ph", family="loglogistic", J=6, nburn=50, nsave=40,
-                        nskip=2, seed=12, prerun_iters=150, l0=30,
-                        debug_checks=True)
+                        nskip=2, seed=12, prerun_iters=150, l0=30)
         defaults.update(kw)
         return sm.McmcConfig(**defaults)
 
@@ -345,7 +359,7 @@ class TestRunChain:
         from bpsurv.simulate import SimDesign
         return SimDesign(model="ph", m=6, n_per_site=8, frailty_kind="none").generate(4)[0]
 
-    def test_debug_checked_run_all_features(self):
+    def test_debug_checked_run_all_features(self, checked_sweeps):
         ds = self.dataset()
         # small ICAR graph: a path over the 6 sites
         E = np.zeros((6, 6), dtype=int)
@@ -353,13 +367,13 @@ class TestRunChain:
             E[i, i + 1] = E[i + 1, i] = 1
         cfg = self.small_config(selection=True,
                                 frailty=fr.FrailtySpec(kind="icar", adjacency=E))
-        arch = sm.run_chain(ds, cfg)  # debug checks assert cache consistency
+        arch = sm.run_chain(ds, cfg)  # checked_sweeps asserts cache consistency
         assert arch.L == 40
         assert set(arch.draws) >= {"z", "theta", "beta", "alpha", "gamma", "v", "tau2"}
         assert arch.loglik_obs.shape == (40, ds.n)
         assert 0 <= arch.accept_rates["frailty"] <= 1
 
-    def test_debug_checked_grf_aft_run(self):
+    def test_debug_checked_grf_aft_run(self, checked_sweeps):
         from bpsurv.simulate import SimDesign
         ds, _ = SimDesign(model="aft", m=12, n_per_site=4, frailty_kind="grf").generate(8)
         spec = fr.FrailtySpec(kind="grf", coords=ds.coords, fsa=(6, 3))
@@ -368,7 +382,7 @@ class TestRunChain:
         assert "phi" in arch.draws
         assert arch.draws["phi"].min() > 0
 
-    def test_fsa_knots_and_blocks_chosen_once(self, monkeypatch):
+    def test_fsa_knots_and_blocks_chosen_once(self, monkeypatch, checked_sweeps):
         from bpsurv.simulate import SimDesign
         ds, _ = SimDesign(model="ph", m=12, n_per_site=4, frailty_kind="grf").generate(8)
         calls = []
@@ -387,7 +401,7 @@ class TestRunChain:
         # once for the knots, once inside assign_blocks for the block centers
         assert calls.count("select_knots") == 2
 
-    def test_nonlinear_terms_run(self):
+    def test_nonlinear_terms_run(self, checked_sweeps):
         ds = self.dataset()
         cfg = self.small_config(nonlinear=("x2",), spline_K=4)
         arch = sm.run_chain(ds, cfg)
@@ -395,7 +409,7 @@ class TestRunChain:
 
     def test_identical_seed_bit_identical(self):
         ds = self.dataset()
-        cfg = self.small_config(debug_checks=False)
+        cfg = self.small_config()
         a1 = sm.run_chain(ds, cfg)
         a2 = sm.run_chain(ds, cfg)
         for key in a1.draws:
@@ -412,13 +426,13 @@ class TestRunChain:
 
         monkeypatch.setattr(sm, "parametric_prerun", slow_prerun)
         t0 = time.perf_counter()
-        arch = sm.run_chain(ds, self.small_config(debug_checks=False))
+        arch = sm.run_chain(ds, self.small_config())
         wall = time.perf_counter() - t0
         assert 0.5 <= arch.elapsed <= wall
 
     def test_nsave_zero_diagnostics_only(self):
         ds = self.dataset()
-        cfg = self.small_config(nsave=0, debug_checks=False)
+        cfg = self.small_config(nsave=0)
         arch = sm.run_chain(ds, cfg)
         assert arch.L == 0
         assert arch.accept_rates
@@ -426,14 +440,14 @@ class TestRunChain:
 
     def test_parameter_matrix_names(self):
         ds = self.dataset()
-        arch = sm.run_chain(ds, self.small_config(debug_checks=False))
+        arch = sm.run_chain(ds, self.small_config())
         names, mat = arch.parameter_matrix()
         assert mat.shape == (40, len(names))
         assert "beta.x1" in names and "theta.1" in names and "alpha" in names
 
     def test_submodel_table(self):
         ds = self.dataset()
-        cfg = self.small_config(selection=True, debug_checks=False)
+        cfg = self.small_config(selection=True)
         arch = sm.run_chain(ds, cfg)
         table = arch.submodel_table()
         assert abs(sum(p for _, p in table) - 1.0) < 1e-12

@@ -57,26 +57,28 @@ class TestBuildBasis:
 
 
 class TestEvaluate:
+    """u(x) = rows(x) @ xi, as the diagnostics evaluate a term."""
+
     def test_zero_coefficients(self, values):
         term = sp.build_basis(values, K=5)
-        assert term.evaluate(values[0], np.zeros(5)) == 0.0
+        assert term.rows(values[0]) @ np.zeros(5) == 0.0
 
     def test_unit_vector_picks_first_column(self, values):
         term = sp.build_basis(values, K=5)
         xi = np.zeros(5)
         xi[0] = 1.0
-        got = term.evaluate(values[3], xi)
+        got = term.rows(values[3]) @ xi
         assert got == pytest.approx(term.rows(values[3])[0, 0], abs=1e-15)
 
     def test_matches_design_rows(self, values):
         term = sp.build_basis(values, K=6)
         rng = np.random.default_rng(3)
         xi = rng.normal(size=6)
-        got = term.evaluate(values, xi)
+        got = term.rows(values) @ xi
         assert np.max(np.abs(got - term.design @ xi)) < 1e-12
 
     def test_clamps_with_warning(self, values):
         term = sp.build_basis(values, K=5)
         with pytest.warns(UserWarning, match="clamping"):
-            lo = term.evaluate(term.xmin - 5.0, np.ones(5))
-        assert lo == pytest.approx(term.evaluate(term.xmin, np.ones(5)))
+            lo = term.rows(term.xmin - 5.0) @ np.ones(5)
+        assert lo == pytest.approx(term.rows(term.xmin) @ np.ones(5))
