@@ -81,8 +81,7 @@ def save_archive(archive, outdir, loglik_csv=False, cli=None):
     names, mat = archive.parameter_matrix()
     with open(outdir / "draws.csv", "w") as fh:
         fh.write(",".join(names) + "\n")
-        for row in mat:
-            fh.write(",".join(f"{v:.17e}" for v in row) + "\n")
+        np.savetxt(fh, mat, fmt="%.17e", delimiter=",")
     np.save(outdir / "loglik.npy", archive.loglik_obs)
     if loglik_csv:
         np.savetxt(outdir / "loglik.csv", archive.loglik_obs, delimiter=",", fmt="%.17e")

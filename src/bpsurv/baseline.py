@@ -151,47 +151,8 @@ def bernstein_pdf_rows(x, J):
     return pmf
 
 
-def bernstein_cdf_basis(x, J):
-    """Beta(j, J-j+1) cdf values Delta_{j,J}(x) for j = 1..J, shape (len(x), J)."""
-    return bernstein_cdf_rows(x, J).T
-
-
-def bernstein_pdf_basis(x, J):
-    """Beta(j, J-j+1) density values delta_{j,J}(x) for j = 1..J, shape (len(x), J)."""
-    return bernstein_pdf_rows(x, J).T
-
-
-def _check_simplex(w, J, tol=1e-8):
-    w = np.asarray(w, dtype=float)
-    if w.shape != (J,):
-        raise ValueError(f"weight vector must have length {J}, got shape {w.shape}")
-    if np.any(w <= 0.0) or abs(w.sum() - 1.0) > tol:
-        raise ValueError("weights must be positive and sum to 1")
-    return w
-
-
-def bernstein_cdf(x, J, w):
-    """Mixture cdf D(x | J, w) = sum_j w_j Delta_{j,J}(x) for x in [0, 1]."""
-    x = np.asarray(x, dtype=float)
-    if np.any((x < 0.0) | (x > 1.0)):
-        raise ValueError("x must lie in [0, 1]")
-    w = _check_simplex(w, J)
-    out = bernstein_cdf_basis(np.atleast_1d(x), J) @ w
-    return float(out[0]) if x.ndim == 0 else out
-
-
-def bernstein_pdf(x, J, w):
-    """Mixture density d(x | J, w) = sum_j w_j delta_{j,J}(x) for x in [0, 1]."""
-    x = np.asarray(x, dtype=float)
-    if np.any((x < 0.0) | (x > 1.0)):
-        raise ValueError("x must lie in [0, 1]")
-    w = _check_simplex(w, J)
-    out = bernstein_pdf_basis(np.atleast_1d(x), J) @ w
-    return float(out[0]) if x.ndim == 0 else out
-
-
 # ---------------------------------------------------------------------------
-# Simplex weights <-> logits
+# Simplex weights and their priors
 # ---------------------------------------------------------------------------
 
 def weights_from_logits(z):
@@ -203,12 +164,6 @@ def weights_from_logits(z):
     return ez / ez.sum()
 
 
-def logits_from_weights(w):
-    """Inverse of weights_from_logits: z_j = log w_j - log w_J (length J-1)."""
-    w = np.asarray(w, dtype=float)
-    return np.log(w[:-1]) - np.log(w[-1])
-
-
 def dirichlet_symmetric_logpdf(w, alpha):
     """log Dirichlet(alpha, ..., alpha) density of a simplex vector w."""
     if alpha <= 0.0:
@@ -216,21 +171,6 @@ def dirichlet_symmetric_logpdf(w, alpha):
     w = np.asarray(w, dtype=float)
     J = w.shape[0]
     return float(gammaln(alpha * J) - J * gammaln(alpha) + (alpha - 1.0) * np.log(w).sum())
-
-
-def tbp_log_prior(z, alpha, J):
-    """Log prior of the baseline weight logits z (length J-1) under a
-    symmetric Dirichlet(alpha) on w, including the z -> w Jacobian.
-
-    Equals log Gamma(alpha J) - J log Gamma(alpha) + alpha * sum_j log w_j(z).
-    """
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    z = np.asarray(z, dtype=float)
-    if z.shape != (J - 1,):
-        raise ValueError(f"z must have length J-1 = {J - 1}")
-    w = weights_from_logits(z)
-    return float(gammaln(alpha * J) - J * gammaln(alpha) + alpha * np.log(w).sum())
 
 
 def alpha_log_prior_at_zero(alpha, J):
@@ -253,18 +193,10 @@ class TbpBaseline:
     w: np.ndarray
     family: CenteringFamily
 
-    @classmethod
-    def from_logits(cls, z, family, J=None):
-        z = np.asarray(z, dtype=float)
-        J = int(J if J is not None else z.shape[0] + 1)
-        return cls(J=J, w=weights_from_logits(z), family=family)
-
     def __post_init__(self):
-        _check_simplex(self.w, self.J, tol=1e-10)
-
-    @property
-    def z(self):
-        return logits_from_weights(self.w)
+        w = np.asarray(self.w, dtype=float)
+        if w.shape != (self.J,) or np.any(w <= 0.0) or abs(w.sum() - 1.0) > 1e-10:
+            raise ValueError(f"w must be {self.J} positive weights summing to 1")
 
     def _transform(self, t):
         s = family_survival(self.family.name, self.family.theta, t)
@@ -275,7 +207,7 @@ class TbpBaseline:
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         x = self._transform(np.atleast_1d(t))
-        out = bernstein_cdf_basis(x, self.J) @ self.w
+        out = self.w @ bernstein_cdf_rows(x, self.J)
         out = np.where(np.atleast_1d(t) <= 0.0, 1.0, out)
         out = np.where(np.isposinf(np.atleast_1d(t)), 0.0, out)
         return float(out[0]) if scalar else out
@@ -285,7 +217,7 @@ class TbpBaseline:
         scalar = t.ndim == 0
         tv = np.atleast_1d(t)
         x = self._transform(tv)
-        d = bernstein_pdf_basis(x, self.J) @ self.w
+        d = self.w @ bernstein_pdf_rows(x, self.J)
         logf = family_log_density(self.family.name, self.family.theta, tv)
         out = np.log(np.maximum(d, 1e-300)) + logf
         return float(out[0]) if scalar else out

@@ -9,6 +9,7 @@ Config files may also be plain `key = value` lines; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -19,74 +20,66 @@ import numpy as np
 from . import criteria as cr
 from . import frailty as fr
 from .archive_io import load_archive, save_archive, summary_text
+from .baseline import FAMILIES
 from .data import CsvSchema, load_adjacency, load_csv
 from .diagnostics import cumhaz_slope, residual_plot_data
+from .models import MODELS
 from .sampler import McmcConfig, run_chain
-from .simulate import DESIGNS, bundled_adjacency37
+from .simulate import DESIGNS
 from .splines import gprior_scale
 from .study import run_mc_study
 
-_FIT_KEYS = ("data", "t1_col", "t2_col", "trunc_col", "location_col", "lon_col",
-             "lat_col", "covariates", "model", "family", "J", "frailty",
-             "adjacency", "nu", "fsa_knots", "fsa_blocks", "selection",
-             "nonlinear", "spline_k", "nburn", "nsave", "nskip", "seed", "l0",
-             "a_alpha", "b_alpha", "a_tau", "b_tau", "a_phi", "b_phi",
-             "prerun_iters", "no_prerun", "loglik_csv")
-
-_FIT_DEFAULTS = {
-    "t1_col": "t1", "t2_col": "t2", "trunc_col": None, "location_col": None,
-    "lon_col": None, "lat_col": None, "covariates": None,
-    "model": "ph", "family": "loglogistic", "J": 15, "frailty": "none",
-    "adjacency": None, "nu": 1.0, "fsa_knots": None, "fsa_blocks": None,
-    "selection": False, "nonlinear": None, "spline_k": 5,
-    "nburn": 3000, "nsave": 2000, "nskip": 1, "seed": 0, "l0": 5000,
-    "a_alpha": 1.0, "b_alpha": 1.0, "a_tau": 0.001, "b_tau": 0.001,
-    "a_phi": 2.0, "b_phi": None, "prerun_iters": 2000, "no_prerun": False,
-    "loglik_csv": False,
-}
+_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(McmcConfig))
+_STUDY_CHAIN_FIELDS = ("nburn", "nsave", "nskip", "l0", "prerun_iters")
 
 
 def _schema_flags(p):
-    p.add_argument("--t1-col", default=None)
-    p.add_argument("--t2-col", default=None)
-    p.add_argument("--trunc-col", default=None)
-    p.add_argument("--location-col", default=None)
-    p.add_argument("--lon-col", default=None)
-    p.add_argument("--lat-col", default=None)
-    p.add_argument("--covariates", default=None,
+    for field in ("t1", "t2", "trunc", "location", "lon", "lat"):
+        p.add_argument(f"--{field}-col", default=getattr(CsvSchema, field))
+    p.add_argument("--covariates", default=CsvSchema.covariates,
                    help="comma-separated covariate columns (default: all unclaimed)")
+
+
+def _config_flags(p, fields, type):
+    """One flag per McmcConfig field (--prerun-iters for prerun_iters),
+    defaulting to the field's default."""
+    for name in fields:
+        p.add_argument("--" + name.replace("_", "-"), type=type,
+                       default=getattr(McmcConfig, name))
+
+
+def _fit_flags(p):
+    """The fit flags; in declaration order they are the resolved options."""
+    p.add_argument("--data", default=None)
+    _schema_flags(p)
+    p.add_argument("--model", default=McmcConfig.model, choices=MODELS)
+    p.add_argument("--family", default=McmcConfig.family, choices=FAMILIES)
+    p.add_argument("--J", type=int, default=McmcConfig.J)
+    p.add_argument("--frailty", default=fr.FrailtySpec.kind, choices=fr.KINDS)
+    p.add_argument("--adjacency", default=None, help="0/1 matrix or edge-list file")
+    p.add_argument("--nu", type=float, default=fr.FrailtySpec.nu)
+    p.add_argument("--fsa-knots", type=int, default=None)
+    p.add_argument("--fsa-blocks", type=int, default=None)
+    p.add_argument("--selection", action="store_true", default=McmcConfig.selection)
+    p.add_argument("--nonlinear", default=None,
+                   help="comma-separated covariates given cubic-spline terms")
+    p.add_argument("--spline-k", type=int, default=McmcConfig.spline_K)
+    _config_flags(p, ("nburn", "nsave", "nskip", "seed", "l0"), int)
+    _config_flags(p, ("a_alpha", "b_alpha", "a_tau", "b_tau", "a_phi", "b_phi"), float)
+    _config_flags(p, ("prerun_iters",), int)
+    p.add_argument("--no-prerun", action="store_true", default=not McmcConfig.prerun)
+    p.add_argument("--loglik-csv", action="store_true")
+    p.add_argument("--config", default=None, help="key=value file or a fit meta.json")
+    p.add_argument("--outdir", default=None)
+    p.add_argument("--dry-run", action="store_true")
+    return p
 
 
 def build_parser():
     ap = argparse.ArgumentParser(prog="bpsurv",
                                  description="Bayesian semiparametric survival models")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fit", help="fit a model to a CSV dataset")
-    p.add_argument("--data", default=None)
-    _schema_flags(p)
-    p.add_argument("--model", default=None, choices=[None, "aft", "ph", "po"])
-    p.add_argument("--family", default=None,
-                   choices=[None, "loglogistic", "lognormal", "weibull"])
-    p.add_argument("--J", type=int, default=None)
-    p.add_argument("--frailty", default=None, choices=[None, "none", "iid", "icar", "grf"])
-    p.add_argument("--adjacency", default=None, help="0/1 matrix or edge-list file")
-    p.add_argument("--nu", type=float, default=None)
-    p.add_argument("--fsa-knots", type=int, default=None)
-    p.add_argument("--fsa-blocks", type=int, default=None)
-    p.add_argument("--selection", action="store_true", default=None)
-    p.add_argument("--nonlinear", default=None,
-                   help="comma-separated covariates given cubic-spline terms")
-    p.add_argument("--spline-k", type=int, default=None)
-    for name in ("nburn", "nsave", "nskip", "seed", "l0", "prerun-iters"):
-        p.add_argument(f"--{name}", type=int, default=None)
-    for name in ("a-alpha", "b-alpha", "a-tau", "b-tau", "a-phi", "b-phi"):
-        p.add_argument(f"--{name}", type=float, default=None)
-    p.add_argument("--no-prerun", action="store_true", default=None)
-    p.add_argument("--loglik-csv", action="store_true", default=None)
-    p.add_argument("--config", default=None, help="key=value file or a fit meta.json")
-    p.add_argument("--outdir", default=None)
-    p.add_argument("--dry-run", action="store_true")
+    _fit_flags(sub.add_parser("fit", help="fit a model to a CSV dataset"))
 
     p = sub.add_parser("simulate", help="generate a study dataset")
     p.add_argument("--design", required=True, choices=sorted(DESIGNS))
@@ -111,8 +104,7 @@ def build_parser():
     p.add_argument("--models", default=None,
                    help="comma-separated models to fit per replicate "
                         "(default: the generating model)")
-    for name in ("nburn", "nsave", "nskip", "l0", "prerun-iters"):
-        p.add_argument(f"--{name}", type=int, default=None)
+    _config_flags(p, _STUDY_CHAIN_FIELDS, int)
     p.add_argument("--outdir", required=True)
     return ap
 
@@ -149,22 +141,27 @@ def _coerce(text):
     return text
 
 
-def _resolve_fit_options(args):
-    opts = dict(_FIT_DEFAULTS)
-    opts["data"] = None
+def _resolve_fit_options(argv):
+    """The fit options, by precedence: flags, then a --config file, then the
+    flag defaults.  Returns (parsed arguments, options); the options are the
+    arguments minus config, outdir and dry_run, in declaration order."""
+    p = _fit_flags(argparse.ArgumentParser(prog="bpsurv fit"))
+    args = p.parse_args(argv)
     if args.config:
         file_opts = _read_config_file(args.config)
-        unknown = set(file_opts) - set(_FIT_KEYS)
+        unknown = set(file_opts) - set(_fit_options(args))
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        opts.update(file_opts)
-    for key in _FIT_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            opts[key] = val
+        p.set_defaults(**file_opts)
+        args = p.parse_args(argv)
+    opts = _fit_options(args)
     if opts["data"] is None:
         raise ValueError("--data is required (flag or config)")
-    return opts
+    return args, opts
+
+
+def _fit_options(args):
+    return {k: v for k, v in vars(args).items() if k not in ("config", "outdir", "dry_run")}
 
 
 def _split(names):
@@ -192,15 +189,13 @@ def _region_adjacency(path, dataset):
 
 def _frailty_spec(opts, dataset):
     kind = opts["frailty"]
-    if kind == "none":
-        return fr.FrailtySpec(kind="none")
-    if kind == "iid":
-        return fr.FrailtySpec(kind="iid")
     if kind == "icar":
         if not opts["adjacency"]:
             raise ValueError("icar frailties need --adjacency")
         E = _region_adjacency(opts["adjacency"], dataset)
         return fr.FrailtySpec(kind="icar", adjacency=E)
+    if kind != "grf":
+        return fr.FrailtySpec(kind=kind)
     if dataset.coords is None:
         raise ValueError("grf frailties need lon/lat columns in the data")
     fsa = None
@@ -212,34 +207,27 @@ def _frailty_spec(opts, dataset):
 
 
 def _mcmc_config(opts, spec):
-    return McmcConfig(
-        model=opts["model"], family=opts["family"], J=opts["J"],
-        nburn=opts["nburn"], nsave=opts["nsave"], nskip=opts["nskip"],
-        seed=opts["seed"], l0=opts["l0"],
-        a_alpha=opts["a_alpha"], b_alpha=opts["b_alpha"],
-        a_tau=opts["a_tau"], b_tau=opts["b_tau"],
-        a_phi=opts["a_phi"], b_phi=opts["b_phi"],
-        selection=bool(opts["selection"]),
-        nonlinear=_split(opts["nonlinear"]) or (),
-        spline_K=opts["spline_k"],
-        frailty=spec,
-        prerun=not opts["no_prerun"], prerun_iters=opts["prerun_iters"],
-    )
+    """The McmcConfig of every option named after one of its fields, with
+    nonlinear, spline_k, frailty and no_prerun renamed or parsed."""
+    given = {k: v for k, v in opts.items() if k in _CONFIG_FIELDS}
+    given.update(nonlinear=_split(opts["nonlinear"]) or (), spline_K=opts["spline_k"],
+                 frailty=spec, prerun=not opts["no_prerun"])
+    return McmcConfig(**given)
 
 
-def cmd_fit(args):
-    opts = _resolve_fit_options(args)
+def cmd_fit(argv):
+    args, opts = _resolve_fit_options(argv)
     dataset = _load_dataset(opts)
     spec = _frailty_spec(opts, dataset)
     cfg = _mcmc_config(opts, spec)
     if args.dry_run:
         print("resolved options:")
-        for key in _FIT_KEYS:
-            print(f"  {key} = {opts[key]}")
+        for key, val in opts.items():
+            print(f"  {key} = {val}")
         if spec.kind == "grf":
             print(f"  phi0 = {spec.phi0():.6g}  (prior mode of the range parameter)")
         if cfg.selection:
-            print(f"  g = {gprior_scale(dataset.p, cfg.sel_M, cfg.sel_q):.6g}  (g-prior scale)")
+            print(f"  g = {gprior_scale(dataset.p):.6g}  (g-prior scale)")
         for name in cfg.nonlinear:
             print(f"  g[{name}] = {gprior_scale(cfg.spline_K):.6g}  (spline g-prior scale)")
         print(f"  n = {dataset.n}, m = {dataset.m}, p = {dataset.p}")
@@ -248,8 +236,7 @@ def cmd_fit(args):
         raise ValueError("--outdir is required unless --dry-run")
     archive = run_chain(dataset, cfg)
     outdir = Path(args.outdir)
-    crit = save_archive(archive, outdir, loglik_csv=bool(opts["loglik_csv"]),
-                        cli={k: opts[k] for k in _FIT_KEYS})
+    crit = save_archive(archive, outdir, loglik_csv=bool(opts["loglik_csv"]), cli=opts)
     text = summary_text(archive, crit)
     (outdir / "summary.txt").write_text(text)
     print(text, end="")
@@ -262,10 +249,10 @@ def cmd_simulate(args):
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     ds.to_csv(out)
-    if design.frailty_kind == "icar":
+    spec = design.frailty_spec(ds.coords)
+    if spec.kind == "icar":
         adj_path = out.with_name(out.stem + "_adjacency.txt")
-        E = design.adjacency if design.adjacency is not None else bundled_adjacency37()
-        np.savetxt(adj_path, E, fmt="%d")
+        np.savetxt(adj_path, spec.adjacency, fmt="%d")
         print(f"adjacency written to {adj_path}")
     if args.truth_out:
         blob = {"model": truth.model, "beta": truth.beta.tolist(),
@@ -277,14 +264,7 @@ def cmd_simulate(args):
 
 
 def cmd_diagnose(args):
-    opts = dict(_FIT_DEFAULTS)
-    opts["data"] = args.data
-    for key in ("t1_col", "t2_col", "trunc_col", "location_col", "lon_col", "lat_col",
-                "covariates"):
-        val = getattr(args, key)
-        if val is not None:
-            opts[key] = val
-    dataset = _load_dataset(opts)
+    dataset = _load_dataset(vars(args))
     if args.adjacency:
         _region_adjacency(args.adjacency, dataset)
     archive = load_archive(args.fit, dataset=dataset)
@@ -355,12 +335,7 @@ def _write_svg(path, rows, size=480, margin=40):
 
 def cmd_mc_study(args):
     design = DESIGNS[args.design]()
-    cfg_kwargs = {}
-    for key, field in (("nburn", "nburn"), ("nsave", "nsave"), ("nskip", "nskip"),
-                       ("l0", "l0"), ("prerun_iters", "prerun_iters")):
-        val = getattr(args, key)
-        if val is not None:
-            cfg_kwargs[field] = val
+    cfg_kwargs = {name: getattr(args, name) for name in _STUDY_CHAIN_FIELDS}
     models = _split(args.models)
     result = run_mc_study(design, args.replicates, master_seed=args.seed,
                           jobs=args.jobs, fit_models=models, cfg_kwargs=cfg_kwargs,
@@ -390,10 +365,11 @@ def cmd_mc_study(args):
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
         if args.command == "fit":
-            return cmd_fit(args)
+            return cmd_fit(argv[1:])
         if args.command == "simulate":
             return cmd_simulate(args)
         if args.command == "diagnose":

@@ -3,9 +3,11 @@
 Everything operates on the (draws x observations) matrix of per-observation
 log-likelihoods, in log space throughout.  The CPO importance weights are
 truncated at sqrt(L) times their mean to tame infinite-variance cases before
-summing, and DIC's plug-in deviance uses the total log-likelihood evaluated at
-the posterior-mean parameters stored with the archive; p_V, the variance of
-the total log-likelihood, is reported beside its p_D.
+summing, and DIC's plug-in deviance uses the total log-likelihood stored with
+the archive, evaluated at the posterior means of the baseline weights w (not
+of their logits z, whose softmax lies far from the posterior's centre), theta,
+the effective coefficients and the frailties; p_V, the variance of the total
+log-likelihood, is reported beside its p_D.
 """
 
 from __future__ import annotations

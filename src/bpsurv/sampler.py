@@ -39,15 +39,17 @@ _PRERUN_L0 = 200
 
 @dataclass
 class McmcConfig:
-    """Run settings and hyperparameters.
+    """Run settings and hyperparameters: the one statement of every fit
+    default, which the command line and the replicate studies read.
 
     Defaults follow the source methodology: W0 = 1e10 I (or the g-prior with
-    M=10, q=0.9 under selection), theta0/V0 from the pre-run with V0 = 10 Vhat,
-    a_alpha = b_alpha = 1, a_tau = b_tau = 0.001, a_phi = 2 with
-    b_phi = (a_phi - 1)/phi0.  The seed proposal covariances are fixed:
-    0.16 I for z, alpha and phi, and the pre-run's Vhat and What for theta and
-    beta (0.16 I without a pre-run).  phi starts at phi0, and the pre-run keeps
-    the second half of its prerun_iters iterations.
+    M=10, q=0.9 under selection, splines.gprior_scale), theta0/V0 from the
+    pre-run with V0 = 10 Vhat, a_alpha = b_alpha = 1, a_tau = b_tau = 0.001,
+    a_phi = 2 with b_phi = (a_phi - 1)/phi0.  The seed proposal covariances
+    are fixed: 0.16 I for z, alpha and phi, and the pre-run's Vhat and What
+    for theta and beta (0.16 I without a pre-run).  alpha and tau2 start at 1,
+    phi at phi0, and the pre-run keeps the second half of its prerun_iters
+    iterations.
     """
 
     model: str = "ph"
@@ -72,16 +74,11 @@ class McmcConfig:
     # variable selection
     selection: bool = False
     q_incl: float = 0.5
-    sel_M: float = 10.0
-    sel_q: float = 0.9
     # partially linear terms
     nonlinear: tuple = ()
     spline_K: int = 5
     # frailties
     frailty: fr.FrailtySpec = field(default_factory=fr.FrailtySpec)
-    # initial values
-    alpha_init: float = 1.0
-    tau2_init: float = 1.0
     # pre-run
     prerun: bool = True
     prerun_iters: int = 2000
@@ -317,8 +314,8 @@ class ChainSampler:
             beta=beta_init,
             gamma=np.ones(self.p),
             v=np.zeros(self.m) if self.has_frailty else None,
-            alpha=config.alpha_init,
-            tau2=config.tau2_init,
+            alpha=1.0,
+            tau2=1.0,
             phi=phi_init,
         )
         self.state.w = weights_from_logits(self.state.z)
@@ -347,7 +344,7 @@ class ChainSampler:
                     import warnings
                     warnings.warn("singular centered X'X; adding ridge for the g-prior")
                     xtx_inv = np.linalg.inv(xtx + 1e-8 * np.eye(self.p))
-                g = gprior_scale(self.p, cfg.sel_M, cfg.sel_q)
+                g = gprior_scale(self.p)
                 W0 = g * self.ds.n * xtx_inv
                 blocks.append(np.linalg.inv(W0))
             else:
@@ -684,14 +681,16 @@ class ChainSampler:
             nonfinite_rejects=self.nonfinite_rejects,
             spline_terms=self.terms)
         if L:
-            archive.loglik_at_mean = self._loglik_at_posterior_mean(archive.draws)
+            archive.loglik_at_mean = self._loglik_at_posterior_mean(archive)
         archive.elapsed = time.perf_counter() - t_start
         return archive
 
-    def _loglik_at_posterior_mean(self, draws):
-        """Plug-in total log-likelihood at the componentwise posterior mean
-        (sampling scales; effective coefficients averaged under selection)."""
-        w = weights_from_logits(draws["z"].mean(axis=0))
+    def _loglik_at_posterior_mean(self, archive):
+        """Plug-in total log-likelihood at the componentwise posterior mean:
+        of the weights w rather than their logits z, of theta, of the
+        effective coefficients under selection, and of v."""
+        draws = archive.draws
+        w = archive.weights().mean(axis=0)
         theta = draws["theta"].mean(axis=0)
         if "gamma" in draws:
             beta_eff = (draws["beta"] * draws["gamma"]).mean(axis=0)

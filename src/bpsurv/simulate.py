@@ -199,6 +199,16 @@ class SimDesign:
     def covariate_names(self, p):
         return [f"x{j + 1}" for j in range(p)]
 
+    def frailty_spec(self, coords=None):
+        """The FrailtySpec that generates and fits the design's field; a grf
+        spec needs the site coordinates of a generated dataset."""
+        if self.frailty_kind == "icar":
+            E = self.adjacency if self.adjacency is not None else bundled_adjacency37()
+            return fr.FrailtySpec(kind="icar", adjacency=E)
+        if self.frailty_kind == "grf":
+            return fr.FrailtySpec(kind="grf", coords=coords, nu=self.nu)
+        return fr.FrailtySpec(kind=self.frailty_kind)
+
     def generate(self, seed):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         m, n = self.m, self.m * self.n_per_site
@@ -208,20 +218,17 @@ class SimDesign:
                           else ([1.0, 1.0] + [0.0] * (p - 2)), dtype=float)
 
         coords = None
-        if self.frailty_kind == "icar":
-            E = self.adjacency if self.adjacency is not None else bundled_adjacency37()
-            if E.shape[0] != m:
-                raise ValueError("adjacency size must match m")
-            spec = fr.FrailtySpec(kind="icar", adjacency=E)
-            v = gen_frailty_truth(spec, self.tau2, rng)
-        elif self.frailty_kind == "grf":
+        if self.frailty_kind == "grf":
             coords = rng.uniform(0, self.coords_extent, size=(m, 2))
-            spec = fr.FrailtySpec(kind="grf", coords=coords, nu=self.nu)
-            v = gen_frailty_truth(spec, self.tau2, rng, phi=self.phi)
-        elif self.frailty_kind == "iid":
+        spec = self.frailty_spec(coords)
+        if spec.kind == "icar" and spec.m != m:
+            raise ValueError("adjacency size must match m")
+        if spec.kind == "iid":
             v = rng.normal(0.0, math.sqrt(self.tau2), size=m)
-        else:
+        elif spec.kind == "none":
             v = np.zeros(m)
+        else:
+            v = gen_frailty_truth(spec, self.tau2, rng, phi=self.phi)
 
         loc = np.repeat(np.arange(1, m + 1), self.n_per_site)
         eta = X @ beta + v[loc - 1]

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import BSpline
 from scipy.special import ndtri
 
 DEGREE = 3  # cubic
@@ -53,6 +52,7 @@ class SplineTerm:
             warnings.warn("spline term evaluated outside its data range; clamping",
                           stacklevel=2)
             x = np.clip(x, self.xmin, self.xmax)
+        from scipy.interpolate import BSpline  # costs a quarter second; only spline fits pay
         full = BSpline.design_matrix(x, self.knots, DEGREE, extrapolate=False).toarray()
         return full[:, 1:-1]
 
@@ -86,6 +86,7 @@ def build_basis(values, K=5, name="x"):
     else:
         interior = np.zeros(0)
     knots = np.concatenate([[xmin] * (DEGREE + 1), interior, [xmax] * (DEGREE + 1)])
+    from scipy.interpolate import BSpline  # costs a quarter second; only spline fits pay
     full = BSpline.design_matrix(values, knots, DEGREE, extrapolate=False).toarray()
     raw = full[:, 1:-1]
     col_means = raw.mean(axis=0)

@@ -66,11 +66,8 @@ def _summaries(archive, truth, s0_grid):
         tau2_median = float(np.median(t2))
         t2lo, t2hi = np.quantile(t2, [0.025, 0.975])
         tau2_cov = bool(t2lo <= truth.tau2 <= t2hi)
-    lp, _ = cr.lpml(archive.loglik_obs)
-    d, _ = cr.dic(archive)
-    wa, _ = cr.waic(archive.loglik_obs)
     s0 = archive.fitted_baseline_survival(s0_grid) if s0_grid is not None else None
-    return mean, sd, lo, hi, covered, ess_beta, tau2_median, tau2_cov, lp, d, wa, s0
+    return mean, sd, lo, hi, covered, ess_beta, tau2_median, tau2_cov, s0
 
 
 def run_replicate(args):
@@ -81,39 +78,21 @@ def run_replicate(args):
     """
     design, rep, master, fit_models, cfg_kwargs, s0_grid = args
     ds, truth = design.generate(data_seed(master, rep))
-    spec = _frailty_spec_for(design, ds)
-    results = []
-    primary = fit_models[0]
+    spec = design.frailty_spec(ds.coords)
     alt = {}
-    arch0 = None
     for k, model in enumerate(fit_models):
         arch = _fit_once(ds, model, cfg_kwargs, chain_seed(master, rep, k), spec)
-        lp, _ = cr.lpml(arch.loglik_obs)
-        d, _ = cr.dic(arch)
-        wa, _ = cr.waic(arch.loglik_obs)
-        alt[model] = (lp, d, wa)
+        alt[model] = crit = (cr.lpml(arch.loglik_obs)[0], cr.dic(arch)[0],
+                             cr.waic(arch.loglik_obs)[0])
         if k == 0:
-            arch0 = arch
+            arch0, (lp, d, wa) = arch, crit
     (mean, sd, lo, hi, covered, ess_beta, tau2_med, tau2_cov,
-     lp, d, wa, s0) = _summaries(arch0, truth, s0_grid)
+     s0) = _summaries(arch0, truth, s0_grid)
     return ReplicateResult(
-        replicate=rep, model=primary, beta_mean=mean, beta_sd=sd, ci_lo=lo, ci_hi=hi,
+        replicate=rep, model=fit_models[0], beta_mean=mean, beta_sd=sd, ci_lo=lo, ci_hi=hi,
         covered=covered, ess_beta=ess_beta, tau2_median=tau2_med, tau2_covered=tau2_cov,
         lpml=lp, dic=d, waic=wa, s0_fit=s0, accept=arch0.accept_rates,
         elapsed=arch0.elapsed, alt_criteria=alt)
-
-
-def _frailty_spec_for(design, dataset):
-    from . import frailty as fr
-    from .simulate import bundled_adjacency37
-    if design.frailty_kind == "icar":
-        E = design.adjacency if design.adjacency is not None else bundled_adjacency37()
-        return fr.FrailtySpec(kind="icar", adjacency=E)
-    if design.frailty_kind == "grf":
-        return fr.FrailtySpec(kind="grf", coords=dataset.coords, nu=design.nu)
-    if design.frailty_kind == "iid":
-        return fr.FrailtySpec(kind="iid")
-    return fr.FrailtySpec(kind="none")
 
 
 @dataclass

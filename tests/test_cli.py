@@ -130,6 +130,47 @@ class TestFit:
         assert rc == 2
         assert "bogus" in capsys.readouterr().err
 
+    @staticmethod
+    def dry_run_options(text):
+        """The key = value lines of a dry run's resolved options, in order:
+        not the annotated derived values, nor the closing n, m, p line."""
+        lines = text.split("resolved options:\n", 1)[1].splitlines()[:-1]
+        return dict(ln.strip().split(" = ", 1) for ln in lines if "  (" not in ln)
+
+    def test_flag_beats_config_file_beats_default(self, tmp_path, capsys):
+        path = tiny_dataset_csv(tmp_path)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"data = {path}\nlocation_col = location\ntrunc_col = trunc\n"
+                           "nsave = 80\nnburn = 120\n")
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfgfile), "--nsave", "90", "--dry-run"]) == 0
+        opts = self.dry_run_options(capsys.readouterr().out)
+        assert opts["nsave"] == "90"   # the flag over the file
+        assert opts["nburn"] == "120"  # the file over the default
+        assert opts["J"] == "15"       # McmcConfig's default
+        assert opts["t1_col"] == "t1"  # CsvSchema's default
+
+    @pytest.mark.parametrize("key", ["outdir", "dry_run", "config"])
+    def test_non_option_config_key(self, tmp_path, capsys, key):
+        path = tiny_dataset_csv(tmp_path)
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(f"data = {path}\n{key} = x\n")
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfgfile), "--outdir", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_dry_run_lists_the_meta_json_options(self, tmp_path, capsys):
+        path = tiny_dataset_csv(tmp_path)
+        argv = ["fit", "--data", str(path), "--location-col", "location",
+                "--trunc-col", "trunc", "--selection", *FAST]
+        capsys.readouterr()
+        assert main(argv + ["--dry-run"]) == 0
+        listed = self.dry_run_options(capsys.readouterr().out)
+        assert main(argv + ["--outdir", str(tmp_path / "fit")]) == 0
+        cli = json.loads((tmp_path / "fit" / "meta.json").read_text())["cli"]
+        assert list(listed) == list(cli)
+        assert listed == {k: str(v) for k, v in cli.items()}
+
 
 class TestDiagnose:
     def test_end_to_end(self, tmp_path, capsys):

@@ -6,6 +6,8 @@ import pytest
 from bpsurv import criteria as cr
 from bpsurv.baseline import alpha_log_prior_at_zero
 
+import oracle
+
 
 class FakeArchive:
     def __init__(self, loglik_total, loglik_at_mean, draws=None, J=15, spline_terms=None):
@@ -55,6 +57,35 @@ class TestDic:
         assert f"P V: {p_v:.4f}" in text
         arch.loglik_at_mean += 6.0  # p_D = +6: no flag
         assert "(negative:" not in archive_io.summary_text(arch)
+
+    def test_plug_in_is_at_the_mean_weights(self):
+        # z draws whose mean maps to weights far from the mean of their weights
+        from bpsurv import sampler
+        from bpsurv.baseline import CenteringFamily, TbpBaseline, weights_from_logits
+        from bpsurv.simulate import SimDesign
+        ds = SimDesign(model="po", m=4, n_per_site=10, frailty_kind="none").generate(2)[0]
+        cfg = sampler.McmcConfig(model="po", J=3, nburn=0, nsave=0, prerun=False)
+        s = sampler.ChainSampler(ds, cfg, [], None)
+        beta = np.array([[0.5, 1.0], [0.7, 0.9], [0.6, 1.1], [0.8, 1.2]])
+        theta = np.array([[0.1, 0.2], [0.0, 0.1], [-0.2, 0.3], [0.3, 0.0]])
+        z = np.array([[6.0, -4.0], [-5.0, 3.0], [4.0, 4.0], [-3.0, -6.0]])
+        names = [nm for cols, _ in s._draw_blocks() for nm in cols]
+        arch = sampler.PosteriorArchive(
+            model="po", family=cfg.family, J=3, covariate_names=ds.covariate_names,
+            spline_names=[], names=names, matrix=np.column_stack([beta, theta, z, np.ones(4)]),
+            loglik_obs=np.zeros((4, ds.n)), loglik_total=np.zeros(4), loglik_at_mean=math.nan,
+            accept_rates={}, config=cfg, n=ds.n, m=ds.m, elapsed=0.0)
+        eta = oracle.linear_predictor(ds, oracle.RegressionState(beta=beta.mean(axis=0)))
+        family = CenteringFamily(cfg.family, tuple(theta.mean(axis=0)))
+
+        def loglik(w):
+            base = TbpBaseline(J=3, w=w, family=family)
+            return sum(oracle.obs_loglik("po", o, float(eta[i]), base)
+                       for i, o in enumerate(ds.observations))
+
+        expected = loglik(arch.weights().mean(axis=0))
+        assert s._loglik_at_posterior_mean(arch) == pytest.approx(expected, rel=1e-12)
+        assert abs(loglik(weights_from_logits(z.mean(axis=0))) - expected) > 0.1
 
 
 class TestLpml:

@@ -199,7 +199,8 @@ class TestBlockFullConditionals:
 
     def test_z_block_against_grid(self):
         ds = two_obs_dataset()
-        s = make_sampler(ds, J=2, alpha_init=1.5)
+        s = make_sampler(ds, J=2)
+        s.state.alpha = 1.5
         eta = s.eta
 
         def target(zval):
@@ -265,7 +266,8 @@ class TestBlockFullConditionals:
         coords = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 6.9]])
         spec = fr.FrailtySpec(kind="grf", coords=coords)
         ds = dm.Dataset(observations=[], m=3, covariate_names=[])
-        s = make_sampler(ds, frailty=spec, tau2_init=0.8)
+        s = make_sampler(ds, frailty=spec)
+        s.state.tau2 = 0.8
         # unit proposal variance: mixes faster than the 0.16 seed and often
         # proposes phi <= 0, which must be rejected without changing the target
         s.prop["phi"] = sm.AdaptiveProposal(1, 1.0, 10 ** 9)
@@ -289,7 +291,8 @@ class TestBlockFullConditionals:
     def test_iid_frailty_prior_only_ks(self):
         # empty data, m=1, fixed tau2: v_1 targets N(0, tau2)
         ds = dm.Dataset(observations=[], m=1, covariate_names=[])
-        s = make_sampler(ds, frailty=fr.FrailtySpec(kind="iid"), tau2_init=2.0)
+        s = make_sampler(ds, frailty=fr.FrailtySpec(kind="iid"))
+        s.state.tau2 = 2.0
         draws = self.collect(s, s.update_frailties, lambda: s.state.v[0], iters=60000)
         assert kstest(draws, norm(0.0, math.sqrt(2.0)).cdf).statistic < 0.05
 
