@@ -11,7 +11,7 @@ seed proposals for their first l0 recorded states, so under the defaults
 (l0 = nburn + nsave = 5000) they never adapt.
 """
 
-from .baseline import CenteringFamily, TbpBaseline, alpha_log_prior_at_zero
+from .baseline import alpha_log_prior_at_zero
 from .criteria import (
     dic,
     ess,

@@ -10,7 +10,6 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -76,31 +75,6 @@ def family_log_density(family, theta, t):
     return np.where((t <= 0.0) | ~np.isfinite(t), -np.inf, out)
 
 
-def family_density(family, theta, t):
-    """Density f_theta(t); zero where t <= 0 or t = inf."""
-    return np.exp(family_log_density(family, theta, t))
-
-
-@dataclass(frozen=True)
-class CenteringFamily:
-    """A centering survival family tag plus its R^2 parameter."""
-
-    name: str
-    theta: tuple
-
-    def __post_init__(self):
-        _check_family(self.name)
-
-    def survival(self, t):
-        return family_survival(self.name, self.theta, t)
-
-    def density(self, t):
-        return family_density(self.name, self.theta, t)
-
-    def log_density(self, t):
-        return family_log_density(self.name, self.theta, t)
-
-
 # ---------------------------------------------------------------------------
 # Bernstein polynomial basis
 # ---------------------------------------------------------------------------
@@ -156,12 +130,13 @@ def bernstein_pdf_rows(x, J):
 # ---------------------------------------------------------------------------
 
 def weights_from_logits(z):
-    """Softmax with the last logit pinned at zero: w_j = e^{z_j} / sum_k e^{z_k}."""
+    """Softmax with the last logit pinned at zero, w_j = e^{z_j} / sum_k e^{z_k},
+    over the last axis: a stack of logit vectors gives a stack of weights."""
     z = np.asarray(z, dtype=float)
-    zfull = np.append(z, 0.0)
-    zfull -= zfull.max()
+    zfull = np.concatenate([z, np.zeros(z.shape[:-1] + (1,))], axis=-1)
+    zfull -= zfull.max(axis=-1, keepdims=True)
     ez = np.exp(zfull)
-    return ez / ez.sum()
+    return ez / ez.sum(axis=-1, keepdims=True)
 
 
 def dirichlet_symmetric_logpdf(w, alpha):
@@ -178,50 +153,3 @@ def alpha_log_prior_at_zero(alpha, J):
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     return float(gammaln(alpha * J) - J * (alpha * np.log(J) + gammaln(alpha)))
-
-
-# ---------------------------------------------------------------------------
-# The transformed baseline distribution
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TbpBaseline:
-    """Baseline survival S0(t) = D(S_theta(t) | J, w) with density
-    f0(t) = d(S_theta(t) | J, w) f_theta(t)."""
-
-    J: int
-    w: np.ndarray
-    family: CenteringFamily
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        if w.shape != (self.J,) or np.any(w <= 0.0) or abs(w.sum() - 1.0) > 1e-10:
-            raise ValueError(f"w must be {self.J} positive weights summing to 1")
-
-    def _transform(self, t):
-        s = family_survival(self.family.name, self.family.theta, t)
-        return np.clip(s, _CLAMP, 1.0 - _CLAMP)
-
-    def survival(self, t):
-        """S0(t) for t >= 0 (scalar or array)."""
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        x = self._transform(np.atleast_1d(t))
-        out = self.w @ bernstein_cdf_rows(x, self.J)
-        out = np.where(np.atleast_1d(t) <= 0.0, 1.0, out)
-        out = np.where(np.isposinf(np.atleast_1d(t)), 0.0, out)
-        return float(out[0]) if scalar else out
-
-    def log_density(self, t):
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        tv = np.atleast_1d(t)
-        x = self._transform(tv)
-        d = self.w @ bernstein_pdf_rows(x, self.J)
-        logf = family_log_density(self.family.name, self.family.theta, tv)
-        out = np.log(np.maximum(d, 1e-300)) + logf
-        return float(out[0]) if scalar else out
-
-    def density(self, t):
-        """f0(t) = d(S_theta(t)) f_theta(t)."""
-        return np.exp(self.log_density(t))

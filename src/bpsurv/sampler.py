@@ -25,6 +25,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from . import frailty as fr
 from .baseline import dirichlet_symmetric_logpdf, weights_from_logits
@@ -351,15 +352,7 @@ class ChainSampler:
                 blocks.append(np.eye(self.p) / cfg.beta_prior_var)
         for t in self.terms:
             blocks.append(np.linalg.inv(t.prior_cov))
-        if not blocks:
-            return np.zeros((0, 0))
-        out = np.zeros((self.dims, self.dims))
-        off = 0
-        for blk in blocks:
-            k = blk.shape[0]
-            out[off:off + k, off:off + k] = blk
-            off += k
-        return out
+        return block_diag(*blocks) if blocks else np.zeros((0, 0))
 
     def _effective_beta(self, beta=None, gamma=None):
         beta = self.state.beta if beta is None else beta
@@ -764,14 +757,8 @@ class PosteriorArchive:
         return self.loglik_total.shape[0]
 
     def weights(self):
-        """Baseline weight vectors, one row per draw: weights_from_logits of
-        each row of z, max shift included."""
-        Z = self.draws["z"]
-        W = np.concatenate([Z, np.zeros((Z.shape[0], 1))], axis=1)
-        W -= W.max(axis=1, keepdims=True)
-        np.exp(W, out=W)
-        W /= W.sum(axis=1, keepdims=True)
-        return W
+        """Baseline weight vectors, one row per draw of z."""
+        return weights_from_logits(self.draws["z"])
 
     def fitted_baseline_survival(self, tgrid):
         """Posterior mean of S0(t) over the grid."""

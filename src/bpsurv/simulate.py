@@ -7,6 +7,11 @@ with tau^2 = 1 on a bundled 37-region adjacency.  Half of each sample is
 right-censored at Uniform(2, 6) times (yielding mostly uncensored records),
 the other half is inspected on a Poisson-gap schedule, producing a mix of
 roughly 40% exact, 25% left-, 15% interval-, and 20% right-censored records.
+
+A dataset is drawn in one fixed order from one seeded generator: covariates,
+site coordinates (grf), the frailty field, one uniform u per subject, then the
+censoring scheme.  Each exact time solves F_x(t) = u through the likelihood's
+own model transform, for all subjects at once (sample_survival_time).
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from . import frailty as fr
@@ -55,37 +59,44 @@ class BimodalBaseline:
         return np.where((t <= 0.0) | ~np.isfinite(t), 0.0, out)
 
 
-def sample_survival_time(model, eta, truth, u, bracket=(1e-10, 1e3), rtol=1e-12):
-    """Invert F_x(t) = u with geometric bracket expansion plus brentq.
+_LOG_T_MIN, _LOG_T_MAX = math.log(1e-300), math.log(1e300)
 
-    u must lie strictly inside (0, 1).
-    """
-    if not 0.0 < u < 1.0:
-        raise ValueError("u must lie in (0, 1)")
 
-    def g(t):
+def _failure_probability(model, eta, truth, t):
+    """F_x(t) = 1 - S_x(t) under the model, elementwise."""
+    with np.errstate(over="ignore"):  # e^eta t may reach inf under AFT: S0 is 0 there
         s0 = truth.survival(model_time(model, t, eta))
-        # the kernel floors s0 for the PH log; S_x must still reach 0 where s0 does
-        s = np.where(s0 > 0.0, survival_transform(model, s0, eta)[0], 0.0)
-        return (1.0 - float(s)) - u
-
-    lo, hi = bracket
-    expansions = 0
-    while g(lo) > 0.0:
-        lo /= 1e3
-        expansions += 1
-        if expansions > 40:
-            raise RuntimeError("bracket expansion failed at the lower end")
-    expansions = 0
-    while g(hi) < 0.0:
-        hi *= 1e3
-        expansions += 1
-        if expansions > 40:
-            raise RuntimeError("bracket expansion failed at the upper end")
-    return float(brentq(g, lo, hi, rtol=rtol, xtol=1e-300, maxiter=200))
+    # the kernel floors s0 for the PH log; S_x must still reach 0 where s0 does
+    s = np.where(s0 > 0.0, survival_transform(model, s0, eta)[0], 0.0)
+    return 1.0 - s
 
 
-def apply_censoring(times, etas, model, truth, rng):
+def sample_survival_time(model, eta, truth, u):
+    """Solve F_x(t) = u for t, elementwise over the broadcast eta and u.
+
+    Bisection on log t over [1e-300, 1e300]: after 64 halvings the bracket in
+    log t is 7.5e-17 wide, below the relative spacing of doubles in t.  Each u
+    must lie strictly inside (0, 1) and each root inside the range.  Scalar
+    arguments give a float.
+    """
+    eta, u = np.broadcast_arrays(np.asarray(eta, dtype=float), np.asarray(u, dtype=float))
+    if not np.all((u > 0.0) & (u < 1.0)):
+        raise ValueError("u must lie in (0, 1)")
+    lo = np.full(u.shape, _LOG_T_MIN)
+    hi = np.full(u.shape, _LOG_T_MAX)
+    if (np.any(_failure_probability(model, eta, truth, np.exp(lo)) > u)
+            or np.any(_failure_probability(model, eta, truth, np.exp(hi)) < u)):
+        raise RuntimeError("F_x(t) = u has no root in [1e-300, 1e300]")
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = _failure_probability(model, eta, truth, np.exp(mid)) < u
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    t = np.exp(hi)
+    return float(t) if t.ndim == 0 else t
+
+
+def apply_censoring(times, rng):
     """The half right-censoring / half inspection-schedule scheme.
 
     A random half of the subjects is right-censored at Uniform(2, 6) (true
@@ -121,22 +132,19 @@ def apply_censoring(times, etas, model, truth, rng):
     return a, b
 
 
-def gen_frailty_truth(spec, tau2, rng, phi=None):
-    """Draw a true frailty field: ICAR (centered) or GRF or IID."""
-    if spec.kind == "icar":
-        E = np.asarray(spec.adjacency, dtype=float)
-        m = E.shape[0]
-        prec = np.diag(E.sum(axis=1)) - E + 1e-10 * np.eye(m)
-        cov = tau2 * np.linalg.inv(prec)
-        v = rng.multivariate_normal(np.zeros(m), cov, method="cholesky")
-        return v - v.mean()
-    if spec.kind == "grf":
-        R = fr.dense_correlation(spec.distances, phi, spec.nu)
-        chol = np.linalg.cholesky(tau2 * R)
-        return chol @ rng.standard_normal(R.shape[0])
+def gen_frailty_truth(spec, tau2, rng, m, phi=None):
+    """Draw a true frailty field on m sites: zero (none), IID, ICAR (centered)
+    or GRF at range phi."""
+    if spec.kind == "none":
+        return np.zeros(m)
     if spec.kind == "iid":
-        raise ValueError("iid truth needs an explicit size; draw directly")
-    return None
+        return rng.normal(0.0, math.sqrt(tau2), size=m)
+    if spec.kind == "icar":
+        prec = fr.build_structure(spec).C + 1e-10 * np.eye(m)
+        v = rng.multivariate_normal(np.zeros(m), tau2 * np.linalg.inv(prec), method="cholesky")
+        return v - v.mean()
+    R = fr.dense_correlation(spec.distances, phi, spec.nu)
+    return np.linalg.cholesky(tau2 * R) @ rng.standard_normal(m)
 
 
 def gen_covariates(design, n, rng):
@@ -223,20 +231,13 @@ class SimDesign:
         spec = self.frailty_spec(coords)
         if spec.kind == "icar" and spec.m != m:
             raise ValueError("adjacency size must match m")
-        if spec.kind == "iid":
-            v = rng.normal(0.0, math.sqrt(self.tau2), size=m)
-        elif spec.kind == "none":
-            v = np.zeros(m)
-        else:
-            v = gen_frailty_truth(spec, self.tau2, rng, phi=self.phi)
+        v = gen_frailty_truth(spec, self.tau2, rng, m, phi=self.phi)
 
         loc = np.repeat(np.arange(1, m + 1), self.n_per_site)
         eta = X @ beta + v[loc - 1]
-        u = rng.uniform(size=n)
-        times = np.array([sample_survival_time(self.model, eta[i], self.baseline, u[i])
-                          for i in range(n)])
+        times = sample_survival_time(self.model, eta, self.baseline, rng.uniform(size=n))
         if self.censoring:
-            a, b = apply_censoring(times, eta, self.model, self.baseline, rng)
+            a, b = apply_censoring(times, rng)
         else:
             a, b = times, times.copy()
         obs = [CensoredObservation(a=float(a[i]), b=float(b[i]), x=tuple(X[i]),

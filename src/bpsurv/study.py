@@ -111,7 +111,8 @@ class StudyResult:
             "replicates": len(reps),
             "beta_bias": (beta_means - self.truth_beta).mean(axis=0).tolist(),
             "beta_psd": psd.mean(axis=0).tolist(),
-            "beta_sd_est": beta_means.std(axis=0, ddof=1).tolist(),
+            # undefined for one replicate, and JSON has no NaN
+            "beta_sd_est": beta_means.std(axis=0, ddof=1).tolist() if len(reps) > 1 else None,
             "beta_cp": covered.mean(axis=0).tolist(),
             "ess_beta": np.array([r.ess_beta for r in reps]).mean(axis=0).tolist(),
         }

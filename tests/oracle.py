@@ -20,6 +20,14 @@ matrices, built from a Python event list; bpsurv.diagnostics.turnbull_npmle
 works on contiguous runs of innermost intervals instead and accelerates the
 same EM map.  turnbull_loglik scores a support and masses with the same dense
 membership rule.
+
+sample_survival_time inverts F_x(t) = u for one subject by geometric bracket
+expansion plus brentq, the reference for the bisection that
+bpsurv.simulate.sample_survival_time runs over all subjects at once.
+
+CenteringFamily and TbpBaseline evaluate a centering family and the TBP
+baseline S0(t) = D(S_theta(t) | J, w) at arbitrary times, the form in which
+surv, dens and obs_loglik take a baseline.
 """
 
 from __future__ import annotations
@@ -29,15 +37,121 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
-from bpsurv.baseline import CenteringFamily, TbpBaseline
+from bpsurv.baseline import (
+    _CLAMP,
+    _check_family,
+    bernstein_cdf_rows,
+    bernstein_pdf_rows,
+    family_log_density,
+    family_survival,
+)
 from bpsurv.diagnostics import TurnbullEstimate
 from bpsurv.frailty import pairwise_distances
-from bpsurv.models import MODELS, LikelihoodEvaluator
+from bpsurv.models import MODELS, LikelihoodEvaluator, model_time, survival_transform
 from bpsurv.models import linear_predictor as stacked_predictor
 from bpsurv.sampler import AdaptiveProposal, PrerunEstimates, _theta_moment_init
 
 _FLOOR = 1e-300
+
+
+def family_density(family, theta, t):
+    """Density f_theta(t); zero where t <= 0 or t = inf."""
+    return np.exp(family_log_density(family, theta, t))
+
+
+@dataclass(frozen=True)
+class CenteringFamily:
+    """A centering survival family tag plus its R^2 parameter."""
+
+    name: str
+    theta: tuple
+
+    def __post_init__(self):
+        _check_family(self.name)
+
+    def survival(self, t):
+        return family_survival(self.name, self.theta, t)
+
+    def density(self, t):
+        return family_density(self.name, self.theta, t)
+
+    def log_density(self, t):
+        return family_log_density(self.name, self.theta, t)
+
+
+@dataclass(frozen=True)
+class TbpBaseline:
+    """Baseline survival S0(t) = D(S_theta(t) | J, w) with density
+    f0(t) = d(S_theta(t) | J, w) f_theta(t)."""
+
+    J: int
+    w: np.ndarray
+    family: CenteringFamily
+
+    def __post_init__(self):
+        w = np.asarray(self.w, dtype=float)
+        if w.shape != (self.J,) or np.any(w <= 0.0) or abs(w.sum() - 1.0) > 1e-10:
+            raise ValueError(f"w must be {self.J} positive weights summing to 1")
+
+    def _transform(self, t):
+        s = family_survival(self.family.name, self.family.theta, t)
+        return np.clip(s, _CLAMP, 1.0 - _CLAMP)
+
+    def survival(self, t):
+        """S0(t) for t >= 0 (scalar or array)."""
+        t = np.asarray(t, dtype=float)
+        scalar = t.ndim == 0
+        x = self._transform(np.atleast_1d(t))
+        out = self.w @ bernstein_cdf_rows(x, self.J)
+        out = np.where(np.atleast_1d(t) <= 0.0, 1.0, out)
+        out = np.where(np.isposinf(np.atleast_1d(t)), 0.0, out)
+        return float(out[0]) if scalar else out
+
+    def log_density(self, t):
+        t = np.asarray(t, dtype=float)
+        scalar = t.ndim == 0
+        tv = np.atleast_1d(t)
+        x = self._transform(tv)
+        d = self.w @ bernstein_pdf_rows(x, self.J)
+        logf = family_log_density(self.family.name, self.family.theta, tv)
+        out = np.log(np.maximum(d, 1e-300)) + logf
+        return float(out[0]) if scalar else out
+
+    def density(self, t):
+        """f0(t) = d(S_theta(t)) f_theta(t)."""
+        return np.exp(self.log_density(t))
+
+
+def sample_survival_time(model, eta, truth, u, bracket=(1e-10, 1e3), rtol=1e-12):
+    """Invert F_x(t) = u with geometric bracket expansion plus brentq.
+
+    u must lie strictly inside (0, 1).
+    """
+    if not 0.0 < u < 1.0:
+        raise ValueError("u must lie in (0, 1)")
+
+    def g(t):
+        s0 = truth.survival(model_time(model, t, eta))
+        # the kernel floors s0 for the PH log; S_x must still reach 0 where s0 does
+        s = np.where(s0 > 0.0, survival_transform(model, s0, eta)[0], 0.0)
+        return (1.0 - float(s)) - u
+
+    lo, hi = bracket
+    expansions = 0
+    while g(lo) > 0.0:
+        lo /= 1e3
+        expansions += 1
+        if expansions > 40:
+            raise RuntimeError("bracket expansion failed at the lower end")
+    expansions = 0
+    while g(hi) < 0.0:
+        hi *= 1e3
+        expansions += 1
+        if expansions > 40:
+            raise RuntimeError("bracket expansion failed at the upper end")
+    return float(brentq(g, lo, hi, rtol=rtol, xtol=1e-300, maxiter=200))
 
 
 def _check_model(model):

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bpsurv
 from bpsurv.cli import main
 from bpsurv.simulate import SimDesign
 
@@ -14,6 +18,18 @@ def tiny_dataset_csv(tmp_path, seed=0):
     path = tmp_path / "data.csv"
     ds.to_csv(path)
     return path
+
+
+def test_cli_import_leaves_out_optimize_and_interpolate():
+    # every bpsurv command pays for the modules that importing the CLI loads
+    code = ("import sys, bpsurv.cli; print(sorted(m for m in ('scipy.optimize', "
+            "'scipy.interpolate') if m in sys.modules))")
+    src = str(Path(bpsurv.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 FAST = ["--nburn", "120", "--nsave", "80", "--nskip", "1", "--l0", "60",
@@ -241,3 +257,16 @@ class TestMcStudy:
         agg = json.loads((out1 / "aggregate.json").read_text())
         assert agg["replicates"] == 2
         assert len(agg["beta_bias"]) == 2
+
+    def test_one_replicate_writes_strict_json(self, tmp_path):
+        # the spread of the replicate means needs two replicates
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        out = tmp_path / "one"
+        assert main(["mc-study", "--design", "sim3-ph", "--replicates", "1", "--seed", "2",
+                     "--nburn", "30", "--nsave", "20", "--prerun-iters", "60",
+                     "--outdir", str(out)]) == 0
+        agg = json.loads((out / "aggregate.json").read_text(), parse_constant=no_constant)
+        assert agg["replicates"] == 1
+        assert agg["beta_sd_est"] is None

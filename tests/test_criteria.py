@@ -61,7 +61,7 @@ class TestDic:
     def test_plug_in_is_at_the_mean_weights(self):
         # z draws whose mean maps to weights far from the mean of their weights
         from bpsurv import sampler
-        from bpsurv.baseline import CenteringFamily, TbpBaseline, weights_from_logits
+        from bpsurv.baseline import weights_from_logits
         from bpsurv.simulate import SimDesign
         ds = SimDesign(model="po", m=4, n_per_site=10, frailty_kind="none").generate(2)[0]
         cfg = sampler.McmcConfig(model="po", J=3, nburn=0, nsave=0, prerun=False)
@@ -76,10 +76,10 @@ class TestDic:
             loglik_obs=np.zeros((4, ds.n)), loglik_total=np.zeros(4), loglik_at_mean=math.nan,
             accept_rates={}, config=cfg, n=ds.n, m=ds.m, elapsed=0.0)
         eta = oracle.linear_predictor(ds, oracle.RegressionState(beta=beta.mean(axis=0)))
-        family = CenteringFamily(cfg.family, tuple(theta.mean(axis=0)))
+        family = oracle.CenteringFamily(cfg.family, tuple(theta.mean(axis=0)))
 
         def loglik(w):
-            base = TbpBaseline(J=3, w=w, family=family)
+            base = oracle.TbpBaseline(J=3, w=w, family=family)
             return sum(oracle.obs_loglik("po", o, float(eta[i]), base)
                        for i, o in enumerate(ds.observations))
 

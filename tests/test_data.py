@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from bpsurv import data as dm
-from bpsurv.baseline import CenteringFamily, TbpBaseline
-from oracle import RegressionState, obs_loglik, surv, total_loglik
+from oracle import CenteringFamily, RegressionState, TbpBaseline, obs_loglik, surv, total_loglik
 
 
 def test_censoring_kind_rules():

@@ -6,9 +6,9 @@ from scipy.integrate import quad
 
 from bpsurv import data as dm
 from bpsurv import models as md
-from bpsurv.baseline import CenteringFamily, TbpBaseline
 
 import oracle
+from oracle import CenteringFamily, TbpBaseline
 
 
 def make_baseline(seed=0, family="loglogistic", theta=(0.2, 0.1), J=15):
