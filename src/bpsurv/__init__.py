@@ -6,9 +6,7 @@ proportional odds) share a flexible baseline: a Bernstein-polynomial
 distortion of a parametric survival curve.  Areal (intrinsic CAR) and
 georeferenced (Gaussian random field) frailties, spike-and-slab variable
 selection, partially linear spline terms, and LPML/DIC/WAIC/Cox-Snell model
-assessment are included.  The random-walk blocks of the sampler keep fixed
-seed proposals for their first l0 recorded states, so under the defaults
-(l0 = nburn + nsave = 5000) they never adapt.
+assessment are included.
 """
 
 from .baseline import alpha_log_prior_at_zero

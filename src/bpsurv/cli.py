@@ -30,7 +30,7 @@ from .splines import gprior_scale
 from .study import run_mc_study
 
 _CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(McmcConfig))
-_STUDY_CHAIN_FIELDS = ("nburn", "nsave", "nskip", "l0", "prerun_iters")
+_STUDY_CHAIN_FIELDS = ("nburn", "nsave", "nskip", "prerun_iters")
 
 
 def _schema_flags(p):
@@ -41,8 +41,8 @@ def _schema_flags(p):
 
 
 def _config_flags(p, fields, type):
-    """One flag per McmcConfig field (--prerun-iters for prerun_iters),
-    defaulting to the field's default."""
+    """One flag per McmcConfig field (--prerun-iters for prerun_iters; 0
+    skips the pre-run), defaulting to the field's default."""
     for name in fields:
         p.add_argument("--" + name.replace("_", "-"), type=type,
                        default=getattr(McmcConfig, name))
@@ -64,10 +64,9 @@ def _fit_flags(p):
     p.add_argument("--nonlinear", default=None,
                    help="comma-separated covariates given cubic-spline terms")
     p.add_argument("--spline-k", type=int, default=McmcConfig.spline_K)
-    _config_flags(p, ("nburn", "nsave", "nskip", "seed", "l0"), int)
+    _config_flags(p, ("nburn", "nsave", "nskip", "seed"), int)
     _config_flags(p, ("a_alpha", "b_alpha", "a_tau", "b_tau", "a_phi", "b_phi"), float)
     _config_flags(p, ("prerun_iters",), int)
-    p.add_argument("--no-prerun", action="store_true", default=not McmcConfig.prerun)
     p.add_argument("--loglik-csv", action="store_true")
     p.add_argument("--config", default=None, help="key=value file or a fit meta.json")
     p.add_argument("--outdir", default=None)
@@ -208,10 +207,10 @@ def _frailty_spec(opts, dataset):
 
 def _mcmc_config(opts, spec):
     """The McmcConfig of every option named after one of its fields, with
-    nonlinear, spline_k, frailty and no_prerun renamed or parsed."""
+    nonlinear, spline_k and frailty renamed or parsed."""
     given = {k: v for k, v in opts.items() if k in _CONFIG_FIELDS}
     given.update(nonlinear=_split(opts["nonlinear"]) or (), spline_K=opts["spline_k"],
-                 frailty=spec, prerun=not opts["no_prerun"])
+                 frailty=spec)
     return McmcConfig(**given)
 
 

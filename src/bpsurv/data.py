@@ -318,11 +318,12 @@ def load_csv(path, schema=None):
 
 def load_adjacency(path, m=None):
     """Read an adjacency matrix: either a whitespace-separated 0/1 matrix or an
-    edge list of `i j` pairs (1-based labels)."""
+    edge list of `i j` pairs (1-based labels).  A two-line, two-column file is
+    a 2x2 matrix unless m says the data have some other number of regions."""
     with open(path) as fh:
         lines = [ln.split() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
     widths = {len(ln) for ln in lines}
-    if widths == {2} and len(lines) != 2:
+    if widths == {2} and (len(lines) != 2 or m not in (None, 2)):
         labels = sorted({tok for ln in lines for tok in ln}, key=_label_key)
         index = {lab: i for i, lab in enumerate(labels)}
         size = m or len(labels)

@@ -1,20 +1,22 @@
-"""Block-adaptive MCMC for the semiparametric survival models.
+"""Block-wise MCMC for the semiparametric survival models.
 
 One sweep updates, in order: baseline weight logits z, centering parameters
 theta, regression block (beta and any spline coefficients), the weight-prior
 precision alpha, frailties v site by site, tau^2 by a Gibbs draw, the range
 parameter phi (random fields only), and the inclusion indicators gamma when
 variable selection is on.  The z/theta/beta/alpha/phi blocks share one
-adaptive random-walk Metropolis step (ChainSampler._metropolis): Gaussian
-proposals whose covariance switches from a fixed seed matrix to (2.4^2/d)
-times the running sample covariance of the block after l0 recorded states
-(Haario et al. 2001).
+random-walk Metropolis step (ChainSampler._metropolis) with a fixed Gaussian
+proposal per block: the main chain records no states, so every block keeps
+its seed covariance for any chain length.
 
 The parametric pre-run is a ChainSampler too: z pinned at 0 (weights 1/J,
 the parametric special case), vague priors, no frailties or selection, and
-only the theta and regression blocks updated.  Its second half supplies the
-starting values, the informative theta prior, and the seed proposal
-covariances for theta and beta.
+only the theta and regression blocks updated.  It is the one place the
+proposals adapt: it records each post-decision state, and after 200 of them
+a block proposes from (2.4^2/d) times its running sample covariance
+(Haario et al. 2001).  Its second half supplies the starting values, the
+informative theta prior, and the seed proposal covariances for theta and
+beta.
 """
 
 from __future__ import annotations
@@ -47,10 +49,10 @@ class McmcConfig:
     M=10, q=0.9 under selection, splines.gprior_scale), theta0/V0 from the
     pre-run with V0 = 10 Vhat, a_alpha = b_alpha = 1, a_tau = b_tau = 0.001,
     a_phi = 2 with b_phi = (a_phi - 1)/phi0.  The seed proposal covariances
-    are fixed: 0.16 I for z, alpha and phi, and the pre-run's Vhat and What
-    for theta and beta (0.16 I without a pre-run).  alpha and tau2 start at 1,
-    phi at phi0, and the pre-run keeps the second half of its prerun_iters
-    iterations.
+    are fixed for the whole chain: 0.16 I for z, alpha and phi, and the
+    pre-run's Vhat and What for theta and beta (0.16 I without a pre-run).
+    alpha and tau2 start at 1, phi at phi0.  The pre-run keeps the second half
+    of its prerun_iters iterations; prerun_iters = 0 skips it.
     """
 
     model: str = "ph"
@@ -70,8 +72,6 @@ class McmcConfig:
     beta_prior_var: float = 1e10
     theta0: tuple = None
     V0: np.ndarray = None
-    # adaptive proposals
-    l0: int = 5000
     # variable selection
     selection: bool = False
     q_incl: float = 0.5
@@ -81,18 +81,17 @@ class McmcConfig:
     # frailties
     frailty: fr.FrailtySpec = field(default_factory=fr.FrailtySpec)
     # pre-run
-    prerun: bool = True
     prerun_iters: int = 2000
 
     def __post_init__(self):
         if self.nskip < 1:
             raise ValueError(f"nskip must be at least 1, got {self.nskip}")
-        for name in ("nburn", "nsave", "l0", "prerun_iters"):
+        for name in ("nburn", "nsave", "prerun_iters"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if self.prerun and self.prerun_iters - self.prerun_iters // 2 < 2:
-            raise ValueError("prerun_iters must be at least 3, so that the pre-run keeps "
-                             f"two draws, got {self.prerun_iters}")
+        if self.prerun_iters in (1, 2):
+            raise ValueError("prerun_iters must be 0 (no pre-run) or at least 3, so that "
+                             f"the pre-run keeps two draws, got {self.prerun_iters}")
 
 
 @dataclass
@@ -118,20 +117,19 @@ class ChainState:
 class AdaptiveProposal:
     """Random-walk proposal with the running-covariance adaptation rule.
 
-    The proposal covariance equals sigma0 for the first max(l0, 1) recorded
-    states and (2.4^2 / d) (C_l + 1e-10 I) afterwards, C_l being the sample
-    covariance of all past states of the block (rejections included); C_l
-    needs two states, so sigma0 is kept for the first state even at l0 = 0.
+    The proposal covariance equals sigma0 until more than _PRERUN_L0 states
+    have been recorded, and (2.4^2 / d) (C_l + 1e-10 I) afterwards, C_l being
+    the sample covariance of all recorded states (rejections included).  A
+    proposal that records nothing, as in the main chain, stays at sigma0.
     """
 
-    def __init__(self, dim, sigma0, l0, jitter=1e-10):
+    def __init__(self, dim, sigma0, jitter=1e-10):
         self.d = int(dim)
         sigma0 = np.atleast_2d(np.asarray(sigma0, dtype=float))
         if sigma0.shape == (1, 1) and self.d > 1:
             sigma0 = sigma0[0, 0] * np.eye(self.d)
         self.sigma0 = sigma0
         self._chol0 = np.linalg.cholesky(sigma0)
-        self.l0 = int(l0)
         self.jitter = jitter
         self.count = 0
         self._mean = np.zeros(self.d)
@@ -151,7 +149,7 @@ class AdaptiveProposal:
         return self._m2 / (self.count - 1)
 
     def _seeded(self):
-        return self.count <= max(self.l0, 1)
+        return self.count <= _PRERUN_L0
 
     def current_sigma(self):
         if self._seeded():
@@ -212,9 +210,10 @@ def parametric_prerun(dataset, config, spline_terms=None, rng=None):
     A ChainSampler with z pinned at 0 (w = 1/J), no frailties or selection,
     vague priors (precisions 1e-6 I for theta around 0, 1e-10 I for the
     regression block) and seed proposals 0.16 I for theta and
-    0.16 diag(1/max(var(column), 0.05)) for the regression block, adapting
-    after l0 = 200 states.  Each of the prerun_iters iterations runs the
-    theta then the regression update, both drawing from rng; the means and
+    0.16 diag(1/max(var(column), 0.05)) for the regression block.  Each of
+    the prerun_iters iterations runs the theta then the regression update,
+    both drawing from rng, and records each block's post-decision state, so
+    the two proposals adapt after _PRERUN_L0 states.  The means and
     covariances of the second half seed the main chain's theta prior,
     starting values and proposal covariances.
     """
@@ -222,8 +221,8 @@ def parametric_prerun(dataset, config, spline_terms=None, rng=None):
         raise ValueError("the parametric pre-run needs at least one observation")
     spline_terms = spline_terms or []
     rng = rng or np.random.default_rng(config.seed)
-    pinned = replace(config, frailty=fr.FrailtySpec(), selection=False, prerun=False,
-                     l0=_PRERUN_L0, theta0=tuple(_theta_moment_init(dataset, config.family)))
+    pinned = replace(config, frailty=fr.FrailtySpec(), selection=False,
+                     theta0=tuple(_theta_moment_init(dataset, config.family)))
     s = ChainSampler(dataset, pinned, spline_terms, rngs={"theta": rng, "beta": rng})
     if not np.all(np.isfinite(s.state.ll_obs)):
         bad = int(np.flatnonzero(~np.isfinite(s.state.ll_obs))[0])
@@ -235,15 +234,17 @@ def parametric_prerun(dataset, config, spline_terms=None, rng=None):
     if s.dims:
         col_scale = np.concatenate([1.0 / np.maximum(D.var(axis=0), 0.05)
                                     for D in (dataset.X, *s._designs)])
-        s.prop["beta"] = AdaptiveProposal(s.dims, _SEED_SCALE * np.diag(col_scale),
-                                          _PRERUN_L0)
+        s.prop["beta"] = AdaptiveProposal(s.dims, _SEED_SCALE * np.diag(col_scale))
 
     burn = config.prerun_iters // 2
     TH = np.empty((config.prerun_iters - burn, 2))
     BE = np.empty((config.prerun_iters - burn, s.dims))
     for it in range(config.prerun_iters):
         s.update_theta()
-        s.update_beta()
+        s.prop["theta"].record(s.state.theta)
+        if s.dims:
+            s.update_beta()
+            s.prop["beta"].record(s.state.beta)
         if it >= burn:
             TH[it - burn] = s.state.theta
             BE[it - burn] = s.state.beta
@@ -295,14 +296,14 @@ class ChainSampler:
         theta_sigma0 = est.V_hat if est else _SEED_SCALE * np.eye(2)
         beta_sigma0 = est.W_hat if est and est.W_hat.size else _SEED_SCALE * np.eye(self.dims)
         self.prop = {
-            "z": AdaptiveProposal(config.J - 1, _SEED_SCALE * np.eye(config.J - 1), config.l0),
-            "theta": AdaptiveProposal(2, theta_sigma0, config.l0),
-            "alpha": AdaptiveProposal(1, _SEED_SCALE, config.l0),
+            "z": AdaptiveProposal(config.J - 1, _SEED_SCALE * np.eye(config.J - 1)),
+            "theta": AdaptiveProposal(2, theta_sigma0),
+            "alpha": AdaptiveProposal(1, _SEED_SCALE),
         }
         if self.dims:
-            self.prop["beta"] = AdaptiveProposal(self.dims, beta_sigma0, config.l0)
+            self.prop["beta"] = AdaptiveProposal(self.dims, beta_sigma0)
         if self.has_phi:
-            self.prop["phi"] = AdaptiveProposal(1, _SEED_SCALE, config.l0)
+            self.prop["phi"] = AdaptiveProposal(1, _SEED_SCALE)
 
         # initial state
         beta_init = np.zeros(self.dims)
@@ -385,15 +386,16 @@ class ChainSampler:
     # -- block updates ------------------------------------------------------
 
     def _metropolis(self, block, x, target, positive=False):
-        """One adaptive random-walk Metropolis step of `block` from state x.
+        """One random-walk Metropolis step of `block` from state x.
 
-        Draws the step, then log u; x* = x + step.  When x* is in the support
-        (x*[0] > 0 for a positive block), target(x*) returns (ll*, log_ratio,
-        extra): the proposal's per-observation log-likelihood (None for a
-        block the likelihood does not see), the rest of the log acceptance
-        ratio, and anything the caller needs on acceptance.  A non-finite
-        total ll* is counted and rejected.  The post-decision state is
-        recorded; returns (x*, ll*, extra) on acceptance, else None.
+        Draws the step from the block's proposal, then log u; x* = x + step.
+        When x* is in the support (x*[0] > 0 for a positive block), target(x*)
+        returns (ll*, log_ratio, extra): the proposal's per-observation
+        log-likelihood (None for a block the likelihood does not see), the
+        rest of the log acceptance ratio, and anything the caller needs on
+        acceptance.  A non-finite total ll* is counted and rejected.  Returns
+        (x*, ll*, extra) on acceptance, else None; nothing is recorded, so
+        only a caller that records (the pre-run) adapts the proposal.
         """
         prop, rng = self.prop[block], self.rngs[block]
         step = prop.step(rng)
@@ -412,7 +414,6 @@ class ChainSampler:
             if logu < log_ratio:
                 hit = x_star, ll_star, extra
                 self.accept[block] += 1
-        prop.record(x if hit is None else x_star)
         return hit
 
     def update_z(self):
@@ -685,12 +686,8 @@ class ChainSampler:
         draws = archive.draws
         w = archive.weights().mean(axis=0)
         theta = draws["theta"].mean(axis=0)
-        if "gamma" in draws:
-            beta_eff = (draws["beta"] * draws["gamma"]).mean(axis=0)
-        else:
-            beta_eff = draws["beta"].mean(axis=0)
-        coef = np.concatenate([beta_eff, *(draws[f"xi_{t.name}"].mean(axis=0)
-                                           for t in self.terms)])
+        coef = np.concatenate([archive.effective_beta_draws().mean(axis=0),
+                               *(draws[f"xi_{t.name}"].mean(axis=0) for t in self.terms)])
         v = draws["v"].mean(axis=0) if self.has_frailty else None
         eta = linear_predictor(self.ds.X, self._designs, coef, v, self.ev.loc0)
         cache = self.ev.build_cache(theta, eta)
@@ -797,7 +794,8 @@ class PosteriorArchive:
 
 
 def run_chain(dataset, config):
-    """Pre-run (unless disabled) followed by the main chain; returns the archive.
+    """Pre-run (unless prerun_iters is 0) followed by the main chain; returns
+    the archive.
 
     The archive's elapsed time covers both.
     """
@@ -806,7 +804,7 @@ def run_chain(dataset, config):
     terms = [build_basis(dataset.column(name), config.spline_K, name)
              for name in config.nonlinear]
     est = None
-    if config.prerun:
+    if config.prerun_iters:
         est = parametric_prerun(dataset, config, terms, rngs["prerun"])
     sampler = ChainSampler(dataset, config, terms, est, rngs)
     return sampler.run(t_start)

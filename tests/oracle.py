@@ -336,8 +336,8 @@ def parametric_prerun(dataset, config, spline_terms=None, rng=None):
     col_scale = np.concatenate([
         1.0 / np.maximum(dataset.X.var(axis=0), 0.05) if p else np.zeros(0),
         *[1.0 / np.maximum(D.var(axis=0), 0.05) for D in designs]]) if dims else np.zeros(0)
-    prop_theta = AdaptiveProposal(2, 0.16 * np.eye(2), l0=200)
-    prop_beta = AdaptiveProposal(dims, 0.16 * np.diag(col_scale), l0=200) if dims else None
+    prop_theta = AdaptiveProposal(2, 0.16 * np.eye(2))
+    prop_beta = AdaptiveProposal(dims, 0.16 * np.diag(col_scale)) if dims else None
     vague_theta, vague_beta = 1e-6, 1e-10  # prior precisions
     burn = config.prerun_iters // 2
 

@@ -36,7 +36,7 @@ def dense_grf_fit():
 
 
 def config(**kw):
-    defaults = dict(J=6, nburn=30, nsave=25, nskip=1, seed=5, prerun_iters=60, l0=20)
+    defaults = dict(J=6, nburn=30, nsave=25, nskip=1, seed=5, prerun_iters=60)
     defaults.update(kw)
     return sm.McmcConfig(**defaults)
 
@@ -110,7 +110,7 @@ class TestLayout:
     @pytest.mark.parametrize("name", ["icar-selection-spline", "grf-dense"])
     def test_last_row_is_the_final_state(self, name):
         ds, cfg = FITS[name]()
-        cfg = dataclasses.replace(cfg, prerun=False)
+        cfg = dataclasses.replace(cfg, prerun_iters=0)
         terms = [build_basis(ds.column(t), cfg.spline_K, t) for t in cfg.nonlinear]
         s = sm.ChainSampler(ds, cfg, terms)
         draws = s.run().draws

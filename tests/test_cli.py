@@ -32,8 +32,7 @@ def test_cli_import_leaves_out_optimize_and_interpolate():
     assert out.stdout.strip() == "[]"
 
 
-FAST = ["--nburn", "120", "--nsave", "80", "--nskip", "1", "--l0", "60",
-        "--prerun-iters", "200"]
+FAST = ["--nburn", "120", "--nsave", "80", "--nskip", "1", "--prerun-iters", "200"]
 
 
 class TestSimulate:
@@ -120,20 +119,24 @@ class TestFit:
 
     def test_meta_json_reproduces_run(self, tmp_path):
         path = tiny_dataset_csv(tmp_path)
-        out1, out2 = tmp_path / "f1", tmp_path / "f2"
         argv = ["fit", "--data", str(path), "--location-col", "location",
                 "--trunc-col", "trunc", "--seed", "5", *FAST]
-        assert main(argv + ["--outdir", str(out1)]) == 0
-        rc = main(["fit", "--config", str(out1 / "meta.json"), "--outdir", str(out2)])
-        assert rc == 0
-        assert (out1 / "draws.csv").read_bytes() == (out2 / "draws.csv").read_bytes()
+        # the second run skips the pre-run, and the replay must skip it too
+        for k, extra in enumerate(([], ["--prerun-iters", "0"])):
+            out1, out2 = tmp_path / f"f{k}", tmp_path / f"g{k}"
+            assert main(argv + extra + ["--outdir", str(out1)]) == 0
+            rc = main(["fit", "--config", str(out1 / "meta.json"), "--outdir", str(out2)])
+            assert rc == 0
+            assert (out1 / "draws.csv").read_bytes() == (out2 / "draws.csv").read_bytes()
+        assert (tmp_path / "f0" / "draws.csv").read_bytes() \
+            != (tmp_path / "f1" / "draws.csv").read_bytes()
 
     def test_config_file_key_values(self, tmp_path):
         path = tiny_dataset_csv(tmp_path)
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(
             f"data = {path}\nlocation_col = location\ntrunc_col = trunc\n"
-            "nburn = 120\nnsave = 80\nl0 = 60\nprerun_iters = 200\nseed = 5\n")
+            "nburn = 120\nnsave = 80\nprerun_iters = 200\nseed = 5\n")
         out = tmp_path / "fit"
         assert main(["fit", "--config", str(cfgfile), "--outdir", str(out)]) == 0
         meta = json.loads((out / "meta.json").read_text())
@@ -145,6 +148,11 @@ class TestFit:
         rc = main(["fit", "--config", str(cfgfile), "--outdir", str(tmp_path / "x")])
         assert rc == 2
         assert "bogus" in capsys.readouterr().err
+        # a meta.json carrying the removed l0 and no_prerun options does not replay
+        old_meta = tmp_path / "meta.json"
+        old_meta.write_text(json.dumps({"cli": {"nburn": 120, "l0": 5000, "no_prerun": False}}))
+        assert main(["fit", "--config", str(old_meta), "--dry-run"]) == 2
+        assert "['l0', 'no_prerun']" in capsys.readouterr().err
 
     @staticmethod
     def dry_run_options(text):
@@ -248,7 +256,7 @@ class TestDiagnose:
 class TestMcStudy:
     def test_worker_count_independence(self, tmp_path):
         argv = ["mc-study", "--design", "sim1-ph", "--replicates", "2", "--seed", "4",
-                "--nburn", "60", "--nsave", "40", "--nskip", "1", "--l0", "40",
+                "--nburn", "60", "--nsave", "40", "--nskip", "1",
                 "--prerun-iters", "120"]
         out1, out2 = tmp_path / "j1", tmp_path / "j2"
         assert main(argv + ["--jobs", "1", "--outdir", str(out1)]) == 0

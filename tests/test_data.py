@@ -120,6 +120,16 @@ class TestAdjacencyIO:
         assert E[0, 1] == 1 and E[1, 2] == 1 and E[0, 3] == 0
         assert np.array_equal(E, E.T)
 
+    def test_two_line_file_reads_by_region_count(self, tmp_path):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("1 2\n2 3\n")  # the path graph over three regions
+        E = dm.load_adjacency(edges, m=3)
+        assert np.array_equal(E, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        matrix = tmp_path / "adj.txt"
+        matrix.write_text("0 1\n1 0\n")
+        for m in (2, None):
+            assert np.array_equal(dm.load_adjacency(matrix, m=m), [[0, 1], [1, 0]])
+
 
 class TestTimeVarying:
     def baseline(self):

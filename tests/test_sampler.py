@@ -26,7 +26,7 @@ def two_obs_dataset():
 
 def make_sampler(dataset, **kw):
     defaults = dict(model="ph", family="loglogistic", J=2, nburn=0, nsave=0,
-                    seed=9, prerun=False, theta0=(0.0, 0.0), V0=np.eye(2), l0=10 ** 9)
+                    seed=9, prerun_iters=0, theta0=(0.0, 0.0), V0=np.eye(2))
     defaults.update(kw)
     cfg = sm.McmcConfig(**defaults)
     return sm.ChainSampler(dataset, cfg, [], None, sm._spawn_rngs(cfg.seed))
@@ -57,15 +57,17 @@ def grid_cdf(grid, logdens):
 
 class TestAdaptiveProposal:
     def test_frozen_before_l0(self):
-        prop = sm.AdaptiveProposal(2, 0.16 * np.eye(2), l0=10 ** 9)
+        prop = sm.AdaptiveProposal(2, 0.16 * np.eye(2))
         rng = np.random.default_rng(0)
-        for _ in range(50):
+        for _ in range(sm._PRERUN_L0):
             prop.record(rng.normal(size=2))
-        assert np.allclose(prop.current_sigma(), 0.16 * np.eye(2))
+        assert np.array_equal(prop.current_sigma(), 0.16 * np.eye(2))
+        prop.record(rng.normal(size=2))
+        assert not np.allclose(prop.current_sigma(), 0.16 * np.eye(2))
 
     def test_switches_to_scaled_running_covariance(self):
         rng = np.random.default_rng(1)
-        prop = sm.AdaptiveProposal(3, np.eye(3), l0=10)
+        prop = sm.AdaptiveProposal(3, np.eye(3))
         xs = rng.multivariate_normal(np.zeros(3), np.diag([1.0, 4.0, 0.25]), size=500)
         for x in xs:
             prop.record(x)
@@ -75,22 +77,21 @@ class TestAdaptiveProposal:
     def test_streaming_cov_matches_numpy(self):
         rng = np.random.default_rng(2)
         xs = rng.normal(size=(40, 4))
-        prop = sm.AdaptiveProposal(4, np.eye(4), l0=0)
+        prop = sm.AdaptiveProposal(4, np.eye(4))
         for x in xs:
             prop.record(x)
         assert np.allclose(prop.covariance(), np.cov(xs.T), atol=1e-12)
 
-    def test_l0_zero_keeps_seed_until_two_states(self):
-        prop = sm.AdaptiveProposal(2, 0.16 * np.eye(2), l0=0)
-        rng = np.random.default_rng(3)
-        xs = []
-        for _ in range(3):
-            xs.append(prop.step(rng))
-            prop.record(xs[-1])
-            if prop.count == 1:
-                assert np.array_equal(prop.current_sigma(), 0.16 * np.eye(2))
-        expected = (2.4 ** 2 / 2) * (np.cov(np.array(xs).T) + 1e-10 * np.eye(2))
-        assert np.allclose(prop.current_sigma(), expected, rtol=1e-10)
+    def test_main_chain_keeps_seed_proposals(self):
+        # only the pre-run records states, so a chain longer than any
+        # adaptation threshold still proposes from the seed covariances
+        s = make_sampler(two_obs_dataset(), J=4)
+        seeds = {block: prop.sigma0.copy() for block, prop in s.prop.items()}
+        assert set(seeds) == {"z", "theta", "beta", "alpha"}
+        for _ in range(5100):
+            s.sweep()
+        for block, prop in s.prop.items():
+            assert np.array_equal(prop.current_sigma(), seeds[block]), block
 
 
 class TestMcmcConfigValidation:
@@ -99,9 +100,7 @@ class TestMcmcConfigValidation:
         (dict(nskip=-1), "nskip"),
         (dict(nburn=-1), "nburn"),
         (dict(nsave=-1), "nsave"),
-        (dict(l0=-1), "l0"),
-        (dict(prerun_iters=-1, prerun=False), "prerun_iters"),
-        (dict(prerun_iters=0), "prerun_iters"),
+        (dict(prerun_iters=-1), "prerun_iters"),
         (dict(prerun_iters=1), "prerun_iters"),
         (dict(prerun_iters=2), "prerun_iters"),
     ])
@@ -110,17 +109,12 @@ class TestMcmcConfigValidation:
             sm.McmcConfig(**settings)
 
     @pytest.mark.parametrize("settings", [
-        dict(nburn=0, nsave=0, l0=0),
+        dict(nburn=0, nsave=0),
         dict(prerun_iters=3),
-        dict(prerun_iters=0, prerun=False),
+        dict(prerun_iters=0),
     ])
     def test_accepts_edge_settings(self, settings):
         sm.McmcConfig(**settings)
-
-    def test_l0_zero_chain_runs(self):
-        ds = SimDesign(model="ph", m=4, n_per_site=6, frailty_kind="none").generate(1)[0]
-        cfg = sm.McmcConfig(J=4, nburn=5, nsave=5, l0=0, prerun_iters=20, seed=2)
-        assert sm.run_chain(ds, cfg).L == 5
 
 
 class TestPrerun:
@@ -354,7 +348,7 @@ class TestGammaBlock:
 class TestRunChain:
     def small_config(self, **kw):
         defaults = dict(model="ph", family="loglogistic", J=6, nburn=50, nsave=40,
-                        nskip=2, seed=12, prerun_iters=150, l0=30)
+                        nskip=2, seed=12, prerun_iters=150)
         defaults.update(kw)
         return sm.McmcConfig(**defaults)
 
