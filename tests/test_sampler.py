@@ -100,7 +100,11 @@ class TestMcmcConfigValidation:
         (dict(nskip=-1), "nskip"),
         (dict(nburn=-1), "nburn"),
         (dict(nsave=-1), "nsave"),
+        # an empty chain still needs a valid thinning
+        (dict(nburn=0, nsave=0, nskip=0), "nskip"),
         (dict(prerun_iters=-1), "prerun_iters"),
+        # an empty main chain does not excuse a pre-run too short to keep two draws
+        (dict(nburn=0, nsave=0, prerun_iters=1), "prerun_iters"),
         (dict(prerun_iters=1), "prerun_iters"),
         (dict(prerun_iters=2), "prerun_iters"),
     ])
