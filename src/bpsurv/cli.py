@@ -178,20 +178,12 @@ def _load_dataset(opts):
     return load_csv(opts["data"], schema)
 
 
-def _region_adjacency(path, dataset):
-    """The adjacency file, checked against the data's region count."""
-    E = load_adjacency(path, m=dataset.m)
-    if E.shape[0] != dataset.m:
-        raise ValueError(f"adjacency has {E.shape[0]} regions, data has {dataset.m}")
-    return E
-
-
 def _frailty_spec(opts, dataset):
     kind = opts["frailty"]
     if kind == "icar":
         if not opts["adjacency"]:
             raise ValueError("icar frailties need --adjacency")
-        E = _region_adjacency(opts["adjacency"], dataset)
+        E = load_adjacency(opts["adjacency"], labels=dataset.location_ids)
         return fr.FrailtySpec(kind="icar", adjacency=E)
     if kind != "grf":
         return fr.FrailtySpec(kind=kind)
@@ -265,7 +257,7 @@ def cmd_simulate(args):
 def cmd_diagnose(args):
     dataset = _load_dataset(vars(args))
     if args.adjacency:
-        _region_adjacency(args.adjacency, dataset)
+        load_adjacency(args.adjacency, labels=dataset.location_ids)
     archive = load_archive(args.fit, dataset=dataset)
     outdir = Path(args.outdir or args.fit)
     outdir.mkdir(parents=True, exist_ok=True)

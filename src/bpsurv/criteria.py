@@ -19,6 +19,10 @@ from scipy.special import logsumexp
 
 from .baseline import alpha_log_prior_at_zero
 
+# A Savage-Dickey factor needs at least this many effective draws per
+# dimension in every column of the draws it fits a Gaussian to.
+_MIN_ESS_PER_DIM = 10
+
 
 def dic(archive):
     """(DIC, p_D): -2 log L(at posterior mean) + 2 p_D with
@@ -96,11 +100,21 @@ def _mvn_logpdf_at_zero(mean, cov, ridge=1e-10):
 
 def _posterior_logpdf_at_zero(draws):
     """Log density at zero of the Gaussian fitted to (L, d) draws, or None
-    when the centered draws have rank below d: their sample covariance is
-    then singular, and the density only reflects the ridge."""
+    when that Gaussian does not describe the posterior: when the centered
+    draws have rank below d (their sample covariance is singular, and the
+    density only reflects the ridge), or when the smallest per-column ESS is
+    below _MIN_ESS_PER_DIM * d or the chain is too short to estimate it (the
+    draws have not mixed, and their covariance is too thin to trust)."""
     draws = np.asarray(draws, dtype=float)
     mean = draws.mean(axis=0)
-    if np.linalg.matrix_rank(draws - mean) < draws.shape[1]:
+    d = draws.shape[1]
+    if np.linalg.matrix_rank(draws - mean) < d:
+        return None
+    try:
+        min_ess = min(ess(col) for col in draws.T)
+    except ValueError:  # too short for an ESS estimate
+        return None
+    if min_ess < _MIN_ESS_PER_DIM * d:
         return None
     return _mvn_logpdf_at_zero(mean, np.cov(draws.T))
 
@@ -108,7 +122,8 @@ def _posterior_logpdf_at_zero(draws):
 def log_bf_parametric(archive):
     """Log Savage-Dickey Bayes factor of the Bernstein baseline against its
     parametric center: log p(z=0 | alpha_hat) - log N(0; posterior mean, cov of z).
-    None (unavailable) when the z draws span fewer than all dimensions."""
+    None (unavailable) when the z draws span fewer than all dimensions or
+    have not mixed (see _posterior_logpdf_at_zero)."""
     alpha_hat = float(archive.draws["alpha"].mean())
     log_num = alpha_log_prior_at_zero(alpha_hat, archive.J)
     log_den = _posterior_logpdf_at_zero(archive.draws["z"])
@@ -118,7 +133,8 @@ def log_bf_parametric(archive):
 def log_bf_linearity(archive, name):
     """Log Savage-Dickey Bayes factor for dropping the spline term of a
     covariate: log prior density minus log posterior density at xi=0.
-    None (unavailable) when the xi draws span fewer than all dimensions."""
+    None (unavailable) when the xi draws span fewer than all dimensions or
+    have not mixed (see _posterior_logpdf_at_zero)."""
     key = f"xi_{name}"
     if key not in archive.draws:
         raise ValueError(f"no spline term for covariate {name!r}")

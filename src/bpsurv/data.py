@@ -159,8 +159,6 @@ class Dataset:
                 raise ValueError(f"every location in 1..m must occur; missing {missing}")
         if self.location_ids is None:
             self.location_ids = [str(i + 1) for i in range(self.m)]
-        if self.Xc.size and np.max(np.abs(self.Xc.sum(axis=0))) > 1e-10 * max(n, 1):
-            raise AssertionError("centered design columns must sum to zero")
 
     @property
     def n(self):
@@ -316,26 +314,50 @@ def load_csv(path, schema=None):
                    covariate_names=cov_names, location_ids=location_ids, coords=coords)
 
 
-def load_adjacency(path, m=None):
+def load_adjacency(path, m=None, labels=None):
     """Read an adjacency matrix: either a whitespace-separated 0/1 matrix or an
-    edge list of `i j` pairs (1-based labels).  A two-line, two-column file is
-    a 2x2 matrix unless m says the data have some other number of regions."""
+    edge list of `i j` pairs.  An edge list's tokens are region labels; a
+    matrix's row k is the region labelled k (1-based).  A two-line, two-column
+    file is a 2x2 matrix unless m (or labels) says the data have some other
+    number of regions.
+
+    Without labels, rows follow the file's labels in order.  With labels, the
+    data's region labels in site order (Dataset.location_ids), row i is the
+    region labelled labels[i]; numeric labels match by value, and a label on
+    one side only is a ValueError.
+    """
+    if labels is not None:
+        m = len(labels)
     with open(path) as fh:
         lines = [ln.split() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
     widths = {len(ln) for ln in lines}
     if widths == {2} and (len(lines) != 2 or m not in (None, 2)):
-        labels = sorted({tok for ln in lines for tok in ln}, key=_label_key)
-        index = {lab: i for i, lab in enumerate(labels)}
-        size = m or len(labels)
-        E = np.zeros((size, size), dtype=int)
+        names = {_label_key(tok): tok for ln in lines for tok in ln}
+        index = {key: i for i, key in enumerate(sorted(names))}
+        E = np.zeros((len(index), len(index)), dtype=int)
         for i_tok, j_tok in lines:
-            i, j = index[i_tok], index[j_tok]
+            i, j = index[_label_key(i_tok)], index[_label_key(j_tok)]
             E[i, j] = E[j, i] = 1
+    else:
+        E = np.array([[float(v) for v in ln] for ln in lines])
+        if E.shape[0] != E.shape[1]:
+            raise ValueError(f"adjacency matrix must be square, got {E.shape}")
+        E = E.astype(int)
+        names = {_label_key(str(k)): str(k) for k in range(1, E.shape[0] + 1)}
+        index = {key: i for i, key in enumerate(names)}
+    if labels is None:
         return E
-    E = np.array([[float(v) for v in ln] for ln in lines])
-    if E.shape[0] != E.shape[1]:
-        raise ValueError(f"adjacency matrix must be square, got {E.shape}")
-    return E.astype(int)
+    sites = [_label_key(lab) for lab in labels]
+    if len(set(sites)) != len(sites):
+        raise ValueError(f"region labels {list(labels)} repeat a number")
+    missing = [lab for lab, key in zip(labels, sites) if key not in index]
+    if missing:
+        raise ValueError(f"{path}: regions {missing} of the data are not in the adjacency file")
+    extra = [names[key] for key in sorted(set(index) - set(sites))]
+    if extra:
+        raise ValueError(f"{path}: regions {extra} of the adjacency file are not in the data")
+    order = [index[key] for key in sites]
+    return E[np.ix_(order, order)]
 
 
 def _label_key(tok):

@@ -2,9 +2,11 @@
 fields over georeferenced sites, with an optional low-rank-plus-block
 (full-scale) approximation of the correlation matrix.
 
-Exposed quantities are exactly what the sampler needs: the precision kernel C
-and its diagonal, which give each frailty's full conditional, the quadratic
-form v'Cv with the rank of C, and the log-determinant of a random field's R.
+Exposed quantities are exactly what the sampler needs: the precision kernel C,
+its diagonal and diag(C) - C, which give every frailty kind's full conditional
+by one rule, the quadratic form v'Cv with the rank of C, and the
+log-determinant of a random field's R.  A random field's R, exact or
+approximated, is inverted by one Cholesky factorisation.
 """
 
 from __future__ import annotations
@@ -174,10 +176,7 @@ class FrailtySpec:
         labels = assign_blocks(coords, B)
         blocks = [np.flatnonzero(labels == b) for b in range(B)]
         d = self.distances
-        # A column gather leaves a non-C-ordered array, and BLAS rounds the
-        # products of rho_mA differently on it.
-        d_mA = np.ascontiguousarray(d[:, knots])
-        return FsaGeometry(blocks=blocks, d_AA=d[np.ix_(knots, knots)], d_mA=d_mA,
+        return FsaGeometry(blocks=blocks, d_AA=d[np.ix_(knots, knots)], d_mA=d[:, knots],
                            d_bb=[d[np.ix_(I, I)] for I in blocks])
 
 
@@ -213,6 +212,10 @@ class PrecisionStructure:
     ----------
     C : (m, m) array; the precision-kernel matrix (F_e - E for icar, identity
         for iid, R^{-1} for grf).
+    diag : diag(C).
+    coupling : diag(C) - C, built on first use.  Every kind's full
+        conditional of v_i given the rest has mean (coupling v)_i / C_ii and
+        variance tau2 / C_ii (Besag 1974).
     rank : rank of C entering the tau^-2 Gibbs shape (m-1 for icar, m else).
     logdet_half : log |C|^(1/2) term for range updates; 0 except for grf,
         where it equals -0.5 log det R.
@@ -224,6 +227,10 @@ class PrecisionStructure:
         self.logdet_half = logdet_half
         self.diag = np.diag(C).copy()
 
+    @cached_property
+    def coupling(self):
+        return np.diag(self.diag) - self.C
+
     def quad_form(self, v):
         return float(v @ self.C @ v)
 
@@ -232,14 +239,16 @@ def build_structure(spec, phi=None, m=None):
     """Construct the PrecisionStructure for a frailty spec.
 
     grf needs the range parameter phi; iid needs the site count m (its
-    structural data is just the identity).
+    structural data is just the identity).  A grf field's correlation, the
+    exact one or its full-scale approximation, is inverted through one
+    Cholesky factorisation, which also gives its log-determinant.
     """
     if spec.kind == "none":
         return None
     if spec.kind == "iid":
         if m is None:
             raise ValueError("iid structures need an explicit site count m")
-        return build_iid(m)
+        return PrecisionStructure(np.eye(m), rank=m)
     if spec.kind == "icar":
         E = np.asarray(spec.adjacency, dtype=float)
         C = np.diag(E.sum(axis=1)) - E
@@ -248,16 +257,12 @@ def build_structure(spec, phi=None, m=None):
         raise ValueError("grf structures require phi > 0")
     if spec.fsa is None:
         R = dense_correlation(spec.distances, phi, spec.nu)
-        cf = cho_factor(R, lower=True)
-        Rinv = cho_solve(cf, np.eye(R.shape[0]))
-        logdet = 2.0 * np.log(np.diag(cf[0])).sum()
-        return PrecisionStructure(Rinv, rank=R.shape[0], logdet_half=-0.5 * logdet)
-    Rdag, Rinv, logdet = fsa_build(spec.fsa_geometry, phi, spec.nu)
-    return PrecisionStructure(Rinv, rank=Rdag.shape[0], logdet_half=-0.5 * logdet)
-
-
-def build_iid(m):
-    return PrecisionStructure(np.eye(m), rank=m)
+    else:
+        R = fsa_build(spec.fsa_geometry, phi, spec.nu)
+    cf = cho_factor(R, lower=True)
+    Rinv = cho_solve(cf, np.eye(R.shape[0]))
+    logdet = 2.0 * np.log(np.diag(cf[0])).sum()
+    return PrecisionStructure(Rinv, rank=R.shape[0], logdet_half=-0.5 * logdet)
 
 
 def dense_correlation(d, phi, nu=1.0):
@@ -269,17 +274,14 @@ def dense_correlation(d, phi, nu=1.0):
 
 
 def fsa_build(geometry, phi, nu):
-    """Full-scale approximation of the correlation matrix.
-
-    Returns (R_dag, R_dag^{-1}, log det R_dag) where
+    """Full-scale approximation R_dag of the correlation matrix,
 
         R_dag = (1-eps) rho_mA rho_AA^{-1} rho_mA' + R_s,
         R_s   = (1-eps)(rho_mm - rho_mA rho_AA^{-1} rho_mA') o Delta + eps I,
 
     Delta the same-block indicator, for the knots and blocks of geometry (a
-    FrailtySpec.fsa_geometry).  The inverse uses the Sherman-Morrison-Woodbury
-    identity and the determinant its companion formula, so only A x A and
-    within-block solves are performed.
+    FrailtySpec.fsa_geometry).  Only the low-rank part and the within-block
+    residuals are evaluated; build_structure factors the result.
     """
     m = geometry.d_mA.shape[0]
     rho_AA = corr_from_distance(geometry.d_AA, phi, nu)
@@ -291,33 +293,10 @@ def fsa_build(geometry, phi, nu):
                          "(duplicate knots?)") from exc
     half = solve_triangular(L_AA, rho_mA.T, lower=True)  # (A, m); rho_l = half' half
 
-    # Block-sparse residual, inverted block by block.
-    Rs_inv = np.zeros((m, m))
-    Rs_logdet = 0.0
     Rs = np.zeros((m, m))
     one = 1.0 - _NUGGET
     for I, d_bb in zip(geometry.blocks, geometry.d_bb):
         rho_bb = corr_from_distance(d_bb, phi, nu)
         resid = rho_bb - half[:, I].T @ half[:, I]
-        S = one * resid + _NUGGET * np.eye(I.size)
-        Rs[np.ix_(I, I)] = S
-        cf = cho_factor(S, lower=True)
-        Rs_inv[np.ix_(I, I)] = cho_solve(cf, np.eye(I.size))
-        Rs_logdet += 2.0 * np.log(np.diag(cf[0])).sum()
-
-    Rdag = one * (half.T @ half) + Rs
-
-    # SMW: (R_dag)^{-1} = Rs^{-1} - (1-eps) Rs^{-1} rho_mA M^{-1} rho_mA' Rs^{-1}
-    # with M = rho_AA + (1-eps) rho_mA' Rs^{-1} rho_mA.
-    RsI_rho = Rs_inv @ rho_mA
-    M = rho_AA + one * (rho_mA.T @ RsI_rho)
-    cfM = cho_factor(M, lower=True)
-    Rinv = Rs_inv - one * (RsI_rho @ cho_solve(cfM, RsI_rho.T))
-    # The tiny nugget makes R_s ill-conditioned whenever knots coincide with
-    # sites; one Newton-Schulz step repairs the cancellation in the SMW result.
-    Rinv = Rinv @ (2.0 * np.eye(m) - Rdag @ Rinv)
-    Rinv = 0.5 * (Rinv + Rinv.T)
-    logdet_M = 2.0 * np.log(np.diag(cfM[0])).sum()
-    logdet_AA = 2.0 * np.log(np.diag(L_AA)).sum()
-    logdet = logdet_M - logdet_AA + Rs_logdet
-    return Rdag, Rinv, logdet
+        Rs[np.ix_(I, I)] = one * resid + _NUGGET * np.eye(I.size)
+    return one * (half.T @ half) + Rs

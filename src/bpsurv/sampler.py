@@ -477,9 +477,11 @@ class ChainSampler:
 
         The likelihood difference for every site is computed in a single
         vectorized evaluation (each site's likelihood depends only on its own
-        frailty); the prior terms use the sequentially updated field.  After an
-        ICAR scan the field is recentered to mean zero and the cached
-        likelihood refreshed.
+        frailty).  The prior terms use each site's full conditional, mean
+        (coupling v)_i / C_ii and variance tau2 / C_ii, read from the
+        structure's coupling = diag(C) - C for every frailty kind, with
+        coupling v kept current as sites change.  After an ICAR scan the field
+        is recentered to mean zero and the cached likelihood refreshed.
         """
         if not self.has_frailty:
             return
@@ -497,38 +499,26 @@ class ChainSampler:
         site_prop = self.ev.site_sums(np.where(np.isfinite(ll_prop), ll_prop, -1e306))
         site_cur = self.ev.site_sums(st.ll_obs)
 
-        kind = self.spec.kind
-        C = self.structure.C
-        if kind == "icar":
-            neigh = self.spec.adjacency @ st.v  # sum of neighbor values per site
-        elif kind == "grf":
-            Cv = C @ st.v
-        accepted = np.zeros(m, dtype=bool)
+        coupling = self.structure.coupling
         v = st.v
+        coupled = coupling @ v
+        accepted = np.zeros(m, dtype=bool)
         for i in range(m):
-            if kind == "iid":
-                mean_i = 0.0
-            elif kind == "icar":
-                mean_i = neigh[i] / prec[i]
-            else:
-                mean_i = -(Cv[i] - prec[i] * v[i]) / prec[i]
+            mean_i = coupled[i] / prec[i]
             dv_new = v_prop[i] - mean_i
             dv_old = v[i] - mean_i
             dprior = -0.5 * prec[i] / st.tau2 * (dv_new * dv_new - dv_old * dv_old)
             if logu[i] < site_prop[i] - site_cur[i] + dprior:
-                delta = v_prop[i] - v[i]
+                coupled += coupling[:, i] * (v_prop[i] - v[i])
                 v[i] = v_prop[i]
                 accepted[i] = True
-                if kind == "icar":
-                    neigh += self.spec.adjacency[:, i] * delta
-                elif kind == "grf":
-                    Cv += C[:, i] * delta
         self.accept_frailty += int(accepted.sum())
         self._frailty_scans += 1
 
-        if kind == "icar":
+        recenter = self.spec.kind == "icar"
+        if recenter:
             v -= v.mean()
-        if kind == "icar" or accepted.any():
+        if recenter or accepted.any():
             self.eta = self._eta(self.eta_lin)
             self.cache = self.ev.cache_for_eta(self.cache, self.eta)
             st.ll_obs = self.ev.loglik_obs(self.cache, st.w, self.eta)

@@ -25,6 +25,12 @@ sample_survival_time inverts F_x(t) = u for one subject by geometric bracket
 expansion plus brentq, the reference for the bisection that
 bpsurv.simulate.sample_survival_time runs over all subjects at once.
 
+frailty_scan is one Metropolis scan of a ChainSampler's frailties with each
+kind's full-conditional mean written out from the current field (0 for iid,
+the neighbour average for icar, -sum_{j != i} C_ij v_j / C_ii for grf), the
+reference for bpsurv.sampler.ChainSampler.update_frailties, which reads one
+coupling matrix kept current as sites change.
+
 CenteringFamily and TbpBaseline evaluate a centering family and the TBP
 baseline S0(t) = D(S_theta(t) | J, w) at arbitrary times, the form in which
 surv, dens and obs_loglik take a baseline.
@@ -511,3 +517,38 @@ def turnbull_npmle(lo, hi, trunc=None, tol=1e-8, max_iter=1000):
         warnings.warn(f"Turnbull EM did not converge in {max_iter} iterations "
                       f"(last change {delta:.2e})")
     return TurnbullEstimate(support=support, masses=s, converged=converged, iterations=it)
+
+
+def frailty_scan(s):
+    """One frailty scan of ChainSampler s, drawing from the same streams."""
+    st = s.state
+    rng = s.rngs["frailty"]
+    m = s.m
+    C = s.structure.C
+    prec = np.diag(C)
+    sd = np.sqrt(st.tau2 / prec)
+    eps = rng.standard_normal(m)
+    logu = np.log(rng.uniform(size=m))
+    v_prop = st.v + sd * eps
+    eta_prop = s.eta_lin + v_prop[s.ev.loc0]
+    ll_prop = s.ev.loglik_obs(s.ev.cache_for_eta(s.cache, eta_prop), st.w, eta_prop)
+    site_prop = s.ev.site_sums(np.where(np.isfinite(ll_prop), ll_prop, -1e306))
+    site_cur = s.ev.site_sums(st.ll_obs)
+    v = st.v
+    for i in range(m):
+        if s.spec.kind == "iid":
+            mean_i = 0.0
+        elif s.spec.kind == "icar":
+            mean_i = v[np.flatnonzero(s.spec.adjacency[i])].mean()
+        else:
+            others = np.arange(m) != i
+            mean_i = -(C[i, others] @ v[others]) / C[i, i]
+        dprior = -0.5 * prec[i] / st.tau2 * ((v_prop[i] - mean_i) ** 2 - (v[i] - mean_i) ** 2)
+        if logu[i] < site_prop[i] - site_cur[i] + dprior:
+            v[i] = v_prop[i]
+            s.accept_frailty += 1
+    if s.spec.kind == "icar":
+        v -= v.mean()
+    s.eta = s._eta(s.eta_lin)
+    s.cache = s.ev.cache_for_eta(s.cache, s.eta)
+    st.ll_obs = s.ev.loglik_obs(s.cache, st.w, s.eta)

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import bpsurv
+from bpsurv import cli
 from bpsurv.cli import main
+from bpsurv.data import CsvSchema, load_csv
 from bpsurv.simulate import SimDesign
 
 
@@ -30,6 +32,17 @@ def test_cli_import_leaves_out_optimize_and_interpolate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def regions_csv(tmp_path):
+    """24 rows over regions labelled 3, 1, 2, in order of first appearance."""
+    rows = ["t1,t2,x,location"]
+    for i in range(24):
+        t = 0.5 + 0.1 * i
+        rows.append(f"{t},{'' if i % 4 == 0 else t},{i % 5},{(3, 1, 2)[i % 3]}")
+    path = tmp_path / "regions.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return path
 
 
 FAST = ["--nburn", "120", "--nsave", "80", "--nskip", "1", "--prerun-iters", "200"]
@@ -96,6 +109,41 @@ class TestFit:
                    "--trunc-col", "trunc", *FAST, flag, value, "--dry-run"])
         assert rc == 2
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+    def test_large_magnitude_covariate(self, tmp_path, capsys):
+        # epoch seconds: numpy's centering leaves |sum Xc| far above 1e-10 n
+        rng = np.random.default_rng(0)
+        rows = ["t1,t2,stamp"]
+        for i in range(740):
+            t = 0.5 + 0.01 * i
+            rows.append(f"{t!r},{'' if i % 3 == 0 else repr(t)},{1.6e9 + rng.uniform(0, 3e7)!r}")
+        path = tmp_path / "stamps.csv"
+        path.write_text("\n".join(rows) + "\n")
+        ds = load_csv(path)
+        assert ds.n == 740 and np.all(np.isfinite(ds.Xc))
+        assert main(["fit", "--data", str(path), "--dry-run"]) == 0
+
+    @pytest.mark.parametrize("text", ["1 2\n2 3\n", "0 1 0\n1 0 1\n0 1 0\n"],
+                             ids=["edges", "matrix"])
+    def test_adjacency_rows_follow_region_labels(self, tmp_path, capsys, text):
+        data, adj = regions_csv(tmp_path), tmp_path / "adj.txt"
+        adj.write_text(text)  # the path graph 1 - 2 - 3
+        ds = load_csv(data, CsvSchema(location="location"))
+        spec = cli._frailty_spec({"frailty": "icar", "adjacency": str(adj)}, ds)
+        # sites in order are the regions labelled 3, 1 and 2
+        assert np.array_equal(spec.adjacency, [[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+        assert main(["fit", "--data", str(data), "--location-col", "location",
+                     "--frailty", "icar", "--adjacency", str(adj), "--dry-run"]) == 0
+
+    @pytest.mark.parametrize("text,missing", [("1 2\n2 5\n", "['3'] of the data"),
+                                              ("1 2\n2 3\n3 4\n", "['4'] of the adjacency")],
+                             ids=["unknown-label", "extra-region"])
+    def test_adjacency_labels_must_match_the_data(self, tmp_path, capsys, text, missing):
+        data, adj = regions_csv(tmp_path), tmp_path / "adj.txt"
+        adj.write_text(text)
+        assert main(["fit", "--data", str(data), "--location-col", "location",
+                     "--frailty", "icar", "--adjacency", str(adj), "--dry-run"]) == 2
+        assert f"regions {missing}" in capsys.readouterr().err
 
     def test_missing_data_file(self, tmp_path, capsys):
         rc = main(["fit", "--data", str(tmp_path / "nope.csv"), "--outdir",

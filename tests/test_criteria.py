@@ -198,6 +198,22 @@ class TestBfParametric:
         arch = FakeArchive(np.zeros(400), 0.0, draws={"z": z, "alpha": np.ones(400)})
         assert cr.log_bf_parametric(arch) is None
 
+    def test_unmixed_full_rank_chain_is_unavailable(self):
+        # independent AR(1) columns with rho = 0.99: full rank, ESS about 2.5
+        rng = np.random.default_rng(8)
+        z = np.empty((500, 4))
+        z[0] = rng.normal(size=4)
+        for t in range(1, 500):
+            z[t] = 0.99 * z[t - 1] + rng.normal(size=4)
+        assert np.linalg.matrix_rank(z - z.mean(axis=0)) == 4
+        arch = FakeArchive(np.zeros(500), 0.0, draws={"z": z, "alpha": np.ones(500)}, J=5)
+        assert cr.log_bf_parametric(arch) is None
+
+    def test_too_short_for_an_ess_is_unavailable(self):
+        z = np.random.default_rng(9).normal(size=(8, 2))
+        arch = FakeArchive(np.zeros(8), 0.0, draws={"z": z, "alpha": np.ones(8)}, J=3)
+        assert cr.log_bf_parametric(arch) is None
+
     def test_unavailable_in_meta_json_and_summary(self, tmp_path):
         import json
 

@@ -130,6 +130,14 @@ class TestAdjacencyIO:
         for m in (2, None):
             assert np.array_equal(dm.load_adjacency(matrix, m=m), [[0, 1], [1, 0]])
 
+    def test_data_labels_equal_as_numbers_are_ambiguous(self, tmp_path):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("1 2\n2 3\n")
+        assert np.array_equal(dm.load_adjacency(edges, labels=["3", "1.0", "02"]),
+                              [[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+        with pytest.raises(ValueError, match="repeat"):
+            dm.load_adjacency(edges, labels=["1", "1.0", "2"])
+
 
 class TestTimeVarying:
     def baseline(self):

@@ -127,10 +127,10 @@ class TestSpecValidation:
 
 
 def conditional(structure, i, v, tau2):
-    """Mean and variance of v_i given the rest under precision kernel C:
-    -sum_{j != i} C_ij v_j / C_ii and tau2 / C_ii, as the frailty scan uses."""
-    C = structure.C
-    return -(C[i] @ v - C[i, i] * v[i]) / C[i, i], tau2 / C[i, i]
+    """Mean and variance of v_i given the rest under precision kernel C, read
+    as the frailty scan reads them: (coupling v)_i / C_ii and tau2 / C_ii,
+    with coupling = diag(C) - C."""
+    return (structure.coupling @ v)[i] / structure.diag[i], tau2 / structure.diag[i]
 
 
 class TestIcarStructure:
@@ -174,7 +174,7 @@ class TestIidStructure:
         assert mean == 0.0 and var == 2.5
 
     def test_quad(self):
-        st = fr.build_iid(3)
+        st = fr.build_structure(fr.FrailtySpec(kind="iid"), m=3)
         v = np.array([1.0, 2.0, 2.0])
         quad, rank = st.quad_form(v), st.rank
         assert quad == pytest.approx(9.0)
@@ -183,19 +183,23 @@ class TestIidStructure:
 
 class TestGrfDense:
     def test_conditional_matches_schur_complement(self):
-        coords = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, 2.0]])
-        spec = fr.FrailtySpec(kind="grf", coords=coords)
-        st = fr.build_structure(spec, phi=0.8)
-        R = fr.dense_correlation(spec.distances, 0.8)
-        v = np.array([0.4, -0.2, 0.9])
+        coords = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, 2.0], [0.5, 3.0]])
+        v = np.array([0.4, -0.2, 0.9, 0.1])
         tau2 = 1.7
-        for i in range(3):
-            o = [j for j in range(3) if j != i]
-            mean_schur = R[i, o] @ np.linalg.solve(R[np.ix_(o, o)], v[o])
-            var_schur = tau2 * (R[i, i] - R[i, o] @ np.linalg.solve(R[np.ix_(o, o)], R[o, i]))
-            mean, var = conditional(st, i, v, tau2)
-            assert mean == pytest.approx(mean_schur, abs=1e-12)
-            assert var == pytest.approx(var_schur, abs=1e-12)
+        # the exact field, and its full-scale approximation with one knot and
+        # two blocks, whose R_dag differs from R across the blocks
+        for fsa in (None, (1, 2)):
+            spec = fr.FrailtySpec(kind="grf", coords=coords, fsa=fsa)
+            st = fr.build_structure(spec, phi=0.8)
+            R = (fr.dense_correlation(spec.distances, 0.8) if fsa is None
+                 else fr.fsa_build(spec.fsa_geometry, 0.8, 1.0))
+            for i in range(4):
+                o = [j for j in range(4) if j != i]
+                mean_schur = R[i, o] @ np.linalg.solve(R[np.ix_(o, o)], v[o])
+                var_schur = tau2 * (R[i, i] - R[i, o] @ np.linalg.solve(R[np.ix_(o, o)], R[o, i]))
+                mean, var = conditional(st, i, v, tau2)
+                assert mean == pytest.approx(mean_schur, abs=1e-12)
+                assert var == pytest.approx(var_schur, abs=1e-12)
 
     def test_quad_and_logdet_match_dense_solves(self):
         coords = grid_coords(25, seed=5)
@@ -225,20 +229,31 @@ class TestFsa:
     def test_single_block_is_exact(self, A):
         spec = fsa_spec(grid_coords(40, seed=2), A, 1)
         R = fr.dense_correlation(spec.distances, 0.5, 1.0)
-        Rdag, Rinv, logdet = fr.fsa_build(spec.fsa_geometry, 0.5, 1.0)
+        Rdag = fr.fsa_build(spec.fsa_geometry, 0.5, 1.0)
         assert np.max(np.abs(Rdag - R)) < 1e-10
 
     def test_inverse_identity(self):
         spec = fsa_spec(grid_coords(60, seed=4), 10, 5)
-        Rdag, Rinv, _ = fr.fsa_build(spec.fsa_geometry, 0.5, 1.0)
-        off = Rinv @ Rdag - np.eye(60)
+        Rdag = fr.fsa_build(spec.fsa_geometry, 0.5, 1.0)
+        off = fr.build_structure(spec, phi=0.5).C @ Rdag - np.eye(60)
         assert np.max(np.abs(off)) < 1e-8
+
+    @pytest.mark.parametrize("phi", [0.001, 0.01, 0.05, None, 20.0])
+    @pytest.mark.parametrize("A,B", [(30, 5), (20, 4), (60, 10)])
+    def test_inverse_identity_at_every_range(self, A, B, phi):
+        # 150 sites uniform on [0, 10]^2; phi None is the prior anchor phi0.
+        # At long ranges R_dag is close to singular.
+        spec = fsa_spec(grid_coords(150, seed=1), A, B)
+        phi = spec.phi0() if phi is None else phi
+        Rdag = fr.fsa_build(spec.fsa_geometry, phi, 1.0)
+        off = fr.build_structure(spec, phi=phi).C @ Rdag - np.eye(150)
+        assert np.max(np.abs(off)) < 1e-10
 
     def test_within_block_entries_exact(self):
         coords = grid_coords(50, seed=6)
         spec = fsa_spec(coords, 8, 4)
         R = fr.dense_correlation(spec.distances, 0.7, 1.0)
-        Rdag, _, _ = fr.fsa_build(spec.fsa_geometry, 0.7, 1.0)
+        Rdag = fr.fsa_build(spec.fsa_geometry, 0.7, 1.0)
         blocks = fr.assign_blocks(coords, 4)
         same = blocks[:, None] == blocks[None, :]
         assert np.max(np.abs((Rdag - R)[same])) < 1e-12
@@ -247,12 +262,13 @@ class TestFsa:
     @pytest.mark.parametrize("A,B", [(5, 1), (5, 4), (20, 10)])
     def test_logdet_and_inverse_against_dense(self, m, A, B):
         spec = fsa_spec(grid_coords(m, seed=m + A + B), A, B)
-        Rdag, Rinv, logdet = fr.fsa_build(spec.fsa_geometry, 0.5, 1.0)
+        st = fr.build_structure(spec, phi=0.5)
+        Rdag = fr.fsa_build(spec.fsa_geometry, 0.5, 1.0)
         sign, ld = np.linalg.slogdet(Rdag)
         assert sign > 0
-        assert logdet == pytest.approx(ld, rel=1e-6)
+        assert st.logdet_half == pytest.approx(-0.5 * ld, rel=1e-6)
         dense = np.linalg.inv(Rdag)
-        rel = np.max(np.abs(Rinv - dense)) / np.max(np.abs(dense))
+        rel = np.max(np.abs(st.C - dense)) / np.max(np.abs(dense))
         assert rel < 1e-6
 
     def test_quadform_dense_vs_fsa_structure(self):
@@ -261,7 +277,7 @@ class TestFsa:
         st = fr.build_structure(spec, phi=0.6)
         rng = np.random.default_rng(2)
         v = rng.normal(size=80)
-        Rdag = fr.fsa_build(spec.fsa_geometry, 0.6, 1.0)[0]
+        Rdag = fr.fsa_build(spec.fsa_geometry, 0.6, 1.0)
         dense = v @ np.linalg.solve(Rdag, v)
         assert st.quad_form(v) == pytest.approx(dense, rel=1e-6)
 

@@ -304,6 +304,37 @@ class TestBlockFullConditionals:
         assert s.accept["z"] - before == 25
 
 
+class TestFrailtyScan:
+    @pytest.mark.parametrize("kind", ["iid", "icar", "grf", "fsa"])
+    def test_matches_per_kind_reference(self, kind):
+        # the one coupling rule against each kind's conditional mean written out
+        ds, _ = SimDesign(model="ph", m=8, n_per_site=5,
+                          frailty_kind="grf" if kind in ("grf", "fsa") else "none").generate(3)
+        if kind == "icar":
+            E = np.zeros((8, 8), dtype=int)
+            for i, j in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (0, 7), (1, 5)]:
+                E[i, j] = E[j, i] = 1
+            spec = fr.FrailtySpec(kind="icar", adjacency=E)
+        elif kind == "iid":
+            spec = fr.FrailtySpec(kind="iid")
+        else:
+            spec = fr.FrailtySpec(kind="grf", coords=ds.coords,
+                                  fsa=(3, 2) if kind == "fsa" else None)
+        got, ref = make_sampler(ds, frailty=spec), make_sampler(ds, frailty=spec)
+        for _ in range(40):
+            got.update_frailties()
+            oracle.frailty_scan(ref)
+            for s in (got, ref):  # new variances and, for a grf, new structures
+                s.update_tau2()
+                s.update_phi()
+            assert np.allclose(got.state.v, ref.state.v, rtol=0.0, atol=1e-12)
+            assert np.allclose(got.state.ll_obs, ref.state.ll_obs, rtol=0.0, atol=1e-10)
+        assert got.accept_frailty == ref.accept_frailty
+        assert 0 < got.accept_frailty < 40 * 8
+        if kind in ("grf", "fsa"):
+            assert got.state.phi != got.phi0  # the scan ran on more than one structure
+
+
 class TestTau2Gibbs:
     def test_moments_at_zero_field(self):
         ds = dm.Dataset(observations=[], m=3, covariate_names=[])
