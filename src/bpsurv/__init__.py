@@ -16,7 +16,6 @@ from .criteria import (
     log_bf_linearity,
     log_bf_parametric,
     lpml,
-    pseudo_bayes_factor,
     waic,
 )
 from .data import (

@@ -5,7 +5,8 @@ names (beta.x1, theta.1, z.3, v.12, ...) in full-precision scientific
 notation, so a byte-for-byte comparison doubles as a determinism check.
 loglik.npy holds the per-observation log-likelihood of every draw.  meta.json
 echoes the resolved configuration together with criteria, acceptance rates
-and effective sample sizes; feeding it back to the CLI reproduces the run.
+and the pre-run's figures (null without a pre-run); feeding it back to the
+CLI reproduces the run.
 load_archive splits the draws with the chain's own splitter (split_draws), so
 a loaded archive equals the one that wrote the files.
 """
@@ -78,10 +79,9 @@ def save_archive(archive, outdir, loglik_csv=False, cli=None):
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    names, mat = archive.parameter_matrix()
     with open(outdir / "draws.csv", "w") as fh:
-        fh.write(",".join(names) + "\n")
-        np.savetxt(fh, mat, fmt="%.17e", delimiter=",")
+        fh.write(",".join(archive.names) + "\n")
+        np.savetxt(fh, archive.matrix, fmt="%.17e", delimiter=",")
     np.save(outdir / "loglik.npy", archive.loglik_obs)
     if loglik_csv:
         np.savetxt(outdir / "loglik.csv", archive.loglik_obs, delimiter=",", fmt="%.17e")
@@ -101,6 +101,7 @@ def save_archive(archive, outdir, loglik_csv=False, cli=None):
         "criteria": _jsonable(crit),
         "loglik_total": _jsonable(archive.loglik_total),
         "nonfinite_rejects": archive.nonfinite_rejects,
+        "prerun": _jsonable(archive.prerun),
         "elapsed_seconds": archive.elapsed,
     }
     if "gamma" in archive.draws and archive.L:
@@ -147,7 +148,16 @@ def load_archive(outdir, dataset=None):
         loglik_at_mean=float(meta["criteria"]["loglik_at_mean"]),
         accept_rates=meta["accept_rates"], config=None,
         n=meta["n"], m=meta["m"], elapsed=meta["elapsed_seconds"],
-        nonfinite_rejects=meta["nonfinite_rejects"], spline_terms=terms)
+        nonfinite_rejects=meta["nonfinite_rejects"], spline_terms=terms,
+        prerun=meta.get("prerun"))
+
+
+def _prerun_line(figures):
+    if figures is None:
+        return "pre-run: none"
+    rates = "  ".join(f"{k}={v:.3f}" for k, v in sorted(figures["accept_rates"].items()))
+    return (f"pre-run: {figures['iterations']} iterations  acceptance rates: {rates}  "
+            f"non-finite rejects: {figures['nonfinite_rejects']}")
 
 
 def summary_text(archive, criteria=None):
@@ -161,9 +171,10 @@ def summary_text(archive, criteria=None):
     lines.append(f"acceptance rates: {rates}")
     if archive.nonfinite_rejects:
         lines.append(f"non-finite proposals auto-rejected: {archive.nonfinite_rejects}")
+    lines.append(_prerun_line(archive.prerun))
     lines.append("")
     if L:
-        names, mat = archive.parameter_matrix()
+        names, mat = archive.names, archive.matrix
         show = [i for i, nm in enumerate(names)
                 if not nm.startswith(("v.", "z.", "xi.", "gamma."))]
         header = f"{'parameter':<14}{'mean':>13}{'median':>13}{'sd':>12}" \

@@ -132,7 +132,7 @@ def _first_beyond(qs, atoms, t):
     return k + ((k < qs.shape[0]) & atoms[at] & (qs[at] == t))
 
 
-def turnbull_npmle(lo, hi, trunc=None, tol=1e-8, max_iter=1000):
+def turnbull_npmle(lo, hi, trunc=None, tol=1e-8, max_iter=10_000):
     """Self-consistency EM on the Turnbull innermost intervals, SQUAREM-accelerated.
 
     lo/hi follow the ResidualSample convention: lo == hi marks an exact value

@@ -5,18 +5,19 @@ theta, regression block (beta and any spline coefficients), the weight-prior
 precision alpha, frailties v site by site, tau^2 by a Gibbs draw, the range
 parameter phi (random fields only), and the inclusion indicators gamma when
 variable selection is on.  The z/theta/beta/alpha/phi blocks share one
-random-walk Metropolis step (ChainSampler._metropolis) with a fixed Gaussian
-proposal per block: the main chain records no states, so every block keeps
-its seed covariance for any chain length.
+random-walk Metropolis step (ChainSampler._metropolis).  Each block proposes
+x + L e, e ~ N(0, I), where L = ChainSampler.prop[block] is the lower
+Cholesky factor of the block's seed covariance, built once: the main chain
+never adapts, so it is a time-homogeneous Markov chain by construction.
 
 The parametric pre-run is a ChainSampler too: z pinned at 0 (weights 1/J,
 the parametric special case), vague priors, no frailties or selection, and
 only the theta and regression blocks updated.  It is the one place the
-proposals adapt: it records each post-decision state, and after 200 of them
-a block proposes from (2.4^2/d) times its running sample covariance
-(Haario et al. 2001).  Its second half supplies the starting values, the
-informative theta prior, and the seed proposal covariances for theta and
-beta.
+proposals adapt: it keeps a running mean and covariance of each block's
+post-decision states, and after 200 of them replaces the block's factor by
+that of (2.4^2/d) times the running covariance (Haario et al. 2001).  Its
+second half supplies the starting values, the informative theta prior, and
+the seed covariances for theta and beta.
 """
 
 from __future__ import annotations
@@ -48,11 +49,12 @@ class McmcConfig:
     Defaults follow the source methodology: W0 = 1e10 I (or the g-prior with
     M=10, q=0.9 under selection, splines.gprior_scale), theta0/V0 from the
     pre-run with V0 = 10 Vhat, a_alpha = b_alpha = 1, a_tau = b_tau = 0.001,
-    a_phi = 2 with b_phi = (a_phi - 1)/phi0.  The seed proposal covariances
-    are fixed for the whole chain: 0.16 I for z, alpha and phi, and the
-    pre-run's Vhat and What for theta and beta (0.16 I without a pre-run).
-    alpha and tau2 start at 1, phi at phi0.  The pre-run keeps the second half
-    of its prerun_iters iterations; prerun_iters = 0 skips it.
+    a_phi = 2 with b_phi = (a_phi - 1)/phi0.  The main chain's proposal
+    covariances are fixed for the whole chain: 0.16 I for z, alpha and phi,
+    and the pre-run's Vhat and What for theta and beta (0.16 I without a
+    pre-run).  Only the pre-run adapts its proposals.  alpha and tau2 start
+    at 1, phi at phi0.  The pre-run keeps the second half of its prerun_iters
+    iterations; prerun_iters = 0 skips it.
     """
 
     model: str = "ph"
@@ -114,67 +116,16 @@ class ChainState:
         return float(self.ll_obs.sum())
 
 
-class AdaptiveProposal:
-    """Random-walk proposal with the running-covariance adaptation rule.
-
-    The proposal covariance equals sigma0 until more than _PRERUN_L0 states
-    have been recorded, and (2.4^2 / d) (C_l + 1e-10 I) afterwards, C_l being
-    the sample covariance of all recorded states (rejections included).  A
-    proposal that records nothing, as in the main chain, stays at sigma0.
-    """
-
-    def __init__(self, dim, sigma0, jitter=1e-10):
-        self.d = int(dim)
-        sigma0 = np.atleast_2d(np.asarray(sigma0, dtype=float))
-        if sigma0.shape == (1, 1) and self.d > 1:
-            sigma0 = sigma0[0, 0] * np.eye(self.d)
-        self.sigma0 = sigma0
-        self._chol0 = np.linalg.cholesky(sigma0)
-        self.jitter = jitter
-        self.count = 0
-        self._mean = np.zeros(self.d)
-        self._m2 = np.zeros((self.d, self.d))
-
-    def record(self, x):
-        """Streaming mean/covariance update with the post-decision state."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        self.count += 1
-        delta = x - self._mean
-        self._mean += delta / self.count
-        self._m2 += np.outer(delta, x - self._mean)
-
-    def covariance(self):
-        if self.count < 2:
-            return None
-        return self._m2 / (self.count - 1)
-
-    def _seeded(self):
-        return self.count <= _PRERUN_L0
-
-    def current_sigma(self):
-        if self._seeded():
-            return self.sigma0
-        cov = self.covariance()
-        return (2.4 ** 2 / self.d) * (cov + self.jitter * np.eye(self.d))
-
-    def step(self, rng):
-        if self._seeded():
-            L = self._chol0
-        else:
-            sigma = self.current_sigma()
-            try:
-                L = np.linalg.cholesky(sigma)
-            except np.linalg.LinAlgError:
-                L = self._chol0
-        return L @ rng.standard_normal(self.d)
-
-
 @dataclass
 class PrerunEstimates:
+    """The pre-run's estimates, plus figures: its iterations, the theta and
+    regression blocks' acceptance rates and its non-finite rejects."""
+
     theta_hat: np.ndarray
     V_hat: np.ndarray
     beta_hat: np.ndarray
     W_hat: np.ndarray
+    figures: dict
 
 
 def _pseudo_times(dataset):
@@ -209,13 +160,16 @@ def parametric_prerun(dataset, config, spline_terms=None, rng=None):
 
     A ChainSampler with z pinned at 0 (w = 1/J), no frailties or selection,
     vague priors (precisions 1e-6 I for theta around 0, 1e-10 I for the
-    regression block) and seed proposals 0.16 I for theta and
+    regression block) and seed covariances 0.16 I for theta and
     0.16 diag(1/max(var(column), 0.05)) for the regression block.  Each of
     the prerun_iters iterations runs the theta then the regression update,
-    both drawing from rng, and records each block's post-decision state, so
-    the two proposals adapt after _PRERUN_L0 states.  The means and
-    covariances of the second half seed the main chain's theta prior,
-    starting values and proposal covariances.
+    both drawing from rng.  This is the only adaptive sampler: it keeps a
+    Welford mean and M2 of each block's post-decision states, and once more
+    than _PRERUN_L0 are recorded the block proposes from the Cholesky factor
+    of (2.4^2/d)(M2/(count - 1) + 1e-10 I), or from its seed factor when
+    that has none (Haario et al. 2001).  The means and covariances of the
+    second half seed the main chain's theta prior, starting values and
+    proposal covariances.
     """
     if dataset.n == 0:
         raise ValueError("the parametric pre-run needs at least one observation")
@@ -231,28 +185,46 @@ def parametric_prerun(dataset, config, spline_terms=None, rng=None):
     s.theta0 = np.zeros(2)
     s.V0inv = 1e-6 * np.eye(2)
     s.W0inv = 1e-10 * np.eye(s.dims)
+    updates = {"theta": s.update_theta}
     if s.dims:
         col_scale = np.concatenate([1.0 / np.maximum(D.var(axis=0), 0.05)
                                     for D in (dataset.X, *s._designs)])
-        s.prop["beta"] = AdaptiveProposal(s.dims, _SEED_SCALE * np.diag(col_scale))
+        s.prop["beta"] = np.linalg.cholesky(_SEED_SCALE * np.diag(col_scale))
+        updates["beta"] = s.update_beta
+    seed = {block: s.prop[block] for block in updates}
+    running = {block: (np.zeros(len(L)), np.zeros(L.shape)) for block, L in seed.items()}
 
-    burn = config.prerun_iters // 2
-    TH = np.empty((config.prerun_iters - burn, 2))
-    BE = np.empty((config.prerun_iters - burn, s.dims))
-    for it in range(config.prerun_iters):
-        s.update_theta()
-        s.prop["theta"].record(s.state.theta)
-        if s.dims:
-            s.update_beta()
-            s.prop["beta"].record(s.state.beta)
+    n = config.prerun_iters
+    burn = n // 2
+    TH = np.empty((n - burn, 2))
+    BE = np.empty((n - burn, s.dims))
+    for it in range(n):
+        count = it + 1
+        for block, update in updates.items():
+            update()
+            x = getattr(s.state, block)
+            mean, m2 = running[block]
+            delta = x - mean
+            mean += delta / count
+            m2 += np.outer(delta, x - mean)
+            if count > _PRERUN_L0:
+                d = len(x)
+                try:
+                    s.prop[block] = np.linalg.cholesky(
+                        (2.4 ** 2 / d) * (m2 / (count - 1) + 1e-10 * np.eye(d)))
+                except np.linalg.LinAlgError:
+                    s.prop[block] = seed[block]
         if it >= burn:
             TH[it - burn] = s.state.theta
             BE[it - burn] = s.state.beta
     V_hat = np.cov(TH.T) + 1e-8 * np.eye(2)
     W_hat = (np.cov(BE.T).reshape(s.dims, s.dims) + 1e-8 * np.eye(s.dims)) if s.dims \
         else np.zeros((0, 0))
+    figures = {"iterations": n,
+               "accept_rates": {block: s.accept[block] / n for block in updates},
+               "nonfinite_rejects": s.nonfinite_rejects}
     return PrerunEstimates(theta_hat=TH.mean(axis=0), V_hat=V_hat,
-                           beta_hat=BE.mean(axis=0), W_hat=W_hat)
+                           beta_hat=BE.mean(axis=0), W_hat=W_hat, figures=figures)
 
 
 class ChainSampler:
@@ -292,23 +264,18 @@ class ChainSampler:
             self.phi0 = spec.phi0()
             self.b_phi = config.b_phi if config.b_phi is not None \
                 else (config.a_phi - 1.0) / self.phi0
-        # proposals
-        theta_sigma0 = est.V_hat if est else _SEED_SCALE * np.eye(2)
-        beta_sigma0 = est.W_hat if est and est.W_hat.size else _SEED_SCALE * np.eye(self.dims)
-        self.prop = {
-            "z": AdaptiveProposal(config.J - 1, _SEED_SCALE * np.eye(config.J - 1)),
-            "theta": AdaptiveProposal(2, theta_sigma0),
-            "alpha": AdaptiveProposal(1, _SEED_SCALE),
-        }
+        # proposals: the lower Cholesky factor of each block's fixed covariance
+        covs = {"z": _SEED_SCALE * np.eye(config.J - 1),
+                "theta": est.V_hat if est else _SEED_SCALE * np.eye(2),
+                "alpha": _SEED_SCALE * np.eye(1)}
         if self.dims:
-            self.prop["beta"] = AdaptiveProposal(self.dims, beta_sigma0)
+            covs["beta"] = est.W_hat if est else _SEED_SCALE * np.eye(self.dims)
         if self.has_phi:
-            self.prop["phi"] = AdaptiveProposal(1, _SEED_SCALE)
+            covs["phi"] = _SEED_SCALE * np.eye(1)
+        self.prop = {block: np.linalg.cholesky(cov) for block, cov in covs.items()}
 
         # initial state
-        beta_init = np.zeros(self.dims)
-        if est is not None and est.beta_hat.size == self.dims:
-            beta_init = est.beta_hat.copy()
+        beta_init = est.beta_hat.copy() if est else np.zeros(self.dims)
         phi_init = self.phi0 if self.has_phi else 0.0
         self.state = ChainState(
             z=np.zeros(config.J - 1),
@@ -388,17 +355,18 @@ class ChainSampler:
     def _metropolis(self, block, x, target, positive=False):
         """One random-walk Metropolis step of `block` from state x.
 
-        Draws the step from the block's proposal, then log u; x* = x + step.
+        Draws the step L e from the block's fixed factor L = prop[block]
+        (e standard normal), then log u; x* = x + step.
         When x* is in the support (x*[0] > 0 for a positive block), target(x*)
         returns (ll*, log_ratio, extra): the proposal's per-observation
         log-likelihood (None for a block the likelihood does not see), the
         rest of the log acceptance ratio, and anything the caller needs on
         acceptance.  A non-finite total ll* is counted and rejected.  Returns
-        (x*, ll*, extra) on acceptance, else None; nothing is recorded, so
-        only a caller that records (the pre-run) adapts the proposal.
+        (x*, ll*, extra) on acceptance, else None.  Only the pre-run replaces
+        a factor between steps; in the main chain each factor stays fixed.
         """
-        prop, rng = self.prop[block], self.rngs[block]
-        step = prop.step(rng)
+        L, rng = self.prop[block], self.rngs[block]
+        step = L @ rng.standard_normal(L.shape[0])
         logu = math.log(rng.uniform())
         x_star = x + step
         hit = None
@@ -734,6 +702,7 @@ class PosteriorArchive:
     elapsed: float
     nonfinite_rejects: int = 0
     spline_terms: list = None
+    prerun: dict = None       # PrerunEstimates.figures; None without a pre-run
     draws: dict = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -778,16 +747,13 @@ class PosteriorArchive:
         table.sort(key=lambda kv: (-kv[1], kv[0]))
         return table
 
-    def parameter_matrix(self):
-        """(column names, (L, k) matrix) of all scalar draws, as in draws.csv."""
-        return self.names, self.matrix
-
 
 def run_chain(dataset, config):
     """Pre-run (unless prerun_iters is 0) followed by the main chain; returns
     the archive.
 
-    The archive's elapsed time covers both.
+    The archive's elapsed time covers both, and archive.prerun carries the
+    pre-run's figures.
     """
     t_start = time.perf_counter()
     rngs = _spawn_rngs(config.seed)
@@ -796,5 +762,6 @@ def run_chain(dataset, config):
     est = None
     if config.prerun_iters:
         est = parametric_prerun(dataset, config, terms, rngs["prerun"])
-    sampler = ChainSampler(dataset, config, terms, est, rngs)
-    return sampler.run(t_start)
+    archive = ChainSampler(dataset, config, terms, est, rngs).run(t_start)
+    archive.prerun = est.figures if est else None
+    return archive

@@ -30,11 +30,8 @@ def chain_seed(master, rep, which=0):
 @dataclass
 class ReplicateResult:
     replicate: int
-    model: str
     beta_mean: np.ndarray
     beta_sd: np.ndarray
-    ci_lo: np.ndarray
-    ci_hi: np.ndarray
     covered: np.ndarray
     ess_beta: np.ndarray
     tau2_median: float = None
@@ -43,8 +40,6 @@ class ReplicateResult:
     dic: float = None
     waic: float = None
     s0_fit: np.ndarray = None
-    accept: dict = None
-    elapsed: float = 0.0
     alt_criteria: dict = field(default_factory=dict)  # model -> (lpml, dic, waic)
 
 
@@ -67,7 +62,7 @@ def _summaries(archive, truth, s0_grid):
         t2lo, t2hi = np.quantile(t2, [0.025, 0.975])
         tau2_cov = bool(t2lo <= truth.tau2 <= t2hi)
     s0 = archive.fitted_baseline_survival(s0_grid) if s0_grid is not None else None
-    return mean, sd, lo, hi, covered, ess_beta, tau2_median, tau2_cov, s0
+    return mean, sd, covered, ess_beta, tau2_median, tau2_cov, s0
 
 
 def run_replicate(args):
@@ -86,13 +81,11 @@ def run_replicate(args):
                              cr.waic(arch.loglik_obs)[0])
         if k == 0:
             arch0, (lp, d, wa) = arch, crit
-    (mean, sd, lo, hi, covered, ess_beta, tau2_med, tau2_cov,
-     s0) = _summaries(arch0, truth, s0_grid)
+    mean, sd, covered, ess_beta, tau2_med, tau2_cov, s0 = _summaries(arch0, truth, s0_grid)
     return ReplicateResult(
-        replicate=rep, model=fit_models[0], beta_mean=mean, beta_sd=sd, ci_lo=lo, ci_hi=hi,
-        covered=covered, ess_beta=ess_beta, tau2_median=tau2_med, tau2_covered=tau2_cov,
-        lpml=lp, dic=d, waic=wa, s0_fit=s0, accept=arch0.accept_rates,
-        elapsed=arch0.elapsed, alt_criteria=alt)
+        replicate=rep, beta_mean=mean, beta_sd=sd, covered=covered, ess_beta=ess_beta,
+        tau2_median=tau2_med, tau2_covered=tau2_cov, lpml=lp, dic=d, waic=wa, s0_fit=s0,
+        alt_criteria=alt)
 
 
 @dataclass

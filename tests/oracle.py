@@ -11,9 +11,11 @@ vectorized kernel they check:
 select_knots is the candidate-by-candidate form of the maximin knot search
 that bpsurv.frailty.select_knots vectorizes.
 
-parametric_prerun is the pre-run written as its own Metropolis loop, the
-reference for bpsurv.sampler.parametric_prerun, which runs the theta and
-regression blocks of a pinned ChainSampler instead.
+parametric_prerun is the pre-run written as its own Metropolis loop with its
+own adaptive proposal (AdaptiveRandomWalk), the reference for
+bpsurv.sampler.parametric_prerun, which runs the theta and regression blocks
+of a pinned ChainSampler instead.  The pre-run is the only sampler that
+adapts; a main chain proposes from fixed Cholesky factors.
 
 turnbull_npmle is the self-consistency EM over dense n x K membership
 matrices, built from a Python event list; bpsurv.diagnostics.turnbull_npmle
@@ -57,7 +59,7 @@ from bpsurv.diagnostics import TurnbullEstimate
 from bpsurv.frailty import pairwise_distances
 from bpsurv.models import MODELS, LikelihoodEvaluator, model_time, survival_transform
 from bpsurv.models import linear_predictor as stacked_predictor
-from bpsurv.sampler import AdaptiveProposal, PrerunEstimates, _theta_moment_init
+from bpsurv.sampler import PrerunEstimates, _theta_moment_init
 
 _FLOOR = 1e-300
 
@@ -314,10 +316,46 @@ def _swap_score(dist, chosen):
     return sub[iu].min() if iu[0].size else np.inf
 
 
+class AdaptiveRandomWalk:
+    """Gaussian random walk with the adaptation rule of Haario, Saksman and
+    Tamminen (2001): the step covariance is sigma0 until more than 200 states
+    have been recorded, then (2.4^2 / d) (C + 1e-10 I), C the sample
+    covariance of every recorded state, kept by Welford's streaming update.
+    A covariance without a Cholesky factor falls back to sigma0."""
+
+    L0 = 200
+
+    def __init__(self, sigma0):
+        self.sigma0 = np.asarray(sigma0, dtype=float)
+        self.d = self.sigma0.shape[0]
+        self.count = 0
+        self.mean = np.zeros(self.d)
+        self.m2 = np.zeros((self.d, self.d))
+
+    def record(self, x):
+        self.count += 1
+        delta = x - self.mean
+        self.mean += delta / self.count
+        self.m2 += np.outer(delta, x - self.mean)
+
+    def covariance(self):
+        if self.count <= self.L0:
+            return self.sigma0
+        return (2.4 ** 2 / self.d) * (self.m2 / (self.count - 1) + 1e-10 * np.eye(self.d))
+
+    def step(self, rng):
+        try:
+            L = np.linalg.cholesky(self.covariance())
+        except np.linalg.LinAlgError:
+            L = np.linalg.cholesky(self.sigma0)
+        return L @ rng.standard_normal(self.d)
+
+
 def parametric_prerun(dataset, config, spline_terms=None, rng=None):
     """Pinned-weights Metropolis loop over theta and the regression vector:
     w = 1/J, vague priors, no frailties or selection; the second half of
-    config.prerun_iters iterations gives the estimates."""
+    config.prerun_iters iterations gives the estimates, and the loop counts
+    each block's acceptances and the non-finite proposals."""
     if dataset.n == 0:
         raise ValueError("the parametric pre-run needs at least one observation")
     spline_terms = spline_terms or []
@@ -342,20 +380,24 @@ def parametric_prerun(dataset, config, spline_terms=None, rng=None):
     col_scale = np.concatenate([
         1.0 / np.maximum(dataset.X.var(axis=0), 0.05) if p else np.zeros(0),
         *[1.0 / np.maximum(D.var(axis=0), 0.05) for D in designs]]) if dims else np.zeros(0)
-    prop_theta = AdaptiveProposal(2, 0.16 * np.eye(2))
-    prop_beta = AdaptiveProposal(dims, 0.16 * np.diag(col_scale)) if dims else None
+    prop_theta = AdaptiveRandomWalk(0.16 * np.eye(2))
+    prop_beta = AdaptiveRandomWalk(0.16 * np.diag(col_scale)) if dims else None
     vague_theta, vague_beta = 1e-6, 1e-10  # prior precisions
     burn = config.prerun_iters // 2
 
     keep_theta, keep_beta = [], []
+    accepted = {"theta": 0, "beta": 0}
+    nonfinite = 0
     for it in range(config.prerun_iters):
         th_star = theta + prop_theta.step(rng)
         cache_star = ev.build_cache(th_star, eta)
         ll_star = ev.loglik_obs(cache_star, w, eta)
         lt = float(ll_star.sum())
         dprior = -0.5 * vague_theta * (th_star @ th_star - theta @ theta)
+        nonfinite += not np.isfinite(lt)
         if np.isfinite(lt) and math.log(rng.uniform()) < lt - ll_tot + dprior:
             theta, cache, ll, ll_tot = th_star, cache_star, ll_star, lt
+            accepted["theta"] += 1
         prop_theta.record(theta)
 
         if dims:
@@ -365,8 +407,10 @@ def parametric_prerun(dataset, config, spline_terms=None, rng=None):
             ll_star = ev.loglik_obs(cache_b, w, eta_star)
             lt = float(ll_star.sum())
             dprior = -0.5 * vague_beta * (b_star @ b_star - beta @ beta)
+            nonfinite += not np.isfinite(lt)
             if np.isfinite(lt) and math.log(rng.uniform()) < lt - ll_tot + dprior:
                 beta, eta, cache, ll, ll_tot = b_star, eta_star, cache_b, ll_star, lt
+                accepted["beta"] += 1
             prop_beta.record(beta)
 
         if it >= burn:
@@ -378,8 +422,13 @@ def parametric_prerun(dataset, config, spline_terms=None, rng=None):
     V_hat = np.cov(TH.T) + 1e-8 * np.eye(2)
     W_hat = (np.cov(BE.T).reshape(dims, dims) + 1e-8 * np.eye(dims)) if dims \
         else np.zeros((0, 0))
+    n = config.prerun_iters
+    figures = {"iterations": n,
+               "accept_rates": {"theta": accepted["theta"] / n,
+                                **({"beta": accepted["beta"] / n} if dims else {})},
+               "nonfinite_rejects": nonfinite}
     return PrerunEstimates(theta_hat=TH.mean(axis=0), V_hat=V_hat,
-                           beta_hat=BE.mean(axis=0), W_hat=W_hat)
+                           beta_hat=BE.mean(axis=0), W_hat=W_hat, figures=figures)
 
 
 def baseline_for_draw(archive, s):

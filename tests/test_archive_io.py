@@ -78,6 +78,7 @@ class TestRoundTrip:
         assert np.array_equal(loaded.matrix, fitted.matrix)
         assert np.array_equal(loaded.loglik_obs, fitted.loglik_obs)
         assert np.array_equal(loaded.loglik_total, fitted.loglik_total)
+        assert loaded.prerun == fitted.prerun
 
     def test_weights(self, round_trip):
         _, fitted, loaded = round_trip

@@ -179,6 +179,24 @@ class TestFit:
         assert (tmp_path / "f0" / "draws.csv").read_bytes() \
             != (tmp_path / "f1" / "draws.csv").read_bytes()
 
+    def test_prerun_figures_in_meta_and_summary(self, tmp_path, capsys):
+        path = tiny_dataset_csv(tmp_path)
+        argv = ["fit", "--data", str(path), "--location-col", "location",
+                "--trunc-col", "trunc", "--seed", "5", *FAST]
+        assert main(argv + ["--outdir", str(tmp_path / "pre")]) == 0
+        assert main(argv + ["--prerun-iters", "0", "--outdir", str(tmp_path / "none")]) == 0
+        prerun = json.loads((tmp_path / "pre" / "meta.json").read_text())["prerun"]
+        assert set(prerun) == {"iterations", "accept_rates", "nonfinite_rejects"}
+        assert prerun["iterations"] == 200 and prerun["nonfinite_rejects"] == 0
+        rates = prerun["accept_rates"]
+        assert set(rates) == {"theta", "beta"}
+        assert all(0.0 < r < 1.0 and round(r * 200) / 200 == r for r in rates.values())
+        summary = (tmp_path / "pre" / "summary.txt").read_text()
+        assert (f"pre-run: 200 iterations  acceptance rates: beta={rates['beta']:.3f}  "
+                f"theta={rates['theta']:.3f}  non-finite rejects: 0") in summary
+        assert json.loads((tmp_path / "none" / "meta.json").read_text())["prerun"] is None
+        assert "pre-run: none" in (tmp_path / "none" / "summary.txt").read_text()
+
     def test_config_file_key_values(self, tmp_path):
         path = tiny_dataset_csv(tmp_path)
         cfgfile = tmp_path / "run.cfg"

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +100,16 @@ class TestTurnbull:
         # conditioning on late entry means the later values represent fewer
         # "survivors", so the estimate puts more mass on the earliest value
         assert trunc.masses[0] > plain.masses[0]
+
+    def test_slow_residual_sample_converges(self):
+        # Cox-Snell residuals (lo, hi, trunc) of one posterior draw of a short
+        # iid-frailty PH fit; the EM needs about 6600 cycles there
+        lo, hi, trunc = np.loadtxt(Path(__file__).parent / "data" / "turnbull_slow_residuals.csv",
+                                   delimiter=",", skiprows=1, unpack=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = dg.turnbull_npmle(lo, hi, trunc)
+        assert est.converged and est.iterations > 1000
 
 
 def mixed_sample(rng, n, truncate):

@@ -55,43 +55,91 @@ def grid_cdf(grid, logdens):
     return lambda x: np.interp(x, grid, cdf)
 
 
-class TestAdaptiveProposal:
-    def test_frozen_before_l0(self):
-        prop = sm.AdaptiveProposal(2, 0.16 * np.eye(2))
-        rng = np.random.default_rng(0)
-        for _ in range(sm._PRERUN_L0):
-            prop.record(rng.normal(size=2))
-        assert np.array_equal(prop.current_sigma(), 0.16 * np.eye(2))
-        prop.record(rng.normal(size=2))
-        assert not np.allclose(prop.current_sigma(), 0.16 * np.eye(2))
+@pytest.fixture(scope="class")
+def prerun_steps():
+    """Every random-walk step of a 400-iteration pre-run with a theta and a
+    two-column regression block: {block: (factors, states)}, the factor each
+    step drew from and the state it started at, in order."""
+    steps = {"theta": ([], []), "beta": ([], [])}
+    metropolis = sm.ChainSampler._metropolis
 
-    def test_switches_to_scaled_running_covariance(self):
-        rng = np.random.default_rng(1)
-        prop = sm.AdaptiveProposal(3, np.eye(3))
-        xs = rng.multivariate_normal(np.zeros(3), np.diag([1.0, 4.0, 0.25]), size=500)
-        for x in xs:
-            prop.record(x)
-        expected = (2.4 ** 2 / 3) * (np.cov(xs.T) + 1e-10 * np.eye(3))
-        assert np.allclose(prop.current_sigma(), expected, rtol=1e-10)
+    def recording(self, block, x, target, positive=False):
+        factors, states = steps[block]
+        factors.append(self.prop[block].copy())
+        states.append(x.copy())
+        return metropolis(self, block, x, target, positive)
 
-    def test_streaming_cov_matches_numpy(self):
-        rng = np.random.default_rng(2)
-        xs = rng.normal(size=(40, 4))
-        prop = sm.AdaptiveProposal(4, np.eye(4))
-        for x in xs:
-            prop.record(x)
-        assert np.allclose(prop.covariance(), np.cov(xs.T), atol=1e-12)
+    ds = SimDesign(model="ph", m=5, n_per_site=12, frailty_kind="none").generate(6)[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sm.ChainSampler, "_metropolis", recording)
+        sm.parametric_prerun(ds, sm.McmcConfig(J=5, prerun_iters=400),
+                             rng=np.random.default_rng(11))
+    return {block: (factors, np.array(states)) for block, (factors, states) in steps.items()}
 
+
+def haario_covariance(states):
+    d = states.shape[1]
+    return (2.4 ** 2 / d) * (np.cov(states.T) + 1e-10 * np.eye(d))
+
+
+class TestPrerunAdaptation:
+    # The step of iteration k has seen the post-decision states of iterations
+    # 0..k-1, which are the starting states of iterations 1..k.
+
+    @pytest.mark.parametrize("block", ["theta", "beta"])
+    def test_frozen_before_l0(self, prerun_steps, block):
+        factors, _ = prerun_steps[block]
+        assert len(factors) == 400
+        for k in range(sm._PRERUN_L0 + 1):
+            assert np.array_equal(factors[k], factors[0]), k
+        assert not np.allclose(factors[sm._PRERUN_L0 + 1], factors[0])
+        if block == "theta":
+            assert np.array_equal(factors[0], np.linalg.cholesky(0.16 * np.eye(2)))
+
+    @pytest.mark.parametrize("block", ["theta", "beta"])
+    def test_switches_to_scaled_running_covariance(self, prerun_steps, block):
+        factors, states = prerun_steps[block]
+        k = sm._PRERUN_L0 + 1
+        L = factors[k]
+        assert np.array_equal(L, np.tril(L))
+        assert np.allclose(L @ L.T, haario_covariance(states[1:k + 1]), rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("block", ["theta", "beta"])
+    def test_streaming_cov_matches_numpy(self, prerun_steps, block):
+        # the streaming update equals np.cov of all the states seen, at every step
+        factors, states = prerun_steps[block]
+        for k in range(sm._PRERUN_L0 + 1, 400):
+            L = factors[k]
+            assert np.allclose(L @ L.T, haario_covariance(states[1:k + 1]),
+                               rtol=1e-9, atol=1e-15), k
+
+
+class TestFixedProposals:
     def test_main_chain_keeps_seed_proposals(self):
-        # only the pre-run records states, so a chain longer than any
-        # adaptation threshold still proposes from the seed covariances
+        # the main chain never adapts: each block proposes from the Cholesky
+        # factor of its seed covariance for a chain of any length
         s = make_sampler(two_obs_dataset(), J=4)
-        seeds = {block: prop.sigma0.copy() for block, prop in s.prop.items()}
-        assert set(seeds) == {"z", "theta", "beta", "alpha"}
+        seeds = {"z": 0.16 * np.eye(3), "theta": 0.16 * np.eye(2),
+                 "beta": 0.16 * np.eye(1), "alpha": 0.16 * np.eye(1)}
+        assert set(s.prop) == set(seeds)
+        for block, cov in seeds.items():
+            assert np.array_equal(s.prop[block], np.linalg.cholesky(cov)), block
         for _ in range(5100):
             s.sweep()
-        for block, prop in s.prop.items():
-            assert np.array_equal(prop.current_sigma(), seeds[block]), block
+        for block, cov in seeds.items():
+            assert np.array_equal(s.prop[block], np.linalg.cholesky(cov)), block
+
+    def test_factors_of_the_prerun_estimates(self):
+        ds = SimDesign(model="ph", m=4, n_per_site=6, frailty_kind="grf").generate(1)[0]
+        cfg = sm.McmcConfig(J=4, prerun_iters=60, seed=2,
+                            frailty=fr.FrailtySpec(kind="grf", coords=ds.coords))
+        est = sm.parametric_prerun(ds, cfg)
+        s = sm.ChainSampler(ds, cfg, [], est)
+        assert set(s.prop) == {"z", "theta", "beta", "alpha", "phi"}
+        assert all(isinstance(L, np.ndarray) for L in s.prop.values())
+        assert np.array_equal(s.prop["theta"], np.linalg.cholesky(est.V_hat))
+        assert np.array_equal(s.prop["beta"], np.linalg.cholesky(est.W_hat))
+        assert np.array_equal(s.prop["phi"], np.linalg.cholesky(0.16 * np.eye(1)))
 
 
 class TestMcmcConfigValidation:
@@ -174,6 +222,7 @@ class TestPrerun:
         assert got.beta_hat.size == ds.p + 4 * spline
         for key in ("theta_hat", "V_hat", "beta_hat", "W_hat"):
             assert np.array_equal(getattr(got, key), getattr(ref, key)), key
+        assert got.figures == ref.figures
 
     def test_does_not_count_as_sweeps(self, monkeypatch):
         sweeps = []
@@ -266,9 +315,9 @@ class TestBlockFullConditionals:
         ds = dm.Dataset(observations=[], m=3, covariate_names=[])
         s = make_sampler(ds, frailty=spec)
         s.state.tau2 = 0.8
-        # unit proposal variance: mixes faster than the 0.16 seed and often
+        # unit proposal factor: mixes faster than the 0.16 seed and often
         # proposes phi <= 0, which must be rejected without changing the target
-        s.prop["phi"] = sm.AdaptiveProposal(1, 1.0, 10 ** 9)
+        s.prop["phi"] = np.ones((1, 1))
         v = np.array([0.9, -0.4, 0.2])
         s.state.v = v.copy()
         b_phi = (s.cfg.a_phi - 1.0) / spec.phi0()
@@ -294,10 +343,10 @@ class TestBlockFullConditionals:
         draws = self.collect(s, s.update_frailties, lambda: s.state.v[0], iters=60000)
         assert kstest(draws, norm(0.0, math.sqrt(2.0)).cdf).statistic < 0.05
 
-    def test_proposing_current_state_always_accepts(self, monkeypatch):
+    def test_proposing_current_state_always_accepts(self):
         ds = two_obs_dataset()
         s = make_sampler(ds)
-        monkeypatch.setattr(s.prop["z"], "step", lambda rng: np.zeros(s.cfg.J - 1))
+        s.prop["z"] = np.zeros((s.cfg.J - 1, s.cfg.J - 1))
         before = s.accept["z"]
         for _ in range(25):
             s.update_z()
@@ -462,6 +511,15 @@ class TestRunChain:
         wall = time.perf_counter() - t0
         assert 0.5 <= arch.elapsed <= wall
 
+    def test_archive_carries_prerun_figures(self):
+        ds = self.dataset()
+        cfg = self.small_config()
+        arch = sm.run_chain(ds, cfg)
+        est = sm.parametric_prerun(ds, cfg, [], sm._spawn_rngs(cfg.seed)["prerun"])
+        assert arch.prerun == est.figures
+        assert set(arch.prerun["accept_rates"]) == {"theta", "beta"}
+        assert sm.run_chain(ds, self.small_config(prerun_iters=0)).prerun is None
+
     def test_nsave_zero_diagnostics_only(self):
         ds = self.dataset()
         cfg = self.small_config(nsave=0)
@@ -473,7 +531,7 @@ class TestRunChain:
     def test_parameter_matrix_names(self):
         ds = self.dataset()
         arch = sm.run_chain(ds, self.small_config())
-        names, mat = arch.parameter_matrix()
+        names, mat = arch.names, arch.matrix
         assert mat.shape == (40, len(names))
         assert "beta.x1" in names and "theta.1" in names and "alpha" in names
 
