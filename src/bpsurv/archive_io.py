@@ -5,8 +5,8 @@ names (beta.x1, theta.1, z.3, v.12, ...) in full-precision scientific
 notation, so a byte-for-byte comparison doubles as a determinism check.
 loglik.npy holds the per-observation log-likelihood of every draw.  meta.json
 echoes the resolved configuration together with criteria, acceptance rates
-and the pre-run's figures (null without a pre-run); feeding it back to the
-CLI reproduces the run.
+and the figures of the parametric Laplace fit that seeds the chain; feeding it
+back to the CLI reproduces the run.
 load_archive splits the draws with the chain's own splitter (split_draws), so
 a loaded archive equals the one that wrote the files.
 """
@@ -152,14 +152,6 @@ def load_archive(outdir, dataset=None):
         prerun=meta.get("prerun"))
 
 
-def _prerun_line(figures):
-    if figures is None:
-        return "pre-run: none"
-    rates = "  ".join(f"{k}={v:.3f}" for k, v in sorted(figures["accept_rates"].items()))
-    return (f"pre-run: {figures['iterations']} iterations  acceptance rates: {rates}  "
-            f"non-finite rejects: {figures['nonfinite_rejects']}")
-
-
 def summary_text(archive, criteria=None):
     """Human-readable posterior summary table plus criteria block."""
     lines = []
@@ -171,7 +163,10 @@ def summary_text(archive, criteria=None):
     lines.append(f"acceptance rates: {rates}")
     if archive.nonfinite_rejects:
         lines.append(f"non-finite proposals auto-rejected: {archive.nonfinite_rejects}")
-    lines.append(_prerun_line(archive.prerun))
+    fit = archive.prerun  # None only for a ChainSampler run given no fit
+    if fit:
+        lines.append(f"pre-run: Laplace fit  evaluations: {fit['evaluations']}  "
+                     f"converged: {fit['converged']}  ({fit['message']})")
     lines.append("")
     if L:
         names, mat = archive.names, archive.matrix

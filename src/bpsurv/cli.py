@@ -30,7 +30,7 @@ from .splines import gprior_scale
 from .study import run_mc_study
 
 _CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(McmcConfig))
-_STUDY_CHAIN_FIELDS = ("nburn", "nsave", "nskip", "prerun_iters")
+_STUDY_CHAIN_FIELDS = ("nburn", "nsave", "nskip")
 
 
 def _schema_flags(p):
@@ -41,8 +41,8 @@ def _schema_flags(p):
 
 
 def _config_flags(p, fields, type):
-    """One flag per McmcConfig field (--prerun-iters for prerun_iters; 0
-    skips the pre-run), defaulting to the field's default."""
+    """One flag per McmcConfig field (--a-tau for a_tau), defaulting to the
+    field's default."""
     for name in fields:
         p.add_argument("--" + name.replace("_", "-"), type=type,
                        default=getattr(McmcConfig, name))
@@ -66,7 +66,6 @@ def _fit_flags(p):
     p.add_argument("--spline-k", type=int, default=McmcConfig.spline_K)
     _config_flags(p, ("nburn", "nsave", "nskip", "seed"), int)
     _config_flags(p, ("a_alpha", "b_alpha", "a_tau", "b_tau", "a_phi", "b_phi"), float)
-    _config_flags(p, ("prerun_iters",), int)
     p.add_argument("--loglik-csv", action="store_true")
     p.add_argument("--config", default=None, help="key=value file or a fit meta.json")
     p.add_argument("--outdir", default=None)

@@ -149,14 +149,15 @@ def turnbull_npmle(lo, hi, trunc=None, tol=1e-8, max_iter=10_000):
     costs O(n + K), and no n x K membership matrix is formed.
 
     The EM map is accelerated by SQUAREM (Varadhan & Roland 2008, Scand. J.
-    Stat.): two EM steps from s give r = F(s) - s and v = F(F(s)) - 2F(s) + s;
-    the extrapolated point s - 2a r + a^2 v with a = -|r|/|v| (capped at -1)
-    is kept, after one more EM step, when its masses are non-negative, every
-    observation keeps positive mass and the observed log-likelihood
-    sum_i log(alpha_i . s) - log(beta_i . s) does not fall; otherwise the
-    plain double EM step is kept.  iterations counts these cycles; the run
-    has converged when a cycle changes no mass by tol or more and raises the
-    log-likelihood by at most 1e-10.
+    Stat.): two EM steps from s give r = F(s) - s and v = F(F(s)) - 2F(s) + s,
+    and the extrapolated point is s - 2a r + a^2 v with a = -|r|/|v| (capped
+    at -1).  While that point has a negative mass, the step length backtracks
+    to a = (a - 1)/2 (again capped at -1).  The point is kept, after one more
+    EM step, when a is still below -1, every observation keeps positive mass
+    and the observed log-likelihood sum_i log(alpha_i . s) - log(beta_i . s)
+    does not fall; otherwise the plain double EM step is kept.  iterations
+    counts these cycles; the run has converged when a cycle changes no mass
+    by tol or more and raises the log-likelihood by at most 1e-10.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -205,10 +206,14 @@ def turnbull_npmle(lo, hi, trunc=None, tol=1e-8, max_iter=10_000):
         v = s2 - 2.0 * s1 + s
         norm_v = np.linalg.norm(v)
         # a step too long to represent overflows to inf or nan, which the
-        # non-negativity test rejects
+        # non-negativity test rejects; an infinite a could never backtrack
         with np.errstate(over="ignore", invalid="ignore"):
             a = min(-np.linalg.norm(r) / norm_v, -1.0) if norm_v > 0.0 else -1.0
+            a = a if np.isfinite(a) else -1.0
             s_ext = s - 2.0 * a * r + a * a * v
+            while a < -1.0 and not np.all(s_ext >= 0.0):
+                a = min(0.5 * (a - 1.0), -1.0)
+                s_ext = s - 2.0 * a * r + a * a * v
         s_new = s2  # a = -1 extrapolates to s2 itself
         if a < -1.0 and np.all(s_ext >= 0.0):
             loglik_ext, s_next = em_step(s_ext)

@@ -7,17 +7,14 @@ parameter phi (random fields only), and the inclusion indicators gamma when
 variable selection is on.  The z/theta/beta/alpha/phi blocks share one
 random-walk Metropolis step (ChainSampler._metropolis).  Each block proposes
 x + L e, e ~ N(0, I), where L = ChainSampler.prop[block] is the lower
-Cholesky factor of the block's seed covariance, built once: the main chain
-never adapts, so it is a time-homogeneous Markov chain by construction.
+Cholesky factor of the block's seed covariance, built once: no proposal
+adapts, so the chain is a time-homogeneous Markov chain by construction.
 
-The parametric pre-run is a ChainSampler too: z pinned at 0 (weights 1/J,
-the parametric special case), vague priors, no frailties or selection, and
-only the theta and regression blocks updated.  It is the one place the
-proposals adapt: it keeps a running mean and covariance of each block's
-post-decision states, and after 200 of them replaces the block's factor by
-that of (2.4^2/d) times the running covariance (Haario et al. 2001).  Its
-second half supplies the starting values, the informative theta prior, and
-the seed covariances for theta and beta.
+Before the chain, parametric_prerun fits the parametric special case
+(weights pinned at 1/J) by a Laplace approximation: the mode of its
+log-posterior and the inverse Hessian there.  The fit supplies the starting
+values, the informative theta prior, and the seed covariances for theta and
+beta.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -35,10 +32,11 @@ from .baseline import dirichlet_symmetric_logpdf, weights_from_logits
 from .models import LikelihoodEvaluator, linear_predictor
 from .splines import build_basis, gprior_scale
 
+# SeedSequence.spawn children are positional, so the unused "prerun" and
+# "init" slots stay: every block keeps the stream it has always drawn from.
 _BLOCKS = ("prerun", "init", "z", "theta", "beta", "alpha", "frailty", "tau2",
            "phi", "gamma")
 _SEED_SCALE = 0.16  # seed proposal variance per coordinate
-_PRERUN_L0 = 200
 
 
 @dataclass
@@ -48,13 +46,12 @@ class McmcConfig:
 
     Defaults follow the source methodology: W0 = 1e10 I (or the g-prior with
     M=10, q=0.9 under selection, splines.gprior_scale), theta0/V0 from the
-    pre-run with V0 = 10 Vhat, a_alpha = b_alpha = 1, a_tau = b_tau = 0.001,
-    a_phi = 2 with b_phi = (a_phi - 1)/phi0.  The main chain's proposal
-    covariances are fixed for the whole chain: 0.16 I for z, alpha and phi,
-    and the pre-run's Vhat and What for theta and beta (0.16 I without a
-    pre-run).  Only the pre-run adapts its proposals.  alpha and tau2 start
-    at 1, phi at phi0.  The pre-run keeps the second half of its prerun_iters
-    iterations; prerun_iters = 0 skips it.
+    parametric Laplace fit with V0 = 10 Vhat, a_alpha = b_alpha = 1,
+    a_tau = b_tau = 0.001, a_phi = 2 with b_phi = (a_phi - 1)/phi0.  The
+    proposal covariances are fixed for the whole chain: 0.16 I for z, alpha
+    and phi, and the fit's Vhat and What for theta and beta (0.16 I for a
+    ChainSampler given no fit).  Giving theta0 and V0 replaces the
+    data-dependent theta prior.  alpha and tau2 start at 1, phi at phi0.
     """
 
     model: str = "ph"
@@ -82,18 +79,13 @@ class McmcConfig:
     spline_K: int = 5
     # frailties
     frailty: fr.FrailtySpec = field(default_factory=fr.FrailtySpec)
-    # pre-run
-    prerun_iters: int = 2000
 
     def __post_init__(self):
         if self.nskip < 1:
             raise ValueError(f"nskip must be at least 1, got {self.nskip}")
-        for name in ("nburn", "nsave", "prerun_iters"):
+        for name in ("nburn", "nsave"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if self.prerun_iters in (1, 2):
-            raise ValueError("prerun_iters must be 0 (no pre-run) or at least 3, so that "
-                             f"the pre-run keeps two draws, got {self.prerun_iters}")
 
 
 @dataclass
@@ -118,8 +110,9 @@ class ChainState:
 
 @dataclass
 class PrerunEstimates:
-    """The pre-run's estimates, plus figures: its iterations, the theta and
-    regression blocks' acceptance rates and its non-finite rejects."""
+    """The parametric Laplace fit's mode and covariance blocks, plus figures:
+    the optimiser's objective evaluations, its convergence flag and its
+    message."""
 
     theta_hat: np.ndarray
     V_hat: np.ndarray
@@ -150,81 +143,90 @@ def _theta_moment_init(dataset, family):
     return np.array([-mu, float(np.clip(th2, -3.0, 3.0))])
 
 
-def _spawn_rngs(seed):
-    seqs = np.random.SeedSequence(seed).spawn(len(_BLOCKS))
-    return {name: np.random.default_rng(s) for name, s in zip(_BLOCKS, seqs)}
+def _central_hessian(f, x):
+    """Central-difference Hessian of f at x with steps h_i = 1e-4 max(1, |x_i|):
+    (f(x + h_i e_i) - 2 f(x) + f(x - h_i e_i)) / h_i^2 on the diagonal, the
+    four-point rule divided by 4 h_i h_j off it."""
+    d = len(x)
+    E = np.diag(1e-4 * np.maximum(1.0, np.abs(x)))
+    h = np.diag(E)
+    f0 = f(x)
+    H = np.empty((d, d))
+    for i in range(d):
+        H[i, i] = (f(x + E[i]) - 2.0 * f0 + f(x - E[i])) / h[i] ** 2
+        for j in range(i):
+            H[i, j] = H[j, i] = (f(x + E[i] + E[j]) - f(x + E[i] - E[j])
+                                 - f(x - E[i] + E[j]) + f(x - E[i] - E[j])) / (4.0 * h[i] * h[j])
+    return H
 
 
-def parametric_prerun(dataset, config, spline_terms=None, rng=None):
-    """Short pinned-weights chain giving (theta_hat, V_hat, beta_hat, W_hat).
+def _laplace_covariance(f, x):
+    """The symmetrised inverse central-difference Hessian of f at x, or None
+    when it has no finite Cholesky factor."""
+    with np.errstate(invalid="ignore"):
+        try:
+            cov = np.linalg.inv(_central_hessian(f, x))
+            cov = 0.5 * (cov + cov.T)
+            if np.all(np.isfinite(np.linalg.cholesky(cov))):
+                return cov
+        except np.linalg.LinAlgError:
+            pass
+    return None
 
-    A ChainSampler with z pinned at 0 (w = 1/J), no frailties or selection,
-    vague priors (precisions 1e-6 I for theta around 0, 1e-10 I for the
-    regression block) and seed covariances 0.16 I for theta and
-    0.16 diag(1/max(var(column), 0.05)) for the regression block.  Each of
-    the prerun_iters iterations runs the theta then the regression update,
-    both drawing from rng.  This is the only adaptive sampler: it keeps a
-    Welford mean and M2 of each block's post-decision states, and once more
-    than _PRERUN_L0 are recorded the block proposes from the Cholesky factor
-    of (2.4^2/d)(M2/(count - 1) + 1e-10 I), or from its seed factor when
-    that has none (Haario et al. 2001).  The means and covariances of the
-    second half seed the main chain's theta prior, starting values and
-    proposal covariances.
+
+def parametric_prerun(dataset, config, spline_terms=None):
+    """Laplace fit of the parametric special case: (theta_hat, V_hat,
+    beta_hat, W_hat).
+
+    With the weights pinned at 1/J (S0 = S_theta), no frailties or selection
+    and vague priors (precisions 1e-6 I for theta around 0, 1e-10 I for the
+    regression block), BFGS minimises the negative log-posterior from
+    (_theta_moment_init, 0); a non-finite log-likelihood at a trial point
+    reads as +inf.  The mode gives theta_hat and beta_hat, and the inverse of
+    the central-difference Hessian there, symmetrised, gives V_hat (its theta
+    block) and W_hat (its regression block).  BFGS's convergence flag is
+    reported, not required: near the mode the finite-difference gradient
+    stops at its noise floor, where BFGS reports a precision loss.  A
+    non-finite objective at the returned point, or a covariance without a
+    Cholesky factor, raises ValueError.
     """
+    from scipy.optimize import minimize  # not at import: the CLI loads this module
+
     if dataset.n == 0:
-        raise ValueError("the parametric pre-run needs at least one observation")
-    spline_terms = spline_terms or []
-    rng = rng or np.random.default_rng(config.seed)
-    pinned = replace(config, frailty=fr.FrailtySpec(), selection=False,
-                     theta0=tuple(_theta_moment_init(dataset, config.family)))
-    s = ChainSampler(dataset, pinned, spline_terms, rngs={"theta": rng, "beta": rng})
-    if not np.all(np.isfinite(s.state.ll_obs)):
-        bad = int(np.flatnonzero(~np.isfinite(s.state.ll_obs))[0])
+        raise ValueError("the parametric Laplace fit needs at least one observation")
+    designs = [t.design for t in spline_terms or []]
+    ev = LikelihoodEvaluator(dataset, config.model, config.family, config.J)
+    w = np.full(config.J, 1.0 / config.J)
+
+    def loglik_obs(x):
+        eta = linear_predictor(dataset.X, designs, x[2:])
+        return ev.loglik_obs(ev.build_cache(x[:2], eta), w, eta)
+
+    def objective(x):
+        ll = float(loglik_obs(x).sum())
+        if not np.isfinite(ll):
+            return math.inf
+        return -(ll - 0.5e-6 * float(x[:2] @ x[:2]) - 0.5e-10 * float(x[2:] @ x[2:]))
+
+    dims = dataset.p + sum(D.shape[1] for D in designs)
+    x0 = np.concatenate([_theta_moment_init(dataset, config.family), np.zeros(dims)])
+    ll0 = loglik_obs(x0)
+    if not np.all(np.isfinite(ll0)):
+        bad = int(np.flatnonzero(~np.isfinite(ll0))[0])
         raise ValueError(f"non-finite likelihood at initialization (observation {bad}); "
                          "check for zero-probability intervals")
-    s.theta0 = np.zeros(2)
-    s.V0inv = 1e-6 * np.eye(2)
-    s.W0inv = 1e-10 * np.eye(s.dims)
-    updates = {"theta": s.update_theta}
-    if s.dims:
-        col_scale = np.concatenate([1.0 / np.maximum(D.var(axis=0), 0.05)
-                                    for D in (dataset.X, *s._designs)])
-        s.prop["beta"] = np.linalg.cholesky(_SEED_SCALE * np.diag(col_scale))
-        updates["beta"] = s.update_beta
-    seed = {block: s.prop[block] for block in updates}
-    running = {block: (np.zeros(len(L)), np.zeros(L.shape)) for block, L in seed.items()}
-
-    n = config.prerun_iters
-    burn = n // 2
-    TH = np.empty((n - burn, 2))
-    BE = np.empty((n - burn, s.dims))
-    for it in range(n):
-        count = it + 1
-        for block, update in updates.items():
-            update()
-            x = getattr(s.state, block)
-            mean, m2 = running[block]
-            delta = x - mean
-            mean += delta / count
-            m2 += np.outer(delta, x - mean)
-            if count > _PRERUN_L0:
-                d = len(x)
-                try:
-                    s.prop[block] = np.linalg.cholesky(
-                        (2.4 ** 2 / d) * (m2 / (count - 1) + 1e-10 * np.eye(d)))
-                except np.linalg.LinAlgError:
-                    s.prop[block] = seed[block]
-        if it >= burn:
-            TH[it - burn] = s.state.theta
-            BE[it - burn] = s.state.beta
-    V_hat = np.cov(TH.T) + 1e-8 * np.eye(2)
-    W_hat = (np.cov(BE.T).reshape(s.dims, s.dims) + 1e-8 * np.eye(s.dims)) if s.dims \
-        else np.zeros((0, 0))
-    figures = {"iterations": n,
-               "accept_rates": {block: s.accept[block] / n for block in updates},
-               "nonfinite_rejects": s.nonfinite_rejects}
-    return PrerunEstimates(theta_hat=TH.mean(axis=0), V_hat=V_hat,
-                           beta_hat=BE.mean(axis=0), W_hat=W_hat, figures=figures)
+    res = minimize(objective, x0, method="BFGS")
+    if not np.isfinite(res.fun):
+        raise ValueError("the parametric Laplace fit failed: the log-posterior is not "
+                         f"finite at the optimiser's point ({res.message})")
+    cov = _laplace_covariance(objective, res.x)
+    if cov is None:
+        raise ValueError("the parametric Laplace fit failed: the inverse Hessian at the "
+                         f"mode has no Cholesky factor ({res.message})")
+    figures = {"evaluations": int(res.nfev), "converged": bool(res.success),
+               "message": str(res.message)}
+    return PrerunEstimates(theta_hat=res.x[:2], V_hat=cov[:2, :2], beta_hat=res.x[2:],
+                           W_hat=cov[2:, 2:], figures=figures)
 
 
 class ChainSampler:
@@ -234,12 +236,13 @@ class ChainSampler:
     a single block against its full conditional.
     """
 
-    def __init__(self, dataset, config, spline_terms=None, prerun_est=None, rngs=None):
+    def __init__(self, dataset, config, spline_terms=None, prerun_est=None):
         self.ds = dataset
         self.cfg = config
         self.terms = list(spline_terms or [])
         self.ev = LikelihoodEvaluator(dataset, config.model, config.family, config.J)
-        self.rngs = rngs or _spawn_rngs(config.seed)
+        seqs = np.random.SeedSequence(config.seed).spawn(len(_BLOCKS))
+        self.rngs = {name: np.random.default_rng(s) for name, s in zip(_BLOCKS, seqs)}
         self.p = dataset.p
         self.dims = self.p + sum(t.K for t in self.terms)
         self._designs = [t.design for t in self.terms]
@@ -362,8 +365,7 @@ class ChainSampler:
         log-likelihood (None for a block the likelihood does not see), the
         rest of the log acceptance ratio, and anything the caller needs on
         acceptance.  A non-finite total ll* is counted and rejected.  Returns
-        (x*, ll*, extra) on acceptance, else None.  Only the pre-run replaces
-        a factor between steps; in the main chain each factor stays fixed.
+        (x*, ll*, extra) on acceptance, else None.
         """
         L, rng = self.prop[block], self.rngs[block]
         step = L @ rng.standard_normal(L.shape[0])
@@ -702,7 +704,7 @@ class PosteriorArchive:
     elapsed: float
     nonfinite_rejects: int = 0
     spline_terms: list = None
-    prerun: dict = None       # PrerunEstimates.figures; None without a pre-run
+    prerun: dict = None       # PrerunEstimates.figures; None without a fit
     draws: dict = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -749,19 +751,16 @@ class PosteriorArchive:
 
 
 def run_chain(dataset, config):
-    """Pre-run (unless prerun_iters is 0) followed by the main chain; returns
-    the archive.
+    """The parametric Laplace fit followed by the main chain; returns the
+    archive.
 
     The archive's elapsed time covers both, and archive.prerun carries the
-    pre-run's figures.
+    fit's figures.
     """
     t_start = time.perf_counter()
-    rngs = _spawn_rngs(config.seed)
     terms = [build_basis(dataset.column(name), config.spline_K, name)
              for name in config.nonlinear]
-    est = None
-    if config.prerun_iters:
-        est = parametric_prerun(dataset, config, terms, rngs["prerun"])
-    archive = ChainSampler(dataset, config, terms, est, rngs).run(t_start)
-    archive.prerun = est.figures if est else None
+    est = parametric_prerun(dataset, config, terms)
+    archive = ChainSampler(dataset, config, terms, est).run(t_start)
+    archive.prerun = est.figures
     return archive

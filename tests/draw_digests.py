@@ -9,10 +9,10 @@ the checkout's src/):
 Data: `bpsurv simulate --design sim1-ph --seed 1` (37 areal regions) and
 `--design sim3-aft --seed 1` (150 georeferenced sites), plus a left-truncated
 copy of the areal data with trunc = 0.4 t1 on data rows 0, 3, 6, ...  Every
-fit passes --nburn 150 --nsave 150 --prerun-iters 300 --seed 3 --trunc-col
-trunc.  The fits cover each model, each frailty kind (none, iid, icar, dense
-grf, FSA with 20 knots and 4 blocks), --selection, --nonlinear x2, left
-truncation and a fit without the pre-run.  BLAS runs on one thread.
+fit passes --nburn 150 --nsave 150 --seed 3 --trunc-col trunc.  The fits
+cover each model, each frailty kind (none, iid, icar, dense grf, FSA with 20
+knots and 4 blocks), --selection, --nonlinear x2 and left truncation.  BLAS
+runs on one thread.
 
 Each line reads: label, sha256 of draws.csv, sha256 of loglik.npy.  The
 script takes about ten seconds; it is not a pytest module.
@@ -35,8 +35,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bpsurv.cli import main  # noqa: E402
 
-SHORT = ["--nburn", "150", "--nsave", "150", "--prerun-iters", "300", "--seed", "3",
-         "--trunc-col", "trunc"]
+SHORT = ["--nburn", "150", "--nsave", "150", "--seed", "3", "--trunc-col", "trunc"]
 
 # (label, data set, extra fit options)
 FITS = [
@@ -45,7 +44,6 @@ FITS = [
     ("ph --selection", "areal", ["--selection"]),
     ("ph --selection --nonlinear x2", "areal", ["--selection", "--nonlinear", "x2"]),
     ("ph --frailty iid", "areal", ["--frailty", "iid"]),
-    ("ph --prerun-iters 0", "areal", ["--prerun-iters", "0"]),
     ("po --frailty iid --selection", "areal",
      ["--model", "po", "--frailty", "iid", "--selection"]),
     ("aft --nonlinear x2 --selection", "areal",

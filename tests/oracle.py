@@ -11,11 +11,10 @@ vectorized kernel they check:
 select_knots is the candidate-by-candidate form of the maximin knot search
 that bpsurv.frailty.select_knots vectorizes.
 
-parametric_prerun is the pre-run written as its own Metropolis loop with its
-own adaptive proposal (AdaptiveRandomWalk), the reference for
-bpsurv.sampler.parametric_prerun, which runs the theta and regression blocks
-of a pinned ChainSampler instead.  The pre-run is the only sampler that
-adapts; a main chain proposes from fixed Cholesky factors.
+parametric_prerun is a pinned-weights random-walk sampler of the parametric
+special case with its own adaptive proposal (AdaptiveRandomWalk), the
+statistical reference for bpsurv.sampler.parametric_prerun, which replaces
+sampling by a Laplace fit of the same posterior.
 
 turnbull_npmle is the self-consistency EM over dense n x K membership
 matrices, built from a Python event list; bpsurv.diagnostics.turnbull_npmle
@@ -351,15 +350,13 @@ class AdaptiveRandomWalk:
         return L @ rng.standard_normal(self.d)
 
 
-def parametric_prerun(dataset, config, spline_terms=None, rng=None):
+def parametric_prerun(dataset, config, spline_terms, rng, iters):
     """Pinned-weights Metropolis loop over theta and the regression vector:
-    w = 1/J, vague priors, no frailties or selection; the second half of
-    config.prerun_iters iterations gives the estimates, and the loop counts
-    each block's acceptances and the non-finite proposals."""
+    w = 1/J, vague priors, no frailties or selection; the means and
+    covariances of the second half of iters iterations are the estimates."""
     if dataset.n == 0:
         raise ValueError("the parametric pre-run needs at least one observation")
     spline_terms = spline_terms or []
-    rng = rng or np.random.default_rng(config.seed)
     ev = LikelihoodEvaluator(dataset, config.model, config.family, config.J)
     w = np.full(config.J, 1.0 / config.J)
     p = dataset.p
@@ -383,21 +380,17 @@ def parametric_prerun(dataset, config, spline_terms=None, rng=None):
     prop_theta = AdaptiveRandomWalk(0.16 * np.eye(2))
     prop_beta = AdaptiveRandomWalk(0.16 * np.diag(col_scale)) if dims else None
     vague_theta, vague_beta = 1e-6, 1e-10  # prior precisions
-    burn = config.prerun_iters // 2
+    burn = iters // 2
 
     keep_theta, keep_beta = [], []
-    accepted = {"theta": 0, "beta": 0}
-    nonfinite = 0
-    for it in range(config.prerun_iters):
+    for it in range(iters):
         th_star = theta + prop_theta.step(rng)
         cache_star = ev.build_cache(th_star, eta)
         ll_star = ev.loglik_obs(cache_star, w, eta)
         lt = float(ll_star.sum())
         dprior = -0.5 * vague_theta * (th_star @ th_star - theta @ theta)
-        nonfinite += not np.isfinite(lt)
         if np.isfinite(lt) and math.log(rng.uniform()) < lt - ll_tot + dprior:
             theta, cache, ll, ll_tot = th_star, cache_star, ll_star, lt
-            accepted["theta"] += 1
         prop_theta.record(theta)
 
         if dims:
@@ -407,10 +400,8 @@ def parametric_prerun(dataset, config, spline_terms=None, rng=None):
             ll_star = ev.loglik_obs(cache_b, w, eta_star)
             lt = float(ll_star.sum())
             dprior = -0.5 * vague_beta * (b_star @ b_star - beta @ beta)
-            nonfinite += not np.isfinite(lt)
             if np.isfinite(lt) and math.log(rng.uniform()) < lt - ll_tot + dprior:
                 beta, eta, cache, ll, ll_tot = b_star, eta_star, cache_b, ll_star, lt
-                accepted["beta"] += 1
             prop_beta.record(beta)
 
         if it >= burn:
@@ -422,13 +413,8 @@ def parametric_prerun(dataset, config, spline_terms=None, rng=None):
     V_hat = np.cov(TH.T) + 1e-8 * np.eye(2)
     W_hat = (np.cov(BE.T).reshape(dims, dims) + 1e-8 * np.eye(dims)) if dims \
         else np.zeros((0, 0))
-    n = config.prerun_iters
-    figures = {"iterations": n,
-               "accept_rates": {"theta": accepted["theta"] / n,
-                                **({"beta": accepted["beta"] / n} if dims else {})},
-               "nonfinite_rejects": nonfinite}
     return PrerunEstimates(theta_hat=TH.mean(axis=0), V_hat=V_hat,
-                           beta_hat=BE.mean(axis=0), W_hat=W_hat, figures=figures)
+                           beta_hat=BE.mean(axis=0), W_hat=W_hat, figures={})
 
 
 def baseline_for_draw(archive, s):

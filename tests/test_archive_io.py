@@ -1,8 +1,6 @@
 """The draw layout from chain to disk and back: a fit loaded from its output
 directory equals, bit for bit, the in-memory archive that wrote it."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -36,7 +34,7 @@ def dense_grf_fit():
 
 
 def config(**kw):
-    defaults = dict(J=6, nburn=30, nsave=25, nskip=1, seed=5, prerun_iters=60)
+    defaults = dict(J=6, nburn=30, nsave=25, nskip=1, seed=5)
     defaults.update(kw)
     return sm.McmcConfig(**defaults)
 
@@ -111,7 +109,6 @@ class TestLayout:
     @pytest.mark.parametrize("name", ["icar-selection-spline", "grf-dense"])
     def test_last_row_is_the_final_state(self, name):
         ds, cfg = FITS[name]()
-        cfg = dataclasses.replace(cfg, prerun_iters=0)
         terms = [build_basis(ds.column(t), cfg.spline_K, t) for t in cfg.nonlinear]
         s = sm.ChainSampler(ds, cfg, terms)
         draws = s.run().draws

@@ -45,7 +45,7 @@ def regions_csv(tmp_path):
     return path
 
 
-FAST = ["--nburn", "120", "--nsave", "80", "--nskip", "1", "--prerun-iters", "200"]
+FAST = ["--nburn", "120", "--nsave", "80", "--nskip", "1"]
 
 
 class TestSimulate:
@@ -101,7 +101,7 @@ class TestFit:
         header = (tmp_path / "fit" / "draws.csv").read_text().splitlines()[0]
         assert "beta.trunc" not in header
 
-    @pytest.mark.parametrize("flag, value", [("--nskip", "0"), ("--prerun-iters", "2"),
+    @pytest.mark.parametrize("flag, value", [("--nskip", "0"), ("--nburn", "-1"),
                                              ("--nsave", "-1")])
     def test_broken_chain_setting_is_an_error(self, tmp_path, capsys, flag, value):
         path = tiny_dataset_csv(tmp_path)
@@ -167,42 +167,48 @@ class TestFit:
 
     def test_meta_json_reproduces_run(self, tmp_path):
         path = tiny_dataset_csv(tmp_path)
-        argv = ["fit", "--data", str(path), "--location-col", "location",
-                "--trunc-col", "trunc", "--seed", "5", *FAST]
-        # the second run skips the pre-run, and the replay must skip it too
-        for k, extra in enumerate(([], ["--prerun-iters", "0"])):
-            out1, out2 = tmp_path / f"f{k}", tmp_path / f"g{k}"
-            assert main(argv + extra + ["--outdir", str(out1)]) == 0
-            rc = main(["fit", "--config", str(out1 / "meta.json"), "--outdir", str(out2)])
-            assert rc == 0
-            assert (out1 / "draws.csv").read_bytes() == (out2 / "draws.csv").read_bytes()
-        assert (tmp_path / "f0" / "draws.csv").read_bytes() \
-            != (tmp_path / "f1" / "draws.csv").read_bytes()
+        out1, out2 = tmp_path / "f", tmp_path / "g"
+        assert main(["fit", "--data", str(path), "--location-col", "location",
+                     "--trunc-col", "trunc", "--seed", "5", *FAST, "--outdir", str(out1)]) == 0
+        rc = main(["fit", "--config", str(out1 / "meta.json"), "--outdir", str(out2)])
+        assert rc == 0
+        assert (out1 / "draws.csv").read_bytes() == (out2 / "draws.csv").read_bytes()
 
     def test_prerun_figures_in_meta_and_summary(self, tmp_path, capsys):
         path = tiny_dataset_csv(tmp_path)
         argv = ["fit", "--data", str(path), "--location-col", "location",
                 "--trunc-col", "trunc", "--seed", "5", *FAST]
-        assert main(argv + ["--outdir", str(tmp_path / "pre")]) == 0
-        assert main(argv + ["--prerun-iters", "0", "--outdir", str(tmp_path / "none")]) == 0
-        prerun = json.loads((tmp_path / "pre" / "meta.json").read_text())["prerun"]
-        assert set(prerun) == {"iterations", "accept_rates", "nonfinite_rejects"}
-        assert prerun["iterations"] == 200 and prerun["nonfinite_rejects"] == 0
-        rates = prerun["accept_rates"]
-        assert set(rates) == {"theta", "beta"}
-        assert all(0.0 < r < 1.0 and round(r * 200) / 200 == r for r in rates.values())
-        summary = (tmp_path / "pre" / "summary.txt").read_text()
-        assert (f"pre-run: 200 iterations  acceptance rates: beta={rates['beta']:.3f}  "
-                f"theta={rates['theta']:.3f}  non-finite rejects: 0") in summary
-        assert json.loads((tmp_path / "none" / "meta.json").read_text())["prerun"] is None
-        assert "pre-run: none" in (tmp_path / "none" / "summary.txt").read_text()
+        assert main(argv + ["--outdir", str(tmp_path / "fit")]) == 0
+        prerun = json.loads((tmp_path / "fit" / "meta.json").read_text())["prerun"]
+        assert set(prerun) == {"evaluations", "converged", "message"}
+        assert prerun["evaluations"] > 0 and isinstance(prerun["converged"], bool)
+        summary = (tmp_path / "fit" / "summary.txt").read_text()
+        assert (f"pre-run: Laplace fit  evaluations: {prerun['evaluations']}  "
+                f"converged: {prerun['converged']}  ({prerun['message']})") in summary
+
+    @pytest.mark.parametrize("part", ["hessian", "optimum"])
+    def test_failed_laplace_fit_is_an_error(self, tmp_path, capsys, monkeypatch, part):
+        import scipy.optimize
+
+        from bpsurv import sampler
+        if part == "hessian":  # an indefinite Hessian has no covariance
+            monkeypatch.setattr(sampler, "_central_hessian", lambda f, x: -np.eye(len(x)))
+        else:  # an optimiser that returns a point of zero posterior density
+            monkeypatch.setattr(scipy.optimize, "minimize", lambda f, x0, method: (
+                scipy.optimize.OptimizeResult(x=x0, fun=np.inf, message="forced")))
+        path = tiny_dataset_csv(tmp_path)
+        rc = main(["fit", "--data", str(path), "--location-col", "location",
+                   "--trunc-col", "trunc", *FAST, "--outdir", str(tmp_path / "fit")])
+        assert rc == 2
+        assert "Laplace fit failed" in capsys.readouterr().err
+        assert not (tmp_path / "fit").exists()
 
     def test_config_file_key_values(self, tmp_path):
         path = tiny_dataset_csv(tmp_path)
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(
             f"data = {path}\nlocation_col = location\ntrunc_col = trunc\n"
-            "nburn = 120\nnsave = 80\nprerun_iters = 200\nseed = 5\n")
+            "nburn = 120\nnsave = 80\nseed = 5\n")
         out = tmp_path / "fit"
         assert main(["fit", "--config", str(cfgfile), "--outdir", str(out)]) == 0
         meta = json.loads((out / "meta.json").read_text())
@@ -214,11 +220,15 @@ class TestFit:
         rc = main(["fit", "--config", str(cfgfile), "--outdir", str(tmp_path / "x")])
         assert rc == 2
         assert "bogus" in capsys.readouterr().err
-        # a meta.json carrying the removed l0 and no_prerun options does not replay
+        # a file or meta.json carrying a removed option does not replay
+        cfgfile.write_text("prerun_iters = 2000\n")
+        assert main(["fit", "--config", str(cfgfile), "--dry-run"]) == 2
+        assert "['prerun_iters']" in capsys.readouterr().err
         old_meta = tmp_path / "meta.json"
-        old_meta.write_text(json.dumps({"cli": {"nburn": 120, "l0": 5000, "no_prerun": False}}))
+        old_meta.write_text(json.dumps({"cli": {"nburn": 120, "l0": 5000, "no_prerun": False,
+                                                "prerun_iters": 2000}}))
         assert main(["fit", "--config", str(old_meta), "--dry-run"]) == 2
-        assert "['l0', 'no_prerun']" in capsys.readouterr().err
+        assert "['l0', 'no_prerun', 'prerun_iters']" in capsys.readouterr().err
 
     @staticmethod
     def dry_run_options(text):
@@ -322,8 +332,7 @@ class TestDiagnose:
 class TestMcStudy:
     def test_worker_count_independence(self, tmp_path):
         argv = ["mc-study", "--design", "sim1-ph", "--replicates", "2", "--seed", "4",
-                "--nburn", "60", "--nsave", "40", "--nskip", "1",
-                "--prerun-iters", "120"]
+                "--nburn", "60", "--nsave", "40", "--nskip", "1"]
         out1, out2 = tmp_path / "j1", tmp_path / "j2"
         assert main(argv + ["--jobs", "1", "--outdir", str(out1)]) == 0
         assert main(argv + ["--jobs", "2", "--outdir", str(out2)]) == 0
@@ -339,8 +348,7 @@ class TestMcStudy:
 
         out = tmp_path / "one"
         assert main(["mc-study", "--design", "sim3-ph", "--replicates", "1", "--seed", "2",
-                     "--nburn", "30", "--nsave", "20", "--prerun-iters", "60",
-                     "--outdir", str(out)]) == 0
+                     "--nburn", "30", "--nsave", "20", "--outdir", str(out)]) == 0
         agg = json.loads((out / "aggregate.json").read_text(), parse_constant=no_constant)
         assert agg["replicates"] == 1
         assert agg["beta_sd_est"] is None

@@ -42,7 +42,7 @@ class TestDic:
         from bpsurv import archive_io, sampler
         from bpsurv.simulate import SimDesign
         ds = SimDesign(model="ph", m=4, n_per_site=10, frailty_kind="none").generate(2)[0]
-        cfg = sampler.McmcConfig(J=4, nburn=20, nsave=30, seed=3, prerun_iters=0)
+        cfg = sampler.McmcConfig(J=4, nburn=20, nsave=30, seed=3)
         arch = sampler.run_chain(ds, cfg)
         # a plug-in point fitting worse than the average draw: p_D = -6
         arch.loglik_at_mean = float(arch.loglik_total.mean()) - 3.0
@@ -64,7 +64,7 @@ class TestDic:
         from bpsurv.baseline import weights_from_logits
         from bpsurv.simulate import SimDesign
         ds = SimDesign(model="po", m=4, n_per_site=10, frailty_kind="none").generate(2)[0]
-        cfg = sampler.McmcConfig(model="po", J=3, nburn=0, nsave=0, prerun_iters=0)
+        cfg = sampler.McmcConfig(model="po", J=3, nburn=0, nsave=0)
         s = sampler.ChainSampler(ds, cfg, [], None)
         beta = np.array([[0.5, 1.0], [0.7, 0.9], [0.6, 1.1], [0.8, 1.2]])
         theta = np.array([[0.1, 0.2], [0.0, 0.1], [-0.2, 0.3], [0.3, 0.0]])
@@ -220,7 +220,7 @@ class TestBfParametric:
         from bpsurv import archive_io, sampler
         from bpsurv.simulate import SimDesign
         ds = SimDesign(model="ph", m=4, n_per_site=10, frailty_kind="none").generate(2)[0]
-        cfg = sampler.McmcConfig(J=6, nburn=20, nsave=30, seed=3, prerun_iters=0,
+        cfg = sampler.McmcConfig(J=6, nburn=20, nsave=30, seed=3,
                                  nonlinear=("x2",), spline_K=4)
         arch = sampler.run_chain(ds, cfg)
         stuck = np.arange(arch.L) % 3  # three distinct states in 5 and 4 dimensions

@@ -103,13 +103,14 @@ class TestTurnbull:
 
     def test_slow_residual_sample_converges(self):
         # Cox-Snell residuals (lo, hi, trunc) of one posterior draw of a short
-        # iid-frailty PH fit; the EM needs about 6600 cycles there
+        # iid-frailty PH fit: without step-length backtracking SQUAREM drops
+        # its infeasible steps and the EM needs about 6600 cycles, with it 170
         lo, hi, trunc = np.loadtxt(Path(__file__).parent / "data" / "turnbull_slow_residuals.csv",
                                    delimiter=",", skiprows=1, unpack=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             est = dg.turnbull_npmle(lo, hi, trunc)
-        assert est.converged and est.iterations > 1000
+        assert est.converged and est.iterations < 500
 
 
 def mixed_sample(rng, n, truncate):
@@ -214,7 +215,7 @@ class TestCoxSnellResiduals:
                                    u=0.5 * o.a if k % 3 == 0 else 0.0)
                for k, o in enumerate(ds.observations)]
         ds = Dataset(observations=obs, m=ds.m, covariate_names=ds.covariate_names)
-        cfg = sm.McmcConfig(model=model, J=4, nburn=20, nsave=10, seed=5, prerun_iters=60,
+        cfg = sm.McmcConfig(model=model, J=4, nburn=20, nsave=10, seed=5,
                             selection=True, nonlinear=("x2",), spline_K=4,
                             frailty=fr.FrailtySpec(kind="iid"))
         arch = sm.run_chain(ds, cfg)

@@ -26,10 +26,10 @@ def two_obs_dataset():
 
 def make_sampler(dataset, **kw):
     defaults = dict(model="ph", family="loglogistic", J=2, nburn=0, nsave=0,
-                    seed=9, prerun_iters=0, theta0=(0.0, 0.0), V0=np.eye(2))
+                    seed=9, theta0=(0.0, 0.0), V0=np.eye(2))
     defaults.update(kw)
     cfg = sm.McmcConfig(**defaults)
-    return sm.ChainSampler(dataset, cfg, [], None, sm._spawn_rngs(cfg.seed))
+    return sm.ChainSampler(dataset, cfg, [], None)
 
 
 @pytest.fixture
@@ -55,65 +55,6 @@ def grid_cdf(grid, logdens):
     return lambda x: np.interp(x, grid, cdf)
 
 
-@pytest.fixture(scope="class")
-def prerun_steps():
-    """Every random-walk step of a 400-iteration pre-run with a theta and a
-    two-column regression block: {block: (factors, states)}, the factor each
-    step drew from and the state it started at, in order."""
-    steps = {"theta": ([], []), "beta": ([], [])}
-    metropolis = sm.ChainSampler._metropolis
-
-    def recording(self, block, x, target, positive=False):
-        factors, states = steps[block]
-        factors.append(self.prop[block].copy())
-        states.append(x.copy())
-        return metropolis(self, block, x, target, positive)
-
-    ds = SimDesign(model="ph", m=5, n_per_site=12, frailty_kind="none").generate(6)[0]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sm.ChainSampler, "_metropolis", recording)
-        sm.parametric_prerun(ds, sm.McmcConfig(J=5, prerun_iters=400),
-                             rng=np.random.default_rng(11))
-    return {block: (factors, np.array(states)) for block, (factors, states) in steps.items()}
-
-
-def haario_covariance(states):
-    d = states.shape[1]
-    return (2.4 ** 2 / d) * (np.cov(states.T) + 1e-10 * np.eye(d))
-
-
-class TestPrerunAdaptation:
-    # The step of iteration k has seen the post-decision states of iterations
-    # 0..k-1, which are the starting states of iterations 1..k.
-
-    @pytest.mark.parametrize("block", ["theta", "beta"])
-    def test_frozen_before_l0(self, prerun_steps, block):
-        factors, _ = prerun_steps[block]
-        assert len(factors) == 400
-        for k in range(sm._PRERUN_L0 + 1):
-            assert np.array_equal(factors[k], factors[0]), k
-        assert not np.allclose(factors[sm._PRERUN_L0 + 1], factors[0])
-        if block == "theta":
-            assert np.array_equal(factors[0], np.linalg.cholesky(0.16 * np.eye(2)))
-
-    @pytest.mark.parametrize("block", ["theta", "beta"])
-    def test_switches_to_scaled_running_covariance(self, prerun_steps, block):
-        factors, states = prerun_steps[block]
-        k = sm._PRERUN_L0 + 1
-        L = factors[k]
-        assert np.array_equal(L, np.tril(L))
-        assert np.allclose(L @ L.T, haario_covariance(states[1:k + 1]), rtol=1e-10, atol=0)
-
-    @pytest.mark.parametrize("block", ["theta", "beta"])
-    def test_streaming_cov_matches_numpy(self, prerun_steps, block):
-        # the streaming update equals np.cov of all the states seen, at every step
-        factors, states = prerun_steps[block]
-        for k in range(sm._PRERUN_L0 + 1, 400):
-            L = factors[k]
-            assert np.allclose(L @ L.T, haario_covariance(states[1:k + 1]),
-                               rtol=1e-9, atol=1e-15), k
-
-
 class TestFixedProposals:
     def test_main_chain_keeps_seed_proposals(self):
         # the main chain never adapts: each block proposes from the Cholesky
@@ -131,7 +72,7 @@ class TestFixedProposals:
 
     def test_factors_of_the_prerun_estimates(self):
         ds = SimDesign(model="ph", m=4, n_per_site=6, frailty_kind="grf").generate(1)[0]
-        cfg = sm.McmcConfig(J=4, prerun_iters=60, seed=2,
+        cfg = sm.McmcConfig(J=4, seed=2,
                             frailty=fr.FrailtySpec(kind="grf", coords=ds.coords))
         est = sm.parametric_prerun(ds, cfg)
         s = sm.ChainSampler(ds, cfg, [], est)
@@ -150,11 +91,6 @@ class TestMcmcConfigValidation:
         (dict(nsave=-1), "nsave"),
         # an empty chain still needs a valid thinning
         (dict(nburn=0, nsave=0, nskip=0), "nskip"),
-        (dict(prerun_iters=-1), "prerun_iters"),
-        # an empty main chain does not excuse a pre-run too short to keep two draws
-        (dict(nburn=0, nsave=0, prerun_iters=1), "prerun_iters"),
-        (dict(prerun_iters=1), "prerun_iters"),
-        (dict(prerun_iters=2), "prerun_iters"),
     ])
     def test_rejects_broken_chain_settings(self, settings, name):
         with pytest.raises(ValueError, match=name):
@@ -162,8 +98,8 @@ class TestMcmcConfigValidation:
 
     @pytest.mark.parametrize("settings", [
         dict(nburn=0, nsave=0),
-        dict(prerun_iters=3),
-        dict(prerun_iters=0),
+        dict(nsave=1, nskip=1),  # one saved draw at the smallest thinning
+        dict(nburn=0),
     ])
     def test_accepts_edge_settings(self, settings):
         sm.McmcConfig(**settings)
@@ -185,50 +121,77 @@ class TestPrerun:
         obs = [dm.CensoredObservation(a=float(tt), b=float(tt), x=(float(xx),))
                for tt, xx in zip(t, x)]
         ds = dm.Dataset(observations=obs, m=1, covariate_names=["x"])
-        cfg = sm.McmcConfig(model="aft", family="loglogistic", seed=3,
-                            prerun_iters=1500)
+        cfg = sm.McmcConfig(model="aft", family="loglogistic", seed=3)
         est = sm.parametric_prerun(ds, cfg)
         # truth: theta = (0, log 2), beta = 1
         assert abs(est.beta_hat[0] - 1.0) < 3 * math.sqrt(est.W_hat[0, 0])
         assert abs(est.theta_hat[0] - 0.0) < 4 * math.sqrt(est.V_hat[0, 0])
         assert abs(est.theta_hat[1] - math.log(2.0)) < 4 * math.sqrt(est.V_hat[1, 1])
 
+    def test_lognormal_aft_is_least_squares(self):
+        # With the weights pinned, AFT lognormal on exact times is Gaussian
+        # regression of log t on Z = [1, x]: log t = -theta_1 - beta x +
+        # e^-theta_2 eps.  Its mode is the least-squares fit (c0, c1) with
+        # sigma^2 = RSS/n, and the inverse Hessian is sigma^2 (Z'Z)^-1 for
+        # (theta_1, beta) and 1/(2n) for theta_2.
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=300)
+        t = np.exp(0.7 - 1.3 * x + 0.6 * rng.normal(size=300))
+        obs = [dm.CensoredObservation(a=float(tt), b=float(tt), x=(float(xx),))
+               for tt, xx in zip(t, x)]
+        ds = dm.Dataset(observations=obs, m=1, covariate_names=["x"])
+        Z = np.column_stack([np.ones(ds.n), ds.X[:, 0]])
+        logt = np.log(ds.a)
+        c, rss = np.linalg.lstsq(Z, logt, rcond=None)[:2]
+        sigma2 = float(rss[0]) / ds.n
+        cov = sigma2 * np.linalg.inv(Z.T @ Z)
+        est = sm.parametric_prerun(ds, sm.McmcConfig(model="aft", family="lognormal"))
+        assert np.allclose(est.theta_hat, [-c[0], -0.5 * math.log(sigma2)], rtol=0, atol=1e-6)
+        assert np.allclose(est.beta_hat, [-c[1]], rtol=0, atol=1e-6)
+        assert np.allclose(np.diag(est.V_hat), [cov[0, 0], 1.0 / (2 * ds.n)], rtol=1e-6, atol=0)
+        assert abs(est.V_hat[0, 1]) < 1e-6 * math.sqrt(est.V_hat[0, 0] * est.V_hat[1, 1])
+        assert np.allclose(est.W_hat, [[cov[1, 1]]], rtol=1e-6, atol=0)
+
     def test_deterministic(self):
         ds, _ = __import__("bpsurv.simulate", fromlist=["sim1_design"]) \
             .sim1_design("ph").generate(0)
-        cfg = sm.McmcConfig(seed=42, prerun_iters=200)
-        rng1 = np.random.default_rng(np.random.SeedSequence(7))
-        rng2 = np.random.default_rng(np.random.SeedSequence(7))
-        e1 = sm.parametric_prerun(ds, cfg, rng=rng1)
-        e2 = sm.parametric_prerun(ds, cfg, rng=rng2)
+        cfg = sm.McmcConfig(seed=42)
+        e1 = sm.parametric_prerun(ds, cfg)
+        e2 = sm.parametric_prerun(ds, cfg)
         assert np.array_equal(e1.theta_hat, e2.theta_hat)
         assert np.array_equal(e1.W_hat, e2.W_hat)
 
+    # The spline case (aft with a 4-knot term) is left out: at 60 observations
+    # its posterior is not Gaussian, so a Laplace fit does not reproduce the
+    # sampled means and SDs there.
     @pytest.mark.parametrize("model, covariates, spline", [
         ("ph", False, False),   # no regression block
-        ("aft", True, True),    # covariates plus a spline term
         ("po", True, False),
     ])
     def test_matches_loop_reference(self, model, covariates, spline):
+        # the mode and SDs of the fit against the means and SDs of the
+        # reference's pinned-weights random walk, within its Monte Carlo error
         ds = SimDesign(model=model, m=5, n_per_site=12, frailty_kind="none").generate(6)[0]
         if not covariates:
             ds = dm.Dataset(observations=[dm.CensoredObservation(a=o.a, b=o.b, x=())
                                           for o in ds.observations],
                             m=1, covariate_names=[])
         terms = [build_basis(ds.column("x2"), 4, "x2")] if spline else []
-        cfg = sm.McmcConfig(model=model, J=5, prerun_iters=400, seed=1)
-        got = sm.parametric_prerun(ds, cfg, terms, np.random.default_rng(11))
-        ref = oracle.parametric_prerun(ds, cfg, terms, np.random.default_rng(11))
+        cfg = sm.McmcConfig(model=model, J=5, seed=1)
+        got = sm.parametric_prerun(ds, cfg, terms)
+        ref = oracle.parametric_prerun(ds, cfg, terms, np.random.default_rng(11), iters=4000)
         assert got.beta_hat.size == ds.p + 4 * spline
-        for key in ("theta_hat", "V_hat", "beta_hat", "W_hat"):
-            assert np.array_equal(getattr(got, key), getattr(ref, key)), key
-        assert got.figures == ref.figures
+        for mode, var, mean, ref_var in ((got.theta_hat, got.V_hat, ref.theta_hat, ref.V_hat),
+                                         (got.beta_hat, got.W_hat, ref.beta_hat, ref.W_hat)):
+            ref_sd = np.sqrt(np.diag(ref_var))
+            assert np.all(np.abs(mode - mean) <= 0.5 * ref_sd)
+            assert np.all(np.abs(np.sqrt(np.diag(var)) / ref_sd - 1.0) <= 0.2)
 
     def test_does_not_count_as_sweeps(self, monkeypatch):
         sweeps = []
         monkeypatch.setattr(sm.ChainSampler, "sweep", lambda self: sweeps.append(1))
         ds = SimDesign(model="ph", m=4, n_per_site=6, frailty_kind="none").generate(1)[0]
-        sm.parametric_prerun(ds, sm.McmcConfig(prerun_iters=10))
+        sm.parametric_prerun(ds, sm.McmcConfig())
         assert not sweeps
 
 
@@ -432,7 +395,7 @@ class TestGammaBlock:
 class TestRunChain:
     def small_config(self, **kw):
         defaults = dict(model="ph", family="loglogistic", J=6, nburn=50, nsave=40,
-                        nskip=2, seed=12, prerun_iters=150)
+                        nskip=2, seed=12)
         defaults.update(kw)
         return sm.McmcConfig(**defaults)
 
@@ -515,10 +478,9 @@ class TestRunChain:
         ds = self.dataset()
         cfg = self.small_config()
         arch = sm.run_chain(ds, cfg)
-        est = sm.parametric_prerun(ds, cfg, [], sm._spawn_rngs(cfg.seed)["prerun"])
-        assert arch.prerun == est.figures
-        assert set(arch.prerun["accept_rates"]) == {"theta", "beta"}
-        assert sm.run_chain(ds, self.small_config(prerun_iters=0)).prerun is None
+        assert arch.prerun == sm.parametric_prerun(ds, cfg).figures
+        assert set(arch.prerun) == {"evaluations", "converged", "message"}
+        assert arch.prerun["evaluations"] > 0
 
     def test_nsave_zero_diagnostics_only(self):
         ds = self.dataset()
