@@ -86,43 +86,45 @@ def _comb_row(ntrials):
     return np.exp(logc)
 
 
-def _pmf_rows(x, ntrials):
-    """Rows k = 0..ntrials of C(ntrials,k) x^k (1-x)^(ntrials-k), shape (ntrials+1, N).
+def bernstein_bases(x, J, exact=()):
+    """The Bernstein cdf and pdf rows at x, from one table of powers.
 
-    Row-major power recurrences keep every operation contiguous; this is the
-    innermost kernel of every likelihood evaluation.
+    Returns (cdf, pdf): cdf has rows j = 1..J of Delta_{j,J}(x), shape
+    (J, len(x)); pdf has rows j = 1..J of delta_{j,J} at the points
+    x[exact], shape (J, len(exact)).  Both are C-ordered.
+
+    With y = 1 - x, the powers x^k and y^k come from one row-major
+    recurrence.  The cdf is the binomial tail Delta_{j,J}(x) = P(Bin(J,x) >= j)
+    = 1 - sum_{k<j} C(J,k) x^k y^(J-k), its partial sums taken row by row;
+    the pdf is delta_{j,J}(x) = J C(J-1,k) x^k y^(J-1-k) with k = j - 1.
+    Every product is formed in that order, so each entry is fixed by x and J
+    alone.  This is the innermost kernel of every likelihood evaluation.
     """
     x = np.asarray(x, dtype=float)
+    exact = np.asarray(exact, dtype=np.intp)
     N = x.shape[0]
-    y = 1.0 - x
-    xp = np.empty((ntrials + 1, N))
-    yp = np.empty((ntrials + 1, N))
-    xp[0] = 1.0
-    yp[0] = 1.0
-    for k in range(1, ntrials + 1):
-        np.multiply(xp[k - 1], x, out=xp[k])
-        np.multiply(yp[k - 1], y, out=yp[k])
-    xp *= yp[::-1]
-    xp *= _comb_row(ntrials)[:, None]
-    return xp
+    # row k holds x^k in its first N columns and y^k in its last N
+    powers = np.empty((J + 1, 2 * N))
+    powers[0] = 1.0
+    base = np.concatenate([x, 1.0 - x])
+    for k in range(1, J + 1):
+        np.multiply(powers[k - 1], base, out=powers[k])
 
+    cdf = np.empty((J, N))
+    np.multiply(powers[:J, :N], powers[J:0:-1, N:], out=cdf)
+    cdf *= _comb_row(J)[:J, None]
+    for k in range(1, J):
+        cdf[k] += cdf[k - 1]
+    np.subtract(1.0, cdf, out=cdf)
+    np.clip(cdf, 0.0, 1.0, out=cdf)
 
-def bernstein_cdf_rows(x, J):
-    """Rows j = 1..J of Delta_{j,J}(x), shape (J, len(x)).
-
-    Uses the downward recursion Delta_{j+1,J} = Delta_{j,J} - C(J,j) x^j (1-x)^(J-j),
-    equivalently the binomial tail identity Delta_{j,J}(x) = P(Bin(J,x) >= j).
-    """
-    pmf = _pmf_rows(x, J)
-    tail = 1.0 - np.cumsum(pmf[:-1], axis=0)
-    return np.clip(tail, 0.0, 1.0, out=tail)
-
-
-def bernstein_pdf_rows(x, J):
-    """Rows j = 1..J of delta_{j,J}(x), shape (J, len(x))."""
-    pmf = _pmf_rows(x, J - 1)
-    pmf *= J
-    return pmf
+    ne = exact.shape[0]
+    picked = np.take(powers[:J], np.concatenate([exact, N + exact]), axis=1)
+    pdf = np.empty((J, ne))
+    np.multiply(picked[:, :ne], picked[::-1, ne:], out=pdf)
+    pdf *= _comb_row(J - 1)[:, None]
+    pdf *= J
+    return cdf, pdf
 
 
 # ---------------------------------------------------------------------------

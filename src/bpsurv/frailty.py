@@ -5,8 +5,14 @@ fields over georeferenced sites, with an optional low-rank-plus-block
 Exposed quantities are exactly what the sampler needs: the precision kernel C,
 its diagonal and diag(C) - C, which give every frailty kind's full conditional
 by one rule, the quadratic form v'Cv with the rank of C, and the
-log-determinant of a random field's R.  A random field's R, exact or
-approximated, is inverted by one Cholesky factorisation.
+log-determinant of a random field's R.
+
+A random field's structure is built from the lower Cholesky factor L of R,
+exact or approximated, and nothing else: the log-determinant is read from
+diag(L) and v'R^{-1}v from one triangular solve (Rue & Held 2005, sec. 2.4).
+Its C = R^{-1}, diagonal and coupling are formed from L when first read.
+Only the frailty scan reads them, so a range proposal pays for the factor
+alone and the inverse is formed once per accepted range.
 """
 
 from __future__ import annotations
@@ -15,11 +21,25 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotri, dtrtrs
 
 KINDS = ("none", "iid", "icar", "grf")
 
 _NUGGET = 1e-10
+
+
+class SingularCorrelation(ValueError):
+    """A random field's correlation matrix has no Cholesky factor at a range."""
+
+
+def _lower_factor(R, what, phi):
+    """The lower Cholesky factor of R (LAPACK dpotrf), its upper triangle zero."""
+    L, info = dpotrf(R, lower=1)
+    if info != 0:
+        raise SingularCorrelation(f"the {what} is numerically singular at range "
+                                  f"phi = {phi:.6g}")
+    return L
 
 
 def corr_from_distance(d, phi, nu=1.0):
@@ -212,20 +232,24 @@ class PrecisionStructure:
     ----------
     C : (m, m) array; the precision-kernel matrix (F_e - E for icar, identity
         for iid, R^{-1} for grf).
-    diag : diag(C).
-    coupling : diag(C) - C, built on first use.  Every kind's full
-        conditional of v_i given the rest has mean (coupling v)_i / C_ii and
-        variance tau2 / C_ii (Besag 1974).
+    diag : diag(C), built on first use.
+    coupling : diag(C) - C, built on first use and exactly symmetric.  Every
+        kind's full conditional of v_i given the rest has mean
+        (coupling v)_i / C_ii and variance tau2 / C_ii (Besag 1974).
     rank : rank of C entering the tau^-2 Gibbs shape (m-1 for icar, m else).
     logdet_half : log |C|^(1/2) term for range updates; 0 except for grf,
         where it equals -0.5 log det R.
     """
 
-    def __init__(self, C, rank, logdet_half=0.0):
+    logdet_half = 0.0
+
+    def __init__(self, C, rank):
         self.C = C
         self.rank = rank
-        self.logdet_half = logdet_half
-        self.diag = np.diag(C).copy()
+
+    @cached_property
+    def diag(self):
+        return np.diag(self.C).copy()
 
     @cached_property
     def coupling(self):
@@ -235,13 +259,39 @@ class PrecisionStructure:
         return float(v @ self.C @ v)
 
 
+class FieldStructure(PrecisionStructure):
+    """A random field's PrecisionStructure, held as the lower Cholesky factor
+    L of its correlation matrix R.
+
+    logdet_half = -sum log L_ii and quad_form(v) = |L^{-1} v|^2 come from L
+    at construction and per call.  C = R^{-1} is formed from L (LAPACK
+    dpotri, its lower triangle mirrored) on first read, and diag and
+    coupling from C after it.
+    """
+
+    def __init__(self, L):
+        self.L = L
+        self.rank = L.shape[0]
+        self.logdet_half = -float(np.log(np.diag(L)).sum())
+
+    @cached_property
+    def C(self):
+        inv = dpotri(self.L, lower=1)[0]  # lower triangle; the upper stays zero
+        return inv + np.tril(inv, -1).T
+
+    def quad_form(self, v):
+        y = dtrtrs(self.L, v, lower=1)[0]
+        return float(y @ y)
+
+
 def build_structure(spec, phi=None, m=None):
     """Construct the PrecisionStructure for a frailty spec.
 
     grf needs the range parameter phi; iid needs the site count m (its
     structural data is just the identity).  A grf field's correlation, the
-    exact one or its full-scale approximation, is inverted through one
-    Cholesky factorisation, which also gives its log-determinant.
+    exact one or its full-scale approximation, is factored by one Cholesky
+    factorisation and kept as its factor (FieldStructure).  A correlation
+    without a factor raises SingularCorrelation, a ValueError.
     """
     if spec.kind == "none":
         return None
@@ -259,18 +309,16 @@ def build_structure(spec, phi=None, m=None):
         R = dense_correlation(spec.distances, phi, spec.nu)
     else:
         R = fsa_build(spec.fsa_geometry, phi, spec.nu)
-    cf = cho_factor(R, lower=True)
-    Rinv = cho_solve(cf, np.eye(R.shape[0]))
-    logdet = 2.0 * np.log(np.diag(cf[0])).sum()
-    return PrecisionStructure(Rinv, rank=R.shape[0], logdet_half=-0.5 * logdet)
+    return FieldStructure(_lower_factor(R, "grf correlation matrix", phi))
 
 
 def dense_correlation(d, phi, nu=1.0):
     """R = (1 - eps) rho_mm + eps I with the powered-exponential correlation
     of the (m, m) site distances d."""
-    rho = corr_from_distance(d, phi, nu)
-    m = rho.shape[0]
-    return (1.0 - _NUGGET) * rho + _NUGGET * np.eye(m)
+    R = corr_from_distance(d, phi, nu)
+    R *= 1.0 - _NUGGET
+    R.flat[::R.shape[0] + 1] += _NUGGET
+    return R
 
 
 def fsa_build(geometry, phi, nu):
@@ -281,16 +329,13 @@ def fsa_build(geometry, phi, nu):
 
     Delta the same-block indicator, for the knots and blocks of geometry (a
     FrailtySpec.fsa_geometry).  Only the low-rank part and the within-block
-    residuals are evaluated; build_structure factors the result.
+    residuals are evaluated; build_structure factors the result.  A knot
+    correlation without a Cholesky factor raises SingularCorrelation.
     """
     m = geometry.d_mA.shape[0]
     rho_AA = corr_from_distance(geometry.d_AA, phi, nu)
     rho_mA = corr_from_distance(geometry.d_mA, phi, nu)
-    try:
-        L_AA = cholesky(rho_AA, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("knot correlation matrix is not positive definite "
-                         "(duplicate knots?)") from exc
+    L_AA = _lower_factor(rho_AA, "knot correlation matrix", phi)
     half = solve_triangular(L_AA, rho_mA.T, lower=True)  # (A, m); rho_l = half' half
 
     Rs = np.zeros((m, m))

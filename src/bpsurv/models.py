@@ -15,13 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .baseline import (
-    bernstein_cdf_rows,
-    bernstein_pdf_rows,
-    family_log_density,
-    family_survival,
-    _CLAMP,
-)
+from .baseline import _CLAMP, bernstein_bases, family_log_density, family_survival
 
 MODELS = ("aft", "ph", "po")
 
@@ -82,6 +76,12 @@ class LikelihoodEvaluator:
     matrices depend on theta and, for the AFT model only, on eta through the
     time rescaling; build_cache makes them for one (theta, eta), and
     cache_for_eta turns a cache into one valid at another eta.
+
+    A cache's cdfb (J, all points) and pdfb (J, exact points) are C-ordered,
+    both from one power table (baseline.bernstein_bases).  The layout is part
+    of the result: w @ cdfb sums over j in an order that BLAS picks from the
+    memory layout, so an F-ordered basis would give the same S0 to within
+    rounding only and change every draw.
     """
 
     def __init__(self, dataset, model, family, J):
@@ -106,13 +106,12 @@ class LikelihoodEvaluator:
         self._scale_idx = np.concatenate([np.arange(self.n), self.idx_bfin, self.idx_trunc])
 
     def build_cache(self, theta, eta):
-        """Precompute basis matrices and centering-density terms at (theta, eta)."""
+        """Precompute basis matrices and centering-density terms at (theta, eta):
+        the cdf rows at every point and the pdf rows at the exact ones."""
         pts = model_time(self.model, self._pts, eta[self._scale_idx])
         x = family_survival(self.family, theta, pts)
         np.clip(x, _CLAMP, 1.0 - _CLAMP, out=x)
-        cdfb = bernstein_cdf_rows(x, self.J)
-        xa_exact = x[self.idx_exact]
-        pdfb = bernstein_pdf_rows(xa_exact, self.J)
+        cdfb, pdfb = bernstein_bases(x, self.J, self.idx_exact)
         t_exact = pts[self.idx_exact]
         logf = family_log_density(self.family, theta, t_exact)
         return {"cdfb": cdfb, "pdfb": pdfb, "logf_exact": logf,

@@ -450,8 +450,12 @@ class ChainSampler:
         frailty).  The prior terms use each site's full conditional, mean
         (coupling v)_i / C_ii and variance tau2 / C_ii, read from the
         structure's coupling = diag(C) - C for every frailty kind, with
-        coupling v kept current as sites change.  After an ICAR scan the field
-        is recentered to mean zero and the cached likelihood refreshed.
+        coupling v kept current as sites change: an accepted site adds its
+        row of coupling, which equals its column since coupling is exactly
+        symmetric.  The per-site arithmetic runs on Python floats.  For a
+        random field the first scan after an accepted range forms C = R^{-1}
+        from the structure's factor.  After an ICAR scan the field is
+        recentered to mean zero and the cached likelihood refreshed.
         """
         if not self.has_frailty:
             return
@@ -467,28 +471,30 @@ class ChainSampler:
         eta_prop = self.eta_lin + v_prop[self.ev.loc0]
         ll_prop = self.ev.loglik_obs(self.ev.cache_for_eta(self.cache, eta_prop), st.w, eta_prop)
         site_prop = self.ev.site_sums(np.where(np.isfinite(ll_prop), ll_prop, -1e306))
-        site_cur = self.ev.site_sums(st.ll_obs)
+        gain = (site_prop - self.ev.site_sums(st.ll_obs)).tolist()
 
         coupling = self.structure.coupling
         v = st.v
         coupled = coupling @ v
-        accepted = np.zeros(m, dtype=bool)
-        for i in range(m):
-            mean_i = coupled[i] / prec[i]
-            dv_new = v_prop[i] - mean_i
-            dv_old = v[i] - mean_i
-            dprior = -0.5 * prec[i] / st.tau2 * (dv_new * dv_new - dv_old * dv_old)
-            if logu[i] < site_prop[i] - site_cur[i] + dprior:
-                coupled += coupling[:, i] * (v_prop[i] - v[i])
-                v[i] = v_prop[i]
-                accepted[i] = True
-        self.accept_frailty += int(accepted.sum())
+        tau2 = st.tau2
+        accepted = []
+        for i, (p_i, new, old, lu, g) in enumerate(zip(prec.tolist(), v_prop.tolist(),
+                                                       v.tolist(), logu.tolist(), gain)):
+            mean_i = coupled.item(i) / p_i
+            dv_new = new - mean_i
+            dv_old = old - mean_i
+            dprior = -0.5 * p_i / tau2 * (dv_new * dv_new - dv_old * dv_old)
+            if lu < g + dprior:
+                coupled += coupling[i] * (new - old)
+                accepted.append(i)
+        v[accepted] = v_prop[accepted]
+        self.accept_frailty += len(accepted)
         self._frailty_scans += 1
 
         recenter = self.spec.kind == "icar"
         if recenter:
             v -= v.mean()
-        if recenter or accepted.any():
+        if recenter or accepted:
             self.eta = self._eta(self.eta_lin)
             self.cache = self.ev.cache_for_eta(self.cache, self.eta)
             st.ll_obs = self.ev.loglik_obs(self.cache, st.w, self.eta)
@@ -502,6 +508,13 @@ class ChainSampler:
         st.tau2 = 1.0 / self.rngs["tau2"].gamma(shape, 1.0 / rate)
 
     def update_phi(self):
+        """Random-walk Metropolis on the range phi.
+
+        A proposal factors its correlation matrix and reads logdet_half and
+        v'R^{-1}v from the factor; it forms no inverse (the next frailty scan
+        does, on acceptance).  A proposal whose correlation has no Cholesky
+        factor is rejected and counted in nonfinite_rejects.
+        """
         if not self.has_phi:
             return
         st = self.state
@@ -512,7 +525,11 @@ class ChainSampler:
 
         def target(x):
             phi = float(x[0])
-            struct = fr.build_structure(self.spec, phi=phi, m=self.m)
+            try:
+                struct = fr.build_structure(self.spec, phi=phi, m=self.m)
+            except fr.SingularCorrelation:
+                self.nonfinite_rejects += 1
+                return None, -math.inf, None
             return None, logpost(struct, phi) - logpost(self.structure, st.phi), struct
 
         hit = self._metropolis("phi", np.array([st.phi]), target, positive=True)
@@ -720,15 +737,14 @@ class PosteriorArchive:
 
     def fitted_baseline_survival(self, tgrid):
         """Posterior mean of S0(t) over the grid."""
-        from .baseline import bernstein_cdf_rows, family_survival
-        from .baseline import _CLAMP
+        from .baseline import _CLAMP, bernstein_bases, family_survival
         tgrid = np.asarray(tgrid, dtype=float)
         W = self.weights()
         acc = np.zeros_like(tgrid)
         for s in range(self.L):
             x = family_survival(self.family, self.draws["theta"][s], tgrid)
             np.clip(x, _CLAMP, 1.0 - _CLAMP, out=x)
-            acc += W[s] @ bernstein_cdf_rows(x, self.J)
+            acc += W[s] @ bernstein_bases(x, self.J)[0]
         return acc / self.L
 
     def effective_beta_draws(self):

@@ -32,6 +32,11 @@ the neighbour average for icar, -sum_{j != i} C_ij v_j / C_ii for grf), the
 reference for bpsurv.sampler.ChainSampler.update_frailties, which reads one
 coupling matrix kept current as sites change.
 
+bernstein_cdf_rows and bernstein_pdf_rows build each basis from its own
+binomial pmf table (_pmf_rows): the references for
+bpsurv.baseline.bernstein_bases, which forms both from one power table and
+must match them bit for bit.
+
 CenteringFamily and TbpBaseline evaluate a centering family and the TBP
 baseline S0(t) = D(S_theta(t) | J, w) at arbitrary times, the form in which
 surv, dens and obs_loglik take a baseline.
@@ -49,8 +54,7 @@ from scipy.optimize import brentq
 from bpsurv.baseline import (
     _CLAMP,
     _check_family,
-    bernstein_cdf_rows,
-    bernstein_pdf_rows,
+    _comb_row,
     family_log_density,
     family_survival,
 )
@@ -61,6 +65,38 @@ from bpsurv.models import linear_predictor as stacked_predictor
 from bpsurv.sampler import PrerunEstimates, _theta_moment_init
 
 _FLOOR = 1e-300
+
+
+def _pmf_rows(x, ntrials):
+    """Rows k = 0..ntrials of C(ntrials,k) x^k (1-x)^(ntrials-k), shape (ntrials+1, N)."""
+    x = np.asarray(x, dtype=float)
+    N = x.shape[0]
+    y = 1.0 - x
+    xp = np.empty((ntrials + 1, N))
+    yp = np.empty((ntrials + 1, N))
+    xp[0] = 1.0
+    yp[0] = 1.0
+    for k in range(1, ntrials + 1):
+        np.multiply(xp[k - 1], x, out=xp[k])
+        np.multiply(yp[k - 1], y, out=yp[k])
+    xp *= yp[::-1]
+    xp *= _comb_row(ntrials)[:, None]
+    return xp
+
+
+def bernstein_cdf_rows(x, J):
+    """Rows j = 1..J of Delta_{j,J}(x) = P(Bin(J,x) >= j), shape (J, len(x)),
+    by the downward recursion Delta_{j+1,J} = Delta_{j,J} - C(J,j) x^j (1-x)^(J-j)."""
+    pmf = _pmf_rows(x, J)
+    tail = 1.0 - np.cumsum(pmf[:-1], axis=0)
+    return np.clip(tail, 0.0, 1.0, out=tail)
+
+
+def bernstein_pdf_rows(x, J):
+    """Rows j = 1..J of delta_{j,J}(x), shape (J, len(x))."""
+    pmf = _pmf_rows(x, J - 1)
+    pmf *= J
+    return pmf
 
 
 def family_density(family, theta, t):

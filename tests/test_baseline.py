@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from scipy.special import betainc, gamma as gamma_fn
 
 from bpsurv import baseline as bl
+from bpsurv.models import LikelihoodEvaluator, model_time
+from bpsurv.simulate import sim1_design
 
 import oracle
 
@@ -16,12 +18,13 @@ def random_simplex(rng, J):
 
 def mixture_cdf(x, J, w):
     """D(x | J, w) at the points x, from the kernel the likelihood uses."""
-    return np.asarray(w) @ bl.bernstein_cdf_rows(np.asarray(x, dtype=float), J)
+    return np.asarray(w) @ bl.bernstein_bases(np.asarray(x, dtype=float), J)[0]
 
 
 def mixture_pdf(x, J, w):
     """d(x | J, w) at the points x, from the kernel the likelihood uses."""
-    return np.asarray(w) @ bl.bernstein_pdf_rows(np.asarray(x, dtype=float), J)
+    x = np.asarray(x, dtype=float)
+    return np.asarray(w) @ bl.bernstein_bases(x, J, np.arange(x.shape[0]))[1]
 
 
 def z_log_prior(z, alpha):
@@ -66,6 +69,36 @@ class TestBernsteinCdf:
         x = np.linspace(0, 1, 500)
         d = np.diff(mixture_cdf(x, 15, w))
         assert np.all(d >= -1e-14)
+
+
+class TestBernsteinBases:
+    @pytest.mark.parametrize("J", [2, 3, 15, 40])
+    def test_bit_equal_to_the_pmf_references(self, J):
+        rng = np.random.default_rng(J)
+        x = np.concatenate([[bl._CLAMP, 1.0 - bl._CLAMP], rng.uniform(size=97),
+                            [bl._CLAMP, 0.5, 1.0 - bl._CLAMP]])
+        subsets = [np.arange(0), np.arange(x.size), np.sort(rng.choice(x.size, 40, replace=False)),
+                   np.array([0, 1, x.size - 1])]
+        for exact in subsets:
+            cdf, pdf = bl.bernstein_bases(x, J, exact)
+            assert cdf.flags.c_contiguous and pdf.flags.c_contiguous
+            assert cdf.shape == (J, x.size) and pdf.shape == (J, exact.size)
+            assert np.array_equal(cdf, oracle.bernstein_cdf_rows(x, J))
+            assert np.array_equal(pdf, oracle.bernstein_pdf_rows(x[exact], J))
+
+    @pytest.mark.parametrize("model", ["aft", "ph", "po"])
+    def test_likelihood_cache_bit_equal(self, model):
+        ds = sim1_design(model).generate(2)[0]
+        ev = LikelihoodEvaluator(ds, model, "loglogistic", 15)
+        eta = np.random.default_rng(4).normal(scale=0.5, size=ds.n)
+        cache = ev.build_cache((0.2, -0.1), eta)
+        x = bl.family_survival("loglogistic", (0.2, -0.1),
+                               model_time(model, ev._pts, eta[ev._scale_idx]))
+        x = np.clip(x, bl._CLAMP, 1.0 - bl._CLAMP)
+        assert ev.idx_exact.size and cache["cdfb"].flags.c_contiguous
+        assert cache["pdfb"].flags.c_contiguous
+        assert np.array_equal(cache["cdfb"], oracle.bernstein_cdf_rows(x, 15))
+        assert np.array_equal(cache["pdfb"], oracle.bernstein_pdf_rows(x[ev.idx_exact], 15))
 
 
 class TestBernsteinPdf:

@@ -203,6 +203,34 @@ class TestFit:
         assert "Laplace fit failed" in capsys.readouterr().err
         assert not (tmp_path / "fit").exists()
 
+    def test_unfactorable_range_proposals_are_rejected(self, tmp_path, capsys):
+        # nu = 2 leaves the knot correlation without a nugget and without a
+        # Cholesky factor at short ranges; such phi proposals are rejected
+        data = tmp_path / "geo.csv"
+        assert main(["simulate", "--design", "sim3-po", "--seed", "1", "--out", str(data)]) == 0
+        rc = main(["fit", "--data", str(data), "--lon-col", "lon", "--lat-col", "lat",
+                   "--trunc-col", "trunc", "--model", "po", "--frailty", "grf", "--nu", "2",
+                   "--fsa-knots", "30", "--fsa-blocks", "5", "--nburn", "200", "--nsave", "100",
+                   "--seed", "1", "--outdir", str(tmp_path / "fit")])
+        assert rc == 0
+        assert json.loads((tmp_path / "fit" / "meta.json").read_text())["nonfinite_rejects"] > 0
+
+    def test_singular_initial_range_is_an_error(self, tmp_path, capsys):
+        # 19 sites within 0.01 of each other and one far away: at phi0 the
+        # 12 knots' nu = 2 correlation has no Cholesky factor
+        rng = np.random.default_rng(1)
+        coords = np.vstack([rng.uniform(0, 0.01, size=(19, 2)), [[10.0, 10.0]]])
+        rows = ["t1,t2,lon,lat"] + [f"{1.0 + 0.1 * i},{1.0 + 0.1 * i},{x!r},{y!r}"
+                                    for i, (x, y) in enumerate(coords.tolist())]
+        path = tmp_path / "clustered.csv"
+        path.write_text("\n".join(rows) + "\n")
+        rc = main(["fit", "--data", str(path), "--lon-col", "lon", "--lat-col", "lat",
+                   "--frailty", "grf", "--nu", "2", "--fsa-knots", "12", "--fsa-blocks", "2",
+                   *FAST, "--outdir", str(tmp_path / "fit")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "numerically singular at range phi" in err and "duplicate" not in err
+
     def test_config_file_key_values(self, tmp_path):
         path = tiny_dataset_csv(tmp_path)
         cfgfile = tmp_path / "run.cfg"

@@ -282,6 +282,54 @@ class TestFsa:
         assert st.quad_form(v) == pytest.approx(dense, rel=1e-6)
 
 
+class TestFactorStructure:
+    @pytest.mark.parametrize("fsa", [None, (10, 5)])
+    def test_quad_and_logdet_from_the_factor(self, fsa):
+        spec = fr.FrailtySpec(kind="grf", coords=grid_coords(60, seed=7), fsa=fsa)
+        rng = np.random.default_rng(3)
+        for phi in (0.3, 0.5, 2.0):
+            st = fr.build_structure(spec, phi=phi)
+            R = (fr.dense_correlation(spec.distances, phi) if fsa is None
+                 else fr.fsa_build(spec.fsa_geometry, phi, 1.0))
+            v = rng.normal(size=60)
+            assert st.quad_form(v) == pytest.approx(v @ np.linalg.inv(R) @ v, rel=1e-12)
+            sign, ld = np.linalg.slogdet(R)
+            assert sign > 0
+            assert st.logdet_half == pytest.approx(-0.5 * ld, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["iid", "icar", "grf", "fsa"])
+    def test_coupling_is_exactly_symmetric(self, kind):
+        if kind == "iid":
+            st = fr.build_structure(fr.FrailtySpec(kind="iid"), m=5)
+        elif kind == "icar":
+            st = fr.build_structure(fr.FrailtySpec(kind="icar", adjacency=path_graph(6)))
+        else:
+            spec = fr.FrailtySpec(kind="grf", coords=grid_coords(40, seed=8),
+                                  fsa=(8, 3) if kind == "fsa" else None)
+            st = fr.build_structure(spec, phi=0.7)
+        assert np.array_equal(st.coupling, st.coupling.T)
+        assert np.array_equal(st.C, st.C.T)
+
+    def test_inverse_is_formed_on_first_read_only(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fr, "dpotri", lambda *a, _f=fr.dpotri, **k: calls.append(1) or _f(*a, **k))
+        spec = fr.FrailtySpec(kind="grf", coords=grid_coords(30, seed=9))
+        st = fr.build_structure(spec, phi=0.6)
+        st.quad_form(np.ones(30))
+        assert calls == [] and st.logdet_half > 0.0  # log det R < 0
+        st.coupling, st.diag, st.C
+        assert calls == [1]
+
+    def test_unfactorable_knots_name_the_range(self):
+        # 19 sites within 0.01 of each other and one far away: at phi0 the
+        # 12 knots' nu = 2 correlation has no Cholesky factor
+        rng = np.random.default_rng(1)
+        coords = np.vstack([rng.uniform(0, 0.01, size=(19, 2)), [[10.0, 10.0]]])
+        spec = fr.FrailtySpec(kind="grf", coords=coords, nu=2.0, fsa=(12, 2))
+        with pytest.raises(fr.SingularCorrelation, match="numerically singular at range phi"):
+            fr.build_structure(spec, phi=spec.phi0())
+
+
 class TestGeometryReuse:
     @pytest.mark.parametrize("nu", [1.0, 1.5])
     @pytest.mark.parametrize("fsa", [None, (12, 4)])

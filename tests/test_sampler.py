@@ -347,6 +347,38 @@ class TestFrailtyScan:
             assert got.state.phi != got.phi0  # the scan ran on more than one structure
 
 
+class TestPhiStep:
+    def geo_sampler(self, **spec_kw):
+        ds, _ = SimDesign(model="ph", m=12, n_per_site=4, frailty_kind="grf").generate(8)
+        return make_sampler(ds, frailty=fr.FrailtySpec(kind="grf", coords=ds.coords, **spec_kw))
+
+    def test_unfactorable_proposal_is_rejected_and_counted(self):
+        s = self.geo_sampler(nu=2.0, fsa=(6, 3))
+        # near phi = 1e-10 every nu = 2 knot correlation rounds to 1: the
+        # knot matrix is all ones and has no Cholesky factor
+        s.state.phi = 1e-10
+        s.prop["phi"] = np.full((1, 1), 1e-12)
+        structure = s.structure
+        for k in range(1, 4):
+            s.update_phi()
+            assert s.nonfinite_rejects == k
+        assert s.accept["phi"] == 0 and s.state.phi == 1e-10 and s.structure is structure
+
+    def test_proposals_form_no_inverse(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fr, "dpotri", lambda *a, _f=fr.dpotri, **k: calls.append(1) or _f(*a, **k))
+        s = self.geo_sampler()
+        formed = None
+        for _ in range(30):
+            n = len(calls)
+            s.update_phi()
+            assert len(calls) == n  # accepted or rejected, a proposal forms no R^{-1}
+            s.update_frailties()
+            assert len(calls) == n + (s.structure is not formed)
+            formed = s.structure
+        assert 0 < s.accept["phi"] < 30
+
+
 class TestTau2Gibbs:
     def test_moments_at_zero_field(self):
         ds = dm.Dataset(observations=[], m=3, covariate_names=[])
