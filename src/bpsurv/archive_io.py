@@ -24,6 +24,8 @@ from . import criteria as cr
 from .sampler import PosteriorArchive
 from .splines import build_basis
 
+_LOW_ACCEPT = 0.01  # summary.txt warns of a block accepting less than this
+
 
 def _jsonable(value):
     if isinstance(value, np.ndarray):
@@ -161,6 +163,10 @@ def summary_text(archive, criteria=None):
                  f"retained draws: {L}")
     rates = "  ".join(f"{k}={v:.3f}" for k, v in sorted(archive.accept_rates.items()))
     lines.append(f"acceptance rates: {rates}")
+    for block, rate in sorted(archive.accept_rates.items()):
+        if L and rate < _LOW_ACCEPT:
+            lines.append(f"warning: {block} accepted {rate:.2%} of its proposals: its draws "
+                         "barely move, and their summaries do not describe its posterior")
     if archive.nonfinite_rejects:
         lines.append(f"non-finite proposals auto-rejected: {archive.nonfinite_rejects}")
     fit = archive.prerun  # None only for a ChainSampler run given no fit

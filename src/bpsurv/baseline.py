@@ -6,6 +6,18 @@ of Beta(j, J-j+1) distribution functions with simplex weights w, and S_theta
 is one of three two-parameter centering families (log-logistic, log-normal,
 Weibull) parameterized on R^2.  Equal weights w_j = 1/J recover S_theta
 exactly.
+
+The mixture is evaluated in the Bernstein form.  With x = S_theta(t),
+y = 1 - x and W_k = w_1 + ... + w_k,
+
+    D(x | J, w)             = sum_{k=1..J}   C(J,k) W_k       x^k y^(J-k)
+    f0(t) / f_theta(t)      = sum_{k=0..J-1} J C(J-1,k) w_{k+1} x^k y^(J-1-k)
+
+(swap the sums in sum_j w_j P(Bin(J, x) >= j)).  Every term is nonnegative,
+so both sums keep full relative accuracy down to x = 1e-15, where the
+complement 1 - sum of pmf terms loses digits.  The monomials depend on x
+alone (bernstein_monomials) and the coefficients on w alone
+(bernstein_coefficients).
 """
 
 from __future__ import annotations
@@ -28,18 +40,20 @@ def _check_family(family):
         raise ValueError(f"unknown centering family {family!r}; expected one of {FAMILIES}")
 
 
-def family_survival(family, theta, t):
+def family_survival(family, theta, t, logt=None):
     """Survival function S_theta(t) of a centering family, vectorized in t.
 
     theta = (theta1, theta2) lives on R^2: exp(theta1) is a rate and
     exp(theta2) a shape for the log-logistic/Weibull; for the log-normal,
-    S(t) = 1 - Phi((log t + theta1) * exp(theta2)).
+    S(t) = 1 - Phi((log t + theta1) * exp(theta2)).  The family reads t
+    through log t alone; a caller that evaluates it at fixed times many
+    times passes logt = np.log(t) once.
     """
     _check_family(family)
     t = np.asarray(t, dtype=float)
     th1, th2 = float(theta[0]), float(theta[1])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        logt = np.log(t)
+        logt = np.log(t) if logt is None else logt
         if family == "loglogistic":
             # S = 1 / (1 + (e^th1 t)^k), k = e^th2
             loggy = np.exp(th2) * (th1 + logt)
@@ -55,13 +69,14 @@ def family_survival(family, theta, t):
     return s
 
 
-def family_log_density(family, theta, t):
-    """log f_theta(t) of a centering family; -inf where t <= 0."""
+def family_log_density(family, theta, t, logt=None):
+    """log f_theta(t) of a centering family; -inf where t <= 0.  logt is
+    np.log(t) when the caller has it (see family_survival)."""
     _check_family(family)
     t = np.asarray(t, dtype=float)
     th1, th2 = float(theta[0]), float(theta[1])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        logt = np.log(t)
+        logt = np.log(t) if logt is None else logt
         if family == "loglogistic":
             # f = (k/t) y / (1+y)^2 with y = (e^th1 t)^k
             logy = np.exp(th2) * (th1 + logt)
@@ -86,19 +101,17 @@ def _comb_row(ntrials):
     return np.exp(logc)
 
 
-def bernstein_bases(x, J, exact=()):
-    """The Bernstein cdf and pdf rows at x, from one table of powers.
+def bernstein_monomials(x, J, exact=()):
+    """The Bernstein monomials at x, from one table of powers.
 
-    Returns (cdf, pdf): cdf has rows j = 1..J of Delta_{j,J}(x), shape
-    (J, len(x)); pdf has rows j = 1..J of delta_{j,J} at the points
+    Returns (M, Mp): M has rows k = 1..J of x^k (1-x)^(J-k), shape
+    (J, len(x)); Mp has rows k = 0..J-1 of x^k (1-x)^(J-1-k) at the points
     x[exact], shape (J, len(exact)).  Both are C-ordered.
 
     With y = 1 - x, the powers x^k and y^k come from one row-major
-    recurrence.  The cdf is the binomial tail Delta_{j,J}(x) = P(Bin(J,x) >= j)
-    = 1 - sum_{k<j} C(J,k) x^k y^(J-k), its partial sums taken row by row;
-    the pdf is delta_{j,J}(x) = J C(J-1,k) x^k y^(J-1-k) with k = j - 1.
-    Every product is formed in that order, so each entry is fixed by x and J
-    alone.  This is the innermost kernel of every likelihood evaluation.
+    recurrence, and each monomial is one product of two of them, so every
+    entry is fixed by x and J alone.  This is the innermost kernel of every
+    likelihood evaluation.
     """
     x = np.asarray(x, dtype=float)
     exact = np.asarray(exact, dtype=np.intp)
@@ -109,22 +122,28 @@ def bernstein_bases(x, J, exact=()):
     base = np.concatenate([x, 1.0 - x])
     for k in range(1, J + 1):
         np.multiply(powers[k - 1], base, out=powers[k])
-
-    cdf = np.empty((J, N))
-    np.multiply(powers[:J, :N], powers[J:0:-1, N:], out=cdf)
-    cdf *= _comb_row(J)[:J, None]
-    for k in range(1, J):
-        cdf[k] += cdf[k - 1]
-    np.subtract(1.0, cdf, out=cdf)
-    np.clip(cdf, 0.0, 1.0, out=cdf)
-
+    M = powers[1:, :N] * powers[J - 1::-1, N:]
     ne = exact.shape[0]
     picked = np.take(powers[:J], np.concatenate([exact, N + exact]), axis=1)
-    pdf = np.empty((J, ne))
-    np.multiply(picked[:, :ne], picked[::-1, ne:], out=pdf)
-    pdf *= _comb_row(J - 1)[:, None]
-    pdf *= J
-    return cdf, pdf
+    return M, picked[:, :ne] * picked[::-1, ne:]
+
+
+def bernstein_coefficients(w):
+    """(cs, cp): the coefficients of the monomials for weights w.
+
+    cs_k = C(J,k) (w_1 + ... + w_k) for k = 1..J and
+    cp_k = J C(J-1,k) w_{k+1} for k = 0..J-1, so that with (M, Mp) from
+    bernstein_monomials, S0 = bernstein_survival(cs, M) and
+    f0 / f_theta = cp @ Mp.
+    """
+    w = np.asarray(w, dtype=float)
+    J = w.shape[0]
+    return np.cumsum(w) * _comb_row(J)[1:], w * (J * _comb_row(J - 1))
+
+
+def bernstein_survival(cs, M):
+    """D(x | J, w) = cs @ M; a rounding above 1 near x = 1 is cut to 1."""
+    return np.minimum(cs @ M, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,10 @@ def lpml(loglik_matrix):
     return float(logcpo.sum()), logcpo
 
 
-def pseudo_bayes_factor(lpml_1, lpml_2):
-    """PBF of model 1 over model 2 = exp(LPML_1 - LPML_2)."""
-    return float(np.exp(lpml_1 - lpml_2))
+def log_pseudo_bayes_factor(lpml_1, lpml_2):
+    """log PBF of model 1 over model 2 = LPML_1 - LPML_2, finite where the
+    factor itself would overflow (a gap above 709.8 nats)."""
+    return float(lpml_1 - lpml_2)
 
 
 def waic(loglik_matrix):

@@ -9,13 +9,20 @@ survival S0, the three models are
 
 An observation (u, a, b) contributes f_x(a) when a == b and
 S_x(a) - S_x(b) otherwise, divided by S_x(u) when left-truncated.
+
+S0 and f0 are read in the Bernstein form of bpsurv.baseline: monomials of
+x = S_theta(t) that depend on theta (and, under AFT, on eta), and
+coefficients that depend on the weights w alone.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .baseline import _CLAMP, bernstein_bases, family_log_density, family_survival
+from .baseline import (_CLAMP, bernstein_coefficients, bernstein_monomials, bernstein_survival,
+                       family_log_density, family_survival)
 
 MODELS = ("aft", "ph", "po")
 
@@ -50,6 +57,17 @@ def model_time(model, t, eta):
     return np.exp(eta) * t if model == "aft" else t
 
 
+@lru_cache(maxsize=2)
+def _coefficients(w_bytes):
+    """bernstein_coefficients of the weights with these bytes.  Two slots: a
+    chain proposes one new w per z step and otherwise reads the current one,
+    so each weight vector has its coefficients formed once.  Read-only: every
+    caller shares them."""
+    cs, cp = bernstein_coefficients(np.frombuffer(w_bytes))
+    cs.flags.writeable = cp.flags.writeable = False
+    return cs, cp
+
+
 def survival_transform(model, s0, eta):
     """S_x from the baseline survival s0 = S0(model_time(t)), elementwise.
 
@@ -72,16 +90,21 @@ class LikelihoodEvaluator:
     """Vectorized per-observation log-likelihood for one dataset and model.
 
     The a, finite-b and u time points of all observations are stacked into one
-    vector, and eta[_scale_idx] lines eta up with it.  The Bernstein basis
-    matrices depend on theta and, for the AFT model only, on eta through the
-    time rescaling; build_cache makes them for one (theta, eta), and
-    cache_for_eta turns a cache into one valid at another eta.
+    vector, and eta[_scale_idx] lines eta up with it.  The Bernstein monomials
+    depend on theta and, for the AFT model only, on eta through the time
+    rescaling; build_cache makes them for one (theta, eta), and cache_for_eta
+    turns a cache into one valid at another eta.
 
-    A cache's cdfb (J, all points) and pdfb (J, exact points) are C-ordered,
-    both from one power table (baseline.bernstein_bases).  The layout is part
-    of the result: w @ cdfb sums over j in an order that BLAS picks from the
-    memory layout, so an F-ordered basis would give the same S0 to within
-    rounding only and change every draw.
+    A cache holds mono, the monomials x^k (1-x)^(J-k), k = 1..J, at every
+    point, shape (J, all points), and mono_exact, the monomials
+    x^k (1-x)^(J-1-k), k = 0..J-1, at the exact points, shape (J, exact
+    points), both C-ordered and from one power table
+    (baseline.bernstein_monomials).  Column c of either belongs to one
+    observation and depends on nothing else.  The layout is part of the
+    result: cs @ mono sums over k in an order that BLAS picks from the
+    memory layout, so an F-ordered cache would give the same S0 to within
+    rounding only and change every draw.  The weights enter through their
+    coefficients (cs, cp), formed once per weight vector.
     """
 
     def __init__(self, dataset, model, family, J):
@@ -104,17 +127,24 @@ class LikelihoodEvaluator:
         self._nb = self.idx_bfin.size
         self._pts = np.concatenate([self.a, self.b[self.idx_bfin], self.u[self.idx_trunc]])
         self._scale_idx = np.concatenate([np.arange(self.n), self.idx_bfin, self.idx_trunc])
+        if model != "aft":  # the points never move: take their logs once
+            with np.errstate(divide="ignore"):
+                self._logpts = np.log(self._pts)
 
     def build_cache(self, theta, eta):
-        """Precompute basis matrices and centering-density terms at (theta, eta):
-        the cdf rows at every point and the pdf rows at the exact ones."""
-        pts = model_time(self.model, self._pts, eta[self._scale_idx])
-        x = family_survival(self.family, theta, pts)
+        """Precompute the monomials and centering-density terms at (theta, eta)."""
+        if self.model == "aft":
+            pts = model_time(self.model, self._pts, eta[self._scale_idx])
+            with np.errstate(divide="ignore"):
+                logpts = np.log(pts)
+        else:
+            pts, logpts = self._pts, self._logpts
+        x = family_survival(self.family, theta, pts, logpts)
         np.clip(x, _CLAMP, 1.0 - _CLAMP, out=x)
-        cdfb, pdfb = bernstein_bases(x, self.J, self.idx_exact)
-        t_exact = pts[self.idx_exact]
-        logf = family_log_density(self.family, theta, t_exact)
-        return {"cdfb": cdfb, "pdfb": pdfb, "logf_exact": logf,
+        ex = self.idx_exact
+        mono, mono_exact = bernstein_monomials(x, self.J, ex)
+        logf = family_log_density(self.family, theta, pts[ex], logpts[ex])
+        return {"mono": mono, "mono_exact": mono_exact, "logf_exact": logf,
                 "theta": np.array(theta, dtype=float)}
 
     def cache_for_eta(self, cache, eta):
@@ -123,10 +153,25 @@ class LikelihoodEvaluator:
             return self.build_cache(cache["theta"], eta)
         return cache
 
+    def merge_caches(self, obs, new, old):
+        """A cache valid at an eta that takes the new value for the
+        observations in the mask obs and the old one elsewhere: new with the
+        other columns copied from old, in place.  For PH/PO, old itself."""
+        if self.model != "aft":
+            return old
+        keep = ~obs
+        np.copyto(new["mono"], old["mono"], where=keep[self._scale_idx])
+        keep = keep[self.idx_exact]
+        np.copyto(new["mono_exact"], old["mono_exact"], where=keep)
+        np.copyto(new["logf_exact"], old["logf_exact"], where=keep)
+        return new
+
     def loglik_obs(self, cache, w, eta):
         """Per-observation log-likelihood vector given a cache for (theta, eta)."""
         n = self.n
-        S, head, tail = survival_transform(self.model, w @ cache["cdfb"], eta[self._scale_idx])
+        cs, cp = _coefficients(np.asarray(w, dtype=float).tobytes())
+        S, head, tail = survival_transform(self.model, bernstein_survival(cs, cache["mono"]),
+                                           eta[self._scale_idx])
         ll = np.zeros(n)
         if self.idx_cens.size:
             sb_full = np.zeros(n)
@@ -138,7 +183,7 @@ class LikelihoodEvaluator:
             ll[self.idx_cens] = llc
         ex = self.idx_exact
         if ex.size:
-            d0 = w @ cache["pdfb"]
+            d0 = cp @ cache["mono_exact"]
             ll[ex] = head[ex] + np.log(np.maximum(d0, _FLOOR)) + cache["logf_exact"] + tail[ex]
         if self.idx_trunc.size:
             ll[self.idx_trunc] -= np.log(np.maximum(S[n + self._nb:], _FLOOR))
@@ -154,8 +199,9 @@ class LikelihoodEvaluator:
         Used by Cox-Snell residuals.
         """
         n = self.n
-        cache = self.build_cache(theta, eta)
-        S = survival_transform(self.model, w @ cache["cdfb"], eta[self._scale_idx])[0]
+        cs = _coefficients(np.asarray(w, dtype=float).tobytes())[0]
+        s0 = bernstein_survival(cs, self.build_cache(theta, eta)["mono"])
+        S = survival_transform(self.model, s0, eta[self._scale_idx])[0]
         Sa = np.where(self.a <= 0.0, 1.0, S[:n])
         Sb = np.zeros(n)
         Sb[self.idx_bfin] = S[n:n + self._nb]

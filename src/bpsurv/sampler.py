@@ -28,7 +28,8 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from . import frailty as fr
-from .baseline import dirichlet_symmetric_logpdf, weights_from_logits
+from .baseline import (_CLAMP, bernstein_coefficients, bernstein_monomials, bernstein_survival,
+                       dirichlet_symmetric_logpdf, family_survival, weights_from_logits)
 from .models import LikelihoodEvaluator, linear_predictor
 from .splines import build_basis, gprior_scale
 
@@ -455,7 +456,11 @@ class ChainSampler:
         symmetric.  The per-site arithmetic runs on Python floats.  For a
         random field the first scan after an accepted range forms C = R^{-1}
         from the structure's factor.  After an ICAR scan the field is
-        recentered to mean zero and the cached likelihood refreshed.
+        recentered to mean zero and the cached likelihood refreshed.  For the
+        other kinds an observation's new eta is either its proposal or its
+        current value, so the cache and ll_obs take each observation's
+        columns from the proposal's or the current ones, by the sites
+        accepted, with no new evaluation.
         """
         if not self.has_frailty:
             return
@@ -469,7 +474,8 @@ class ChainSampler:
         v_prop = st.v + sd * eps
 
         eta_prop = self.eta_lin + v_prop[self.ev.loc0]
-        ll_prop = self.ev.loglik_obs(self.ev.cache_for_eta(self.cache, eta_prop), st.w, eta_prop)
+        cache_prop = self.ev.cache_for_eta(self.cache, eta_prop)
+        ll_prop = self.ev.loglik_obs(cache_prop, st.w, eta_prop)
         site_prop = self.ev.site_sums(np.where(np.isfinite(ll_prop), ll_prop, -1e306))
         gain = (site_prop - self.ev.site_sums(st.ll_obs)).tolist()
 
@@ -491,13 +497,18 @@ class ChainSampler:
         self.accept_frailty += len(accepted)
         self._frailty_scans += 1
 
-        recenter = self.spec.kind == "icar"
-        if recenter:
+        if self.spec.kind == "icar":
             v -= v.mean()
-        if recenter or accepted:
             self.eta = self._eta(self.eta_lin)
             self.cache = self.ev.cache_for_eta(self.cache, self.eta)
             st.ll_obs = self.ev.loglik_obs(self.cache, st.w, self.eta)
+        elif accepted:
+            moved = np.zeros(m, dtype=bool)
+            moved[accepted] = True
+            obs = moved[self.ev.loc0]
+            self.eta = self._eta(self.eta_lin)
+            self.cache = self.ev.merge_caches(obs, cache_prop, self.cache)
+            st.ll_obs = np.where(obs, ll_prop, st.ll_obs)
 
     def update_tau2(self):
         if not self.has_frailty:
@@ -737,14 +748,14 @@ class PosteriorArchive:
 
     def fitted_baseline_survival(self, tgrid):
         """Posterior mean of S0(t) over the grid."""
-        from .baseline import _CLAMP, bernstein_bases, family_survival
         tgrid = np.asarray(tgrid, dtype=float)
         W = self.weights()
         acc = np.zeros_like(tgrid)
         for s in range(self.L):
             x = family_survival(self.family, self.draws["theta"][s], tgrid)
             np.clip(x, _CLAMP, 1.0 - _CLAMP, out=x)
-            acc += W[s] @ bernstein_bases(x, self.J)[0]
+            cs = bernstein_coefficients(W[s])[0]
+            acc += bernstein_survival(cs, bernstein_monomials(x, self.J)[0])
         return acc / self.L
 
     def effective_beta_draws(self):

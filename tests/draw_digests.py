@@ -1,10 +1,12 @@
-"""sha256 digests of short fits on simulated data.
+"""sha256 digests of short fits on simulated data, and draw-by-draw shadows.
 
 A change that must leave the chain's draws byte-identical prints the same
 lines as its parent.  Run from a checkout (the fits import the package from
 the checkout's src/):
 
     python tests/draw_digests.py
+    python tests/draw_digests.py --keep DIR     # also keep the 13 fits in DIR
+    python tests/draw_digests.py --compare OLD NEW
 
 Data: `bpsurv simulate --design sim1-ph --seed 1` (37 areal regions) and
 `--design sim3-aft --seed 1` (150 georeferenced sites), plus a left-truncated
@@ -16,6 +18,20 @@ runs on one thread.
 
 Each line reads: label, sha256 of draws.csv, sha256 of loglik.npy.  The
 script takes about ten seconds; it is not a pytest module.
+
+A change meant to move the likelihood by rounding only cannot keep the
+digests, but it should keep the chain's path: every accept/reject decision
+the same, and the draws within a small distance of the parent's.  --keep
+writes each fit to its own directory under DIR; --compare reads two such
+directories (or any two directories of fit output directories with the same
+names) and prints, per fit, the largest |difference| of a draw and whether
+the accept_rates in meta.json are equal.  A rounding-level change moves
+the draws by about 1e-7, not 1e-14: the parametric Laplace fit finds its
+mode by BFGS on finite-difference gradients, which amplify a 1e-16 change
+of the objective into the mode (the theta prior's centre and the starting
+point) and into the inverse Hessian whose Cholesky factors drive the theta
+and beta proposals.  A spline term's coefficients sit in that fit too, and
+move further.
 """
 
 import os
@@ -23,15 +39,19 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import csv  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
 
 from bpsurv.cli import main  # noqa: E402
 
@@ -82,7 +102,11 @@ def _sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def main_digests():
+def _slug(k, label):
+    return f"{k:02d}-" + "-".join(w.lstrip("-") for w in label.split())
+
+
+def main_digests(keep=None):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         _run(["simulate", "--design", "sim1-ph", "--seed", "1", "--out", str(tmp / "areal.csv")])
@@ -93,7 +117,7 @@ def main_digests():
                   "truncated": ["--location-col", "location"],
                   "geo": ["--lon-col", "lon", "--lat-col", "lat"]}
         for k, (label, data, extra) in enumerate(FITS):
-            out = tmp / f"fit{k}"
+            out = (Path(keep) if keep else tmp) / _slug(k, label)
             argv = ["fit", "--data", str(tmp / f"{data}.csv"), *places[data], *SHORT,
                     *extra, "--outdir", str(out)]
             if "icar" in extra:
@@ -103,5 +127,37 @@ def main_digests():
                   f"loglik.npy {_sha256(out / 'loglik.npy')}", flush=True)
 
 
+def _draws(fit):
+    with open(fit / "draws.csv") as fh:
+        names = fh.readline().strip().split(",")
+    return names, np.loadtxt(fit / "draws.csv", delimiter=",", skiprows=1, ndmin=2)
+
+
+def compare(old, new):
+    """Per fit directory present under both: max |draw difference| and
+    whether the acceptance rates are equal."""
+    old, new = Path(old), Path(new)
+    fits = sorted(d.name for d in old.iterdir() if (d / "draws.csv").exists()
+                  and (new / d.name / "draws.csv").exists())
+    if not fits:
+        raise SystemExit(f"no fit directory is present under both {old} and {new}")
+    for name in fits:
+        (names_a, a), (names_b, b) = _draws(old / name), _draws(new / name)
+        delta = (f"{np.max(np.abs(a - b)):.3g}" if names_a == names_b and a.shape == b.shape
+                 else "columns differ")
+        rates = [json.loads((d / name / "meta.json").read_text())["accept_rates"]
+                 for d in (old, new)]
+        print(f"{name}: max |delta draw| {delta}  accept_rates "
+              f"{'equal' if rates[0] == rates[1] else 'differ'}", flush=True)
+
+
 if __name__ == "__main__":
-    main_digests()
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--keep", metavar="DIR", help="write the fits to DIR/<fit> and keep them")
+    ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                    help="compare two directories of kept fits instead of fitting")
+    args = ap.parse_args()
+    if args.compare:
+        compare(*args.compare)
+    else:
+        main_digests(args.keep)

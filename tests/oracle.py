@@ -32,10 +32,13 @@ the neighbour average for icar, -sum_{j != i} C_ij v_j / C_ii for grf), the
 reference for bpsurv.sampler.ChainSampler.update_frailties, which reads one
 coupling matrix kept current as sites change.
 
-bernstein_cdf_rows and bernstein_pdf_rows build each basis from its own
-binomial pmf table (_pmf_rows): the references for
-bpsurv.baseline.bernstein_bases, which forms both from one power table and
-must match them bit for bit.
+monomial_rows builds the Bernstein monomials x^k (1-x)^(n-k) from separate
+tables of x^k and (1-x)^k: the reference for bpsurv.baseline.bernstein_monomials,
+which forms them from one power table and must match it bit for bit.
+bernstein_cdf_rows and bernstein_pdf_rows build the cdf and pdf bases from
+the binomial pmf table (_pmf_rows), the cdf by the complement 1 - sum of
+pmf terms; TbpBaseline evaluates S0 and f0 from them, in a form that shares
+no arithmetic with the likelihood's coefficient sums.
 
 CenteringFamily and TbpBaseline evaluate a centering family and the TBP
 baseline S0(t) = D(S_theta(t) | J, w) at arbitrary times, the form in which
@@ -67,8 +70,8 @@ from bpsurv.sampler import PrerunEstimates, _theta_moment_init
 _FLOOR = 1e-300
 
 
-def _pmf_rows(x, ntrials):
-    """Rows k = 0..ntrials of C(ntrials,k) x^k (1-x)^(ntrials-k), shape (ntrials+1, N)."""
+def monomial_rows(x, ntrials):
+    """Rows k = 0..ntrials of x^k (1-x)^(ntrials-k), shape (ntrials+1, N)."""
     x = np.asarray(x, dtype=float)
     N = x.shape[0]
     y = 1.0 - x
@@ -80,8 +83,14 @@ def _pmf_rows(x, ntrials):
         np.multiply(xp[k - 1], x, out=xp[k])
         np.multiply(yp[k - 1], y, out=yp[k])
     xp *= yp[::-1]
-    xp *= _comb_row(ntrials)[:, None]
     return xp
+
+
+def _pmf_rows(x, ntrials):
+    """Rows k = 0..ntrials of C(ntrials,k) x^k (1-x)^(ntrials-k), shape (ntrials+1, N)."""
+    pmf = monomial_rows(x, ntrials)
+    pmf *= _comb_row(ntrials)[:, None]
+    return pmf
 
 
 def bernstein_cdf_rows(x, J):

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,13 +21,29 @@ def random_simplex(rng, J):
 
 def mixture_cdf(x, J, w):
     """D(x | J, w) at the points x, from the kernel the likelihood uses."""
-    return np.asarray(w) @ bl.bernstein_bases(np.asarray(x, dtype=float), J)[0]
+    cs = bl.bernstein_coefficients(w)[0]
+    return bl.bernstein_survival(cs, bl.bernstein_monomials(np.asarray(x, dtype=float), J)[0])
 
 
 def mixture_pdf(x, J, w):
     """d(x | J, w) at the points x, from the kernel the likelihood uses."""
     x = np.asarray(x, dtype=float)
-    return np.asarray(w) @ bl.bernstein_bases(x, J, np.arange(x.shape[0]))[1]
+    cp = bl.bernstein_coefficients(w)[1]
+    return cp @ bl.bernstein_monomials(x, J, np.arange(x.shape[0]))[1]
+
+
+def exact_mixture(x, J, w):
+    """(D(x | J, w), d(x | J, w)) in rational arithmetic on the doubles x and
+    w, from the definitions sum_j w_j P(Bin(J, x) >= j) and
+    sum_j w_j J C(J-1, j-1) x^(j-1) (1-x)^(J-j)."""
+    x = Fraction(float(x))
+    w = [Fraction(float(wj)) for wj in w]
+    pmf = [math.comb(J, k) * x ** k * (1 - x) ** (J - k) for k in range(J + 1)]
+    tail = [sum(pmf[j:]) for j in range(J + 1)]
+    cdf = sum(w[j - 1] * tail[j] for j in range(1, J + 1))
+    pdf = sum(w[j - 1] * J * math.comb(J - 1, j - 1) * x ** (j - 1) * (1 - x) ** (J - j)
+              for j in range(1, J + 1))
+    return cdf, pdf
 
 
 def z_log_prior(z, alpha):
@@ -74,20 +93,23 @@ class TestBernsteinCdf:
 class TestBernsteinBases:
     @pytest.mark.parametrize("J", [2, 3, 15, 40])
     def test_bit_equal_to_the_pmf_references(self, J):
+        # scaled by C(J,k) and J C(J-1,k), the monomials are the pmf rows
         rng = np.random.default_rng(J)
         x = np.concatenate([[bl._CLAMP, 1.0 - bl._CLAMP], rng.uniform(size=97),
                             [bl._CLAMP, 0.5, 1.0 - bl._CLAMP]])
         subsets = [np.arange(0), np.arange(x.size), np.sort(rng.choice(x.size, 40, replace=False)),
                    np.array([0, 1, x.size - 1])]
         for exact in subsets:
-            cdf, pdf = bl.bernstein_bases(x, J, exact)
-            assert cdf.flags.c_contiguous and pdf.flags.c_contiguous
-            assert cdf.shape == (J, x.size) and pdf.shape == (J, exact.size)
-            assert np.array_equal(cdf, oracle.bernstein_cdf_rows(x, J))
+            M, Mp = bl.bernstein_monomials(x, J, exact)
+            assert M.flags.c_contiguous and Mp.flags.c_contiguous
+            assert M.shape == (J, x.size) and Mp.shape == (J, exact.size)
+            assert np.array_equal(M * bl._comb_row(J)[1:, None], oracle._pmf_rows(x, J)[1:])
+            pdf = Mp * bl._comb_row(J - 1)[:, None]
+            pdf *= J
             assert np.array_equal(pdf, oracle.bernstein_pdf_rows(x[exact], J))
 
     @pytest.mark.parametrize("model", ["aft", "ph", "po"])
-    def test_likelihood_cache_bit_equal(self, model):
+    def test_likelihood_cache_matches_monomial_reference(self, model):
         ds = sim1_design(model).generate(2)[0]
         ev = LikelihoodEvaluator(ds, model, "loglogistic", 15)
         eta = np.random.default_rng(4).normal(scale=0.5, size=ds.n)
@@ -95,10 +117,25 @@ class TestBernsteinBases:
         x = bl.family_survival("loglogistic", (0.2, -0.1),
                                model_time(model, ev._pts, eta[ev._scale_idx]))
         x = np.clip(x, bl._CLAMP, 1.0 - bl._CLAMP)
-        assert ev.idx_exact.size and cache["cdfb"].flags.c_contiguous
-        assert cache["pdfb"].flags.c_contiguous
-        assert np.array_equal(cache["cdfb"], oracle.bernstein_cdf_rows(x, 15))
-        assert np.array_equal(cache["pdfb"], oracle.bernstein_pdf_rows(x[ev.idx_exact], 15))
+        assert ev.idx_exact.size and cache["mono"].flags.c_contiguous
+        assert cache["mono_exact"].flags.c_contiguous
+        assert np.array_equal(cache["mono"], oracle.monomial_rows(x, 15)[1:])
+        assert np.array_equal(cache["mono_exact"], oracle.monomial_rows(x[ev.idx_exact], 14))
+        logf = bl.family_log_density("loglogistic", (0.2, -0.1),
+                                     model_time(model, ev._pts, eta[ev._scale_idx])[ev.idx_exact])
+        assert np.array_equal(cache["logf_exact"], logf)
+
+    @pytest.mark.parametrize("J", [2, 15, 40])
+    def test_tails_match_exact_rationals(self, J):
+        # a sum of positive terms keeps its relative accuracy where the
+        # complement 1 - sum pmf loses it (8e-4 at x = 1e-15 for J = 15)
+        w = random_simplex(np.random.default_rng(100 + J), J)
+        xs = np.array([1e-15, 1e-12, 1e-8, 1e-4, 0.3, 0.5, 0.9, 1 - 1e-9, 1 - 1e-15])
+        cdf, pdf = mixture_cdf(xs, J, w), mixture_pdf(xs, J, w)
+        for x, got_cdf, got_pdf in zip(xs, cdf, pdf):
+            want_cdf, want_pdf = exact_mixture(x, J, w)
+            assert abs(Fraction(got_cdf) - want_cdf) <= 1e-13 * want_cdf, (x, "cdf")
+            assert abs(Fraction(got_pdf) - want_pdf) <= 1e-13 * want_pdf, (x, "pdf")
 
 
 class TestBernsteinPdf:

@@ -215,6 +215,21 @@ class TestFit:
         assert rc == 0
         assert json.loads((tmp_path / "fit" / "meta.json").read_text())["nonfinite_rejects"] > 0
 
+    def test_stuck_block_is_flagged_in_summary(self, tmp_path, capsys):
+        # with nu = 2 the range accepts 2 of 300 proposals and the draws
+        # barely leave phi0; summary.txt must say so
+        data = tmp_path / "geo.csv"
+        assert main(["simulate", "--design", "sim3-po", "--seed", "1", "--out", str(data)]) == 0
+        rc = main(["fit", "--data", str(data), "--lon-col", "lon", "--lat-col", "lat",
+                   "--trunc-col", "trunc", "--model", "po", "--frailty", "grf", "--nu", "2",
+                   "--fsa-knots", "30", "--fsa-blocks", "5", "--nburn", "200", "--nsave", "100",
+                   "--seed", "1", "--outdir", str(tmp_path / "fit")])
+        assert rc == 0
+        text = (tmp_path / "fit" / "summary.txt").read_text()
+        assert "phi=0.007" in text
+        warnings = [line for line in text.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 1 and warnings[0].startswith("warning: phi accepted 0.67% ")
+
     def test_singular_initial_range_is_an_error(self, tmp_path, capsys):
         # 19 sites within 0.01 of each other and one far away: at phi0 the
         # 12 knots' nu = 2 correlation has no Cholesky factor

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,7 +129,10 @@ class TestLpml:
         assert t2 == pytest.approx(2 * t1, rel=1e-12)
 
     def test_pbf(self):
-        assert cr.pseudo_bayes_factor(-206.0, -211.0) == pytest.approx(np.exp(5.0))
+        assert cr.log_pseudo_bayes_factor(-206.0, -211.0) == pytest.approx(5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cr.log_pseudo_bayes_factor(-100.0, -900.0) == 800.0
 
     def test_needs_two_draws(self):
         with pytest.raises(ValueError):
