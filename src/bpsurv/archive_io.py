@@ -3,10 +3,12 @@
 draws.csv is the archive's draw matrix under its header of stable column
 names (beta.x1, theta.1, z.3, v.12, ...) in full-precision scientific
 notation, so a byte-for-byte comparison doubles as a determinism check.
-loglik.npy holds the per-observation log-likelihood of every draw.  meta.json
-echoes the resolved configuration together with criteria, acceptance rates
-and the figures of the parametric Laplace fit that seeds the chain; feeding it
-back to the CLI reproduces the run.
+loglik.npy holds the per-observation log-likelihood of every draw, and is
+the one stored copy of it: each draw's total is its row sum
+(PosteriorArchive.loglik_total).  meta.json echoes the resolved configuration
+together with criteria, acceptance rates and the figures of the parametric
+Laplace fit that seeds the chain; feeding it back to the CLI reproduces the
+run.
 load_archive splits the draws with the chain's own splitter (split_draws), so
 a loaded archive equals the one that wrote the files.
 """
@@ -73,8 +75,8 @@ def compute_criteria(archive):
     return out
 
 
-def save_archive(archive, outdir, loglik_csv=False, cli=None):
-    """Write draws.csv, loglik.npy (optionally loglik.csv), and meta.json.
+def save_archive(archive, outdir, cli=None):
+    """Write draws.csv, loglik.npy and meta.json.
 
     cli, when given, is stored under meta.json's "cli" key: the resolved
     command-line options that reproduce the run.
@@ -85,8 +87,6 @@ def save_archive(archive, outdir, loglik_csv=False, cli=None):
         fh.write(",".join(archive.names) + "\n")
         np.savetxt(fh, archive.matrix, fmt="%.17e", delimiter=",")
     np.save(outdir / "loglik.npy", archive.loglik_obs)
-    if loglik_csv:
-        np.savetxt(outdir / "loglik.csv", archive.loglik_obs, delimiter=",", fmt="%.17e")
     crit = compute_criteria(archive)
     meta = {
         "model": archive.model,
@@ -101,7 +101,6 @@ def save_archive(archive, outdir, loglik_csv=False, cli=None):
         "config": config_to_dict(archive.config),
         "accept_rates": _jsonable(archive.accept_rates),
         "criteria": _jsonable(crit),
-        "loglik_total": _jsonable(archive.loglik_total),
         "nonfinite_rejects": archive.nonfinite_rejects,
         "prerun": _jsonable(archive.prerun),
         "elapsed_seconds": archive.elapsed,
@@ -146,7 +145,6 @@ def load_archive(outdir, dataset=None):
         model=meta["model"], family=meta["family"], J=meta["J"],
         covariate_names=meta["covariate_names"], spline_names=meta["spline_names"],
         names=names, matrix=mat, loglik_obs=np.load(outdir / "loglik.npy"),
-        loglik_total=np.array(meta["loglik_total"], dtype=float),
         loglik_at_mean=float(meta["criteria"]["loglik_at_mean"]),
         accept_rates=meta["accept_rates"], config=None,
         n=meta["n"], m=meta["m"], elapsed=meta["elapsed_seconds"],

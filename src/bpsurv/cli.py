@@ -48,6 +48,13 @@ def _config_flags(p, fields, type):
                        default=getattr(McmcConfig, name))
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _fit_flags(p):
     """The fit flags; in declaration order they are the resolved options."""
     p.add_argument("--data", default=None)
@@ -66,7 +73,6 @@ def _fit_flags(p):
     p.add_argument("--spline-k", type=int, default=McmcConfig.spline_K)
     _config_flags(p, ("nburn", "nsave", "nskip", "seed"), int)
     _config_flags(p, ("a_alpha", "b_alpha", "a_tau", "b_tau", "a_phi", "b_phi"), float)
-    p.add_argument("--loglik-csv", action="store_true")
     p.add_argument("--config", default=None, help="key=value file or a fit meta.json")
     p.add_argument("--outdir", default=None)
     p.add_argument("--dry-run", action="store_true")
@@ -96,7 +102,7 @@ def build_parser():
 
     p = sub.add_parser("mc-study", help="replicate simulation study")
     p.add_argument("--design", required=True, choices=sorted(DESIGNS))
-    p.add_argument("--replicates", type=int, required=True)
+    p.add_argument("--replicates", type=_positive_int, required=True)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--models", default=None,
@@ -210,6 +216,8 @@ def cmd_fit(argv):
     dataset = _load_dataset(opts)
     spec = _frailty_spec(opts, dataset)
     cfg = _mcmc_config(opts, spec)
+    for name in cfg.nonlinear:  # an unknown covariate fails here, not in the fit
+        dataset.column(name)
     if args.dry_run:
         print("resolved options:")
         for key, val in opts.items():
@@ -226,7 +234,7 @@ def cmd_fit(argv):
         raise ValueError("--outdir is required unless --dry-run")
     archive = run_chain(dataset, cfg)
     outdir = Path(args.outdir)
-    crit = save_archive(archive, outdir, loglik_csv=bool(opts["loglik_csv"]), cli=opts)
+    crit = save_archive(archive, outdir, cli=opts)
     text = summary_text(archive, crit)
     (outdir / "summary.txt").write_text(text)
     print(text, end="")

@@ -172,6 +172,8 @@ class Dataset:
         return [o.kind for o in self.observations]
 
     def column(self, name):
+        if name not in self.covariate_names:
+            raise ValueError(f"unknown covariate {name!r}; the data has {self.covariate_names}")
         return self.X[:, self.covariate_names.index(name)]
 
     def to_csv(self, path):
@@ -231,8 +233,8 @@ def load_csv(path, schema=None):
     Returns a Dataset.  Location labels (or deduplicated coordinate pairs) are
     densely re-indexed to 1..m; the original labels are kept on
     Dataset.location_ids.  Censoring kinds follow the (u, a, b) rules; an
-    empty t2 field means +inf.  A covariate column with one value on every
-    row is rejected.
+    empty t2 field means +inf.  A row with more or fewer fields than the
+    header, and a covariate column with one value on every row, are rejected.
     """
     schema = schema or CsvSchema()
     with open(path, newline="") as fh:
@@ -265,6 +267,8 @@ def load_csv(path, schema=None):
         for row_no, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
+            if len(row) != len(header):
+                raise ValueError(f"row {row_no}: expected {len(header)} fields, got {len(row)}")
             a = _parse_time(row[i_t1], row_no, "t1")
             bval = _parse_time(row[i_t2], row_no, "t2", allow_empty_inf=True)
             uval = _parse_time(row[i_tr], row_no, "trunc") if i_tr is not None else 0.0
@@ -277,7 +281,11 @@ def load_csv(path, schema=None):
             if i_loc is not None:
                 key = row[i_loc].strip()
             elif i_lon is not None and i_lat is not None:
-                key = (float(row[i_lon]), float(row[i_lat]))
+                try:
+                    key = (float(row[i_lon]), float(row[i_lat]))
+                except ValueError:
+                    raise ValueError(f"row {row_no}: malformed lon/lat value "
+                                     f"({row[i_lon]!r}, {row[i_lat]!r})") from None
             else:
                 key = "1"
             rows.append((row_no, uval, a, bval, x, key))

@@ -3,16 +3,15 @@ fields over georeferenced sites, with an optional low-rank-plus-block
 (full-scale) approximation of the correlation matrix.
 
 Exposed quantities are exactly what the sampler needs: the precision kernel C,
-its diagonal and diag(C) - C, which give every frailty kind's full conditional
-by one rule, the quadratic form v'Cv with the rank of C, and the
-log-determinant of a random field's R.
+which gives every frailty kind's full conditional by one rule, the quadratic
+form v'Cv with the rank of C, and the log-determinant of a random field's R.
 
 A random field's structure is built from the lower Cholesky factor L of R,
 exact or approximated, and nothing else: the log-determinant is read from
 diag(L) and v'R^{-1}v from one triangular solve (Rue & Held 2005, sec. 2.4).
-Its C = R^{-1}, diagonal and coupling are formed from L when first read.
-Only the frailty scan reads them, so a range proposal pays for the factor
-alone and the inverse is formed once per accepted range.
+Its C = R^{-1} is formed from L when first read.  Only the frailty scan reads
+it, so a range proposal pays for the factor alone and the inverse is formed
+once per accepted range.
 """
 
 from __future__ import annotations
@@ -231,11 +230,9 @@ class PrecisionStructure:
     Attributes
     ----------
     C : (m, m) array; the precision-kernel matrix (F_e - E for icar, identity
-        for iid, R^{-1} for grf).
-    diag : diag(C), built on first use.
-    coupling : diag(C) - C, built on first use and exactly symmetric.  Every
-        kind's full conditional of v_i given the rest has mean
-        (coupling v)_i / C_ii and variance tau2 / C_ii (Besag 1974).
+        for iid, R^{-1} for grf), exactly symmetric.  Every kind's full
+        conditional of v_i given the rest has mean v_i - (C v)_i / C_ii and
+        variance tau2 / C_ii (Besag 1974; Rue & Held 2005, Thm 2.3).
     rank : rank of C entering the tau^-2 Gibbs shape (m-1 for icar, m else).
     logdet_half : log |C|^(1/2) term for range updates; 0 except for grf,
         where it equals -0.5 log det R.
@@ -247,14 +244,6 @@ class PrecisionStructure:
         self.C = C
         self.rank = rank
 
-    @cached_property
-    def diag(self):
-        return np.diag(self.C).copy()
-
-    @cached_property
-    def coupling(self):
-        return np.diag(self.diag) - self.C
-
     def quad_form(self, v):
         return float(v @ self.C @ v)
 
@@ -265,8 +254,7 @@ class FieldStructure(PrecisionStructure):
 
     logdet_half = -sum log L_ii and quad_form(v) = |L^{-1} v|^2 come from L
     at construction and per call.  C = R^{-1} is formed from L (LAPACK
-    dpotri, its lower triangle mirrored) on first read, and diag and
-    coupling from C after it.
+    dpotri, its lower triangle mirrored, so exactly symmetric) on first read.
     """
 
     def __init__(self, L):

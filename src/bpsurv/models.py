@@ -17,8 +17,6 @@ coefficients that depend on the weights w alone.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .baseline import (_CLAMP, bernstein_coefficients, bernstein_monomials, bernstein_survival,
@@ -57,17 +55,6 @@ def model_time(model, t, eta):
     return np.exp(eta) * t if model == "aft" else t
 
 
-@lru_cache(maxsize=2)
-def _coefficients(w_bytes):
-    """bernstein_coefficients of the weights with these bytes.  Two slots: a
-    chain proposes one new w per z step and otherwise reads the current one,
-    so each weight vector has its coefficients formed once.  Read-only: every
-    caller shares them."""
-    cs, cp = bernstein_coefficients(np.frombuffer(w_bytes))
-    cs.flags.writeable = cp.flags.writeable = False
-    return cs, cp
-
-
 def survival_transform(model, s0, eta):
     """S_x from the baseline survival s0 = S0(model_time(t)), elementwise.
 
@@ -104,7 +91,8 @@ class LikelihoodEvaluator:
     result: cs @ mono sums over k in an order that BLAS picks from the
     memory layout, so an F-ordered cache would give the same S0 to within
     rounding only and change every draw.  The weights enter through their
-    coefficients (cs, cp), formed once per weight vector.
+    coefficients coef = (cs, cp) = baseline.bernstein_coefficients(w), which
+    the caller forms once per weight vector and passes in (ChainState.coef).
     """
 
     def __init__(self, dataset, model, family, J):
@@ -166,10 +154,11 @@ class LikelihoodEvaluator:
         np.copyto(new["logf_exact"], old["logf_exact"], where=keep)
         return new
 
-    def loglik_obs(self, cache, w, eta):
-        """Per-observation log-likelihood vector given a cache for (theta, eta)."""
+    def loglik_obs(self, cache, coef, eta):
+        """Per-observation log-likelihood vector given a cache for (theta, eta)
+        and the weights' coefficients coef = bernstein_coefficients(w)."""
         n = self.n
-        cs, cp = _coefficients(np.asarray(w, dtype=float).tobytes())
+        cs, cp = coef
         S, head, tail = survival_transform(self.model, bernstein_survival(cs, cache["mono"]),
                                            eta[self._scale_idx])
         ll = np.zeros(n)
@@ -199,7 +188,7 @@ class LikelihoodEvaluator:
         Used by Cox-Snell residuals.
         """
         n = self.n
-        cs = _coefficients(np.asarray(w, dtype=float).tobytes())[0]
+        cs = bernstein_coefficients(w)[0]
         s0 = bernstein_survival(cs, self.build_cache(theta, eta)["mono"])
         S = survival_transform(self.model, s0, eta[self._scale_idx])[0]
         Sa = np.where(self.a <= 0.0, 1.0, S[:n])

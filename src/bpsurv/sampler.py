@@ -82,6 +82,8 @@ class McmcConfig:
     frailty: fr.FrailtySpec = field(default_factory=fr.FrailtySpec)
 
     def __post_init__(self):
+        if self.J < 2:
+            raise ValueError(f"J must be at least 2, got {self.J}")
         if self.nskip < 1:
             raise ValueError(f"nskip must be at least 1, got {self.nskip}")
         for name in ("nburn", "nsave"):
@@ -91,7 +93,9 @@ class McmcConfig:
 
 @dataclass
 class ChainState:
-    """Current parameter values plus the cached per-observation log-likelihood."""
+    """Current parameter values plus what the chain derives from them: the
+    weights w of z, their Bernstein coefficients coef =
+    bernstein_coefficients(w), and the per-observation log-likelihood."""
 
     z: np.ndarray
     theta: np.ndarray
@@ -103,6 +107,7 @@ class ChainState:
     phi: float
     ll_obs: np.ndarray = None
     w: np.ndarray = None
+    coef: tuple = None
 
     @property
     def ll_total(self):
@@ -197,11 +202,11 @@ def parametric_prerun(dataset, config, spline_terms=None):
         raise ValueError("the parametric Laplace fit needs at least one observation")
     designs = [t.design for t in spline_terms or []]
     ev = LikelihoodEvaluator(dataset, config.model, config.family, config.J)
-    w = np.full(config.J, 1.0 / config.J)
+    coef = bernstein_coefficients(np.full(config.J, 1.0 / config.J))
 
     def loglik_obs(x):
         eta = linear_predictor(dataset.X, designs, x[2:])
-        return ev.loglik_obs(ev.build_cache(x[:2], eta), w, eta)
+        return ev.loglik_obs(ev.build_cache(x[:2], eta), coef, eta)
 
     def objective(x):
         ll = float(loglik_obs(x).sum())
@@ -292,13 +297,13 @@ class ChainSampler:
             phi=phi_init,
         )
         self.state.w = weights_from_logits(self.state.z)
+        self.state.coef = bernstein_coefficients(self.state.w)
         self.structure = None
         if self.has_frailty:
             self.structure = fr.build_structure(spec, phi=phi_init if self.has_phi else None,
                                                 m=self.m)
         self.accept = {k: 0 for k in ("z", "theta", "beta", "alpha", "phi")}
         self.accept_frailty = 0
-        self._frailty_scans = 0
         self.n_sweeps = 0
         self.nonfinite_rejects = 0
         self._refresh_likelihood()
@@ -347,7 +352,7 @@ class ChainSampler:
     def _refresh_likelihood(self):
         self.eta_lin, self.eta = self._etas()
         self.cache = self.ev.build_cache(self.state.theta, self.eta)
-        self.state.ll_obs = self.ev.loglik_obs(self.cache, self.state.w, self.eta)
+        self.state.ll_obs = self.ev.loglik_obs(self.cache, self.state.coef, self.eta)
 
     def _regression_logprior(self, beta):
         if not self.dims:
@@ -392,13 +397,14 @@ class ChainSampler:
 
         def target(z):
             w = weights_from_logits(z)
+            coef = bernstein_coefficients(w)
             # full conditional: likelihood times prod_j w_j^alpha (Jacobian included)
             dprior = st.alpha * float(np.log(w).sum() - np.log(st.w).sum())
-            return self.ev.loglik_obs(self.cache, w, self.eta), dprior, w
+            return self.ev.loglik_obs(self.cache, coef, self.eta), dprior, (w, coef)
 
         hit = self._metropolis("z", st.z, target)
         if hit:
-            st.z, st.ll_obs, st.w = hit
+            st.z, st.ll_obs, (st.w, st.coef) = hit
 
     def update_theta(self):
         st = self.state
@@ -407,7 +413,7 @@ class ChainSampler:
             cache = self.ev.build_cache(theta, self.eta)
             d0, d1 = st.theta - self.theta0, theta - self.theta0
             dprior = -0.5 * float(d1 @ self.V0inv @ d1 - d0 @ self.V0inv @ d0)
-            return self.ev.loglik_obs(cache, st.w, self.eta), dprior, cache
+            return self.ev.loglik_obs(cache, st.coef, self.eta), dprior, cache
 
         hit = self._metropolis("theta", st.theta, target)
         if hit:
@@ -422,7 +428,7 @@ class ChainSampler:
             eta_lin, eta = self._etas(beta=beta)
             cache = self.ev.cache_for_eta(self.cache, eta)
             dprior = self._regression_logprior(beta) - self._regression_logprior(st.beta)
-            return self.ev.loglik_obs(cache, st.w, eta), dprior, (eta_lin, eta, cache)
+            return self.ev.loglik_obs(cache, st.coef, eta), dprior, (eta_lin, eta, cache)
 
         hit = self._metropolis("beta", st.beta, target)
         if hit:
@@ -449,13 +455,13 @@ class ChainSampler:
         The likelihood difference for every site is computed in a single
         vectorized evaluation (each site's likelihood depends only on its own
         frailty).  The prior terms use each site's full conditional, mean
-        (coupling v)_i / C_ii and variance tau2 / C_ii, read from the
-        structure's coupling = diag(C) - C for every frailty kind, with
-        coupling v kept current as sites change: an accepted site adds its
-        row of coupling, which equals its column since coupling is exactly
-        symmetric.  The per-site arithmetic runs on Python floats.  For a
-        random field the first scan after an accepted range forms C = R^{-1}
-        from the structure's factor.  After an ICAR scan the field is
+        v_i - (C v)_i / C_ii and variance tau2 / C_ii (Rue & Held 2005,
+        Thm 2.3), read from the structure's precision kernel C for every
+        frailty kind, with C v kept current as sites change: an accepted site
+        adds its row of C times its change, which equals its column since C
+        is exactly symmetric.  The per-site arithmetic runs on Python floats.
+        For a random field the first scan after an accepted range forms
+        C = R^{-1} from the structure's factor.  After an ICAR scan the field is
         recentered to mean zero and the cached likelihood refreshed.  For the
         other kinds an observation's new eta is either its proposal or its
         current value, so the cache and ll_obs take each observation's
@@ -467,7 +473,8 @@ class ChainSampler:
         st = self.state
         rng = self.rngs["frailty"]
         m = self.m
-        prec = self.structure.diag
+        C = self.structure.C
+        prec = np.diag(C)
         sd = np.sqrt(st.tau2 / prec)
         eps = rng.standard_normal(m)
         logu = np.log(rng.uniform(size=m))
@@ -475,33 +482,31 @@ class ChainSampler:
 
         eta_prop = self.eta_lin + v_prop[self.ev.loc0]
         cache_prop = self.ev.cache_for_eta(self.cache, eta_prop)
-        ll_prop = self.ev.loglik_obs(cache_prop, st.w, eta_prop)
+        ll_prop = self.ev.loglik_obs(cache_prop, st.coef, eta_prop)
         site_prop = self.ev.site_sums(np.where(np.isfinite(ll_prop), ll_prop, -1e306))
         gain = (site_prop - self.ev.site_sums(st.ll_obs)).tolist()
 
-        coupling = self.structure.coupling
         v = st.v
-        coupled = coupling @ v
+        Cv = C @ v
         tau2 = st.tau2
         accepted = []
         for i, (p_i, new, old, lu, g) in enumerate(zip(prec.tolist(), v_prop.tolist(),
                                                        v.tolist(), logu.tolist(), gain)):
-            mean_i = coupled.item(i) / p_i
+            mean_i = old - Cv.item(i) / p_i
             dv_new = new - mean_i
             dv_old = old - mean_i
             dprior = -0.5 * p_i / tau2 * (dv_new * dv_new - dv_old * dv_old)
             if lu < g + dprior:
-                coupled += coupling[i] * (new - old)
+                Cv += C[i] * (new - old)
                 accepted.append(i)
         v[accepted] = v_prop[accepted]
         self.accept_frailty += len(accepted)
-        self._frailty_scans += 1
 
         if self.spec.kind == "icar":
             v -= v.mean()
             self.eta = self._eta(self.eta_lin)
             self.cache = self.ev.cache_for_eta(self.cache, self.eta)
-            st.ll_obs = self.ev.loglik_obs(self.cache, st.w, self.eta)
+            st.ll_obs = self.ev.loglik_obs(self.cache, st.coef, self.eta)
         elif accepted:
             moved = np.zeros(m, dtype=bool)
             moved[accepted] = True
@@ -559,7 +564,7 @@ class ChainSampler:
             gamma_alt[j] = 1.0 - gamma_alt[j]
             eta_lin_alt, eta_alt = self._etas(gamma=gamma_alt)
             cache_alt = self.ev.cache_for_eta(self.cache, eta_alt)
-            ll_alt = self.ev.loglik_obs(cache_alt, st.w, eta_alt)
+            ll_alt = self.ev.loglik_obs(cache_alt, st.coef, eta_alt)
             lt_alt = float(ll_alt.sum())
             if st.gamma[j] == 1.0:
                 ll1, ll0 = st.ll_total, lt_alt
@@ -594,8 +599,8 @@ class ChainSampler:
         rates = {k: self.accept[k] / denom for k in ("z", "theta", "alpha")}
         if self.dims:
             rates["beta"] = self.accept["beta"] / denom
-        if self.has_frailty and self._frailty_scans:
-            rates["frailty"] = self.accept_frailty / (self._frailty_scans * self.m)
+        if self.has_frailty and self.n_sweeps:
+            rates["frailty"] = self.accept_frailty / (self.n_sweeps * self.m)
         if self.has_phi:
             rates["phi"] = self.accept["phi"] / denom
         return rates
@@ -642,7 +647,6 @@ class ChainSampler:
             names += cols
         mat = np.empty((L, len(names)))
         ll_obs = np.empty((L, self.ds.n))
-        ll_total = np.empty(L)
 
         for s in range(L):
             for _ in range(cfg.nskip):
@@ -651,13 +655,12 @@ class ChainSampler:
             for sl, get in slots:
                 row[sl] = get()
             ll_obs[s] = self.state.ll_obs
-            ll_total[s] = self.state.ll_total
 
         archive = PosteriorArchive(
             model=cfg.model, family=cfg.family, J=cfg.J,
             covariate_names=list(self.ds.covariate_names),
             spline_names=[t.name for t in self.terms],
-            names=names, matrix=mat, loglik_obs=ll_obs, loglik_total=ll_total,
+            names=names, matrix=mat, loglik_obs=ll_obs,
             loglik_at_mean=math.nan, accept_rates=self.acceptance_rates(),
             config=cfg, n=self.ds.n, m=self.ds.m, elapsed=math.nan,
             nonfinite_rejects=self.nonfinite_rejects,
@@ -679,7 +682,7 @@ class ChainSampler:
         v = draws["v"].mean(axis=0) if self.has_frailty else None
         eta = linear_predictor(self.ds.X, self._designs, coef, v, self.ev.loc0)
         cache = self.ev.build_cache(theta, eta)
-        return float(self.ev.loglik_obs(cache, w, eta).sum())
+        return float(self.ev.loglik_obs(cache, bernstein_coefficients(w), eta).sum())
 
 
 def _block_key(name):
@@ -723,7 +726,6 @@ class PosteriorArchive:
     names: list
     matrix: np.ndarray
     loglik_obs: np.ndarray
-    loglik_total: np.ndarray
     loglik_at_mean: float
     accept_rates: dict
     config: McmcConfig
@@ -740,7 +742,13 @@ class PosteriorArchive:
 
     @property
     def L(self):
-        return self.loglik_total.shape[0]
+        return self.loglik_obs.shape[0]
+
+    @property
+    def loglik_total(self):
+        """The total log-likelihood of each draw, summed as the chain sums
+        ChainState.ll_total."""
+        return self.loglik_obs.sum(axis=1)
 
     def weights(self):
         """Baseline weight vectors, one row per draw of z."""

@@ -16,8 +16,16 @@ cover each model, each frailty kind (none, iid, icar, dense grf, FSA with 20
 knots and 4 blocks), --selection, --nonlinear x2 and left truncation.  BLAS
 runs on one thread.
 
-Each line reads: label, sha256 of draws.csv, sha256 of loglik.npy.  The
-script takes about ten seconds; it is not a pytest module.
+Each line reads: label, sha256 of draws.csv, sha256 of loglik.npy, and
+sha256 of meta.json's criteria and accept_rates, dumped as
+json.dumps({"criteria": ..., "accept_rates": ...}, sort_keys=True).  The
+third digest extends the check to LPML, WAIC, DIC, p_D, p_V and
+loglik_at_mean, which the archive derives from the draws and the
+log-likelihood (DIC and p_V from the per-draw totals) and which the other
+two files do not show; the rest of meta.json carries the elapsed time and
+the resolved options, and is left out.  To compare with a parent commit, run
+this script in a checkout of the parent too.  The script takes about ten
+seconds; it is not a pytest module.
 
 A change meant to move the likelihood by rounding only cannot keep the
 digests, but it should keep the chain's path: every accept/reject decision
@@ -102,6 +110,13 @@ def _sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _meta_sha256(path):
+    meta = json.loads(Path(path).read_text())
+    blob = json.dumps({"criteria": meta["criteria"], "accept_rates": meta["accept_rates"]},
+                      sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 def _slug(k, label):
     return f"{k:02d}-" + "-".join(w.lstrip("-") for w in label.split())
 
@@ -124,7 +139,8 @@ def main_digests(keep=None):
                 argv += ["--adjacency", adjacency]
             _run(argv)
             print(f"{label}: draws.csv {_sha256(out / 'draws.csv')} "
-                  f"loglik.npy {_sha256(out / 'loglik.npy')}", flush=True)
+                  f"loglik.npy {_sha256(out / 'loglik.npy')} "
+                  f"meta.json {_meta_sha256(out / 'meta.json')}", flush=True)
 
 
 def _draws(fit):

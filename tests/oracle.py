@@ -29,8 +29,9 @@ bpsurv.simulate.sample_survival_time runs over all subjects at once.
 frailty_scan is one Metropolis scan of a ChainSampler's frailties with each
 kind's full-conditional mean written out from the current field (0 for iid,
 the neighbour average for icar, -sum_{j != i} C_ij v_j / C_ii for grf), the
-reference for bpsurv.sampler.ChainSampler.update_frailties, which reads one
-coupling matrix kept current as sites change.
+reference for bpsurv.sampler.ChainSampler.update_frailties, which reads every
+kind's mean v_i - (C v)_i / C_ii from the precision C with C v kept current
+as sites change.
 
 monomial_rows builds the Bernstein monomials x^k (1-x)^(n-k) from separate
 tables of x^k and (1-x)^k: the reference for bpsurv.baseline.bernstein_monomials,
@@ -58,6 +59,7 @@ from bpsurv.baseline import (
     _CLAMP,
     _check_family,
     _comb_row,
+    bernstein_coefficients,
     family_log_density,
     family_survival,
 )
@@ -304,7 +306,7 @@ def total_loglik(model, dataset, state, baseline, spline_terms=None):
     ev = LikelihoodEvaluator(dataset, model, baseline.family.name, baseline.J)
     eta = linear_predictor(dataset, state, spline_terms)
     cache = ev.build_cache(np.asarray(baseline.family.theta, dtype=float), eta)
-    ll = ev.loglik_obs(cache, baseline.w, eta)
+    ll = ev.loglik_obs(cache, bernstein_coefficients(baseline.w), eta)
     return float(ll.sum()), ll
 
 
@@ -403,7 +405,7 @@ def parametric_prerun(dataset, config, spline_terms, rng, iters):
         raise ValueError("the parametric pre-run needs at least one observation")
     spline_terms = spline_terms or []
     ev = LikelihoodEvaluator(dataset, config.model, config.family, config.J)
-    w = np.full(config.J, 1.0 / config.J)
+    coef = bernstein_coefficients(np.full(config.J, 1.0 / config.J))
     p = dataset.p
     dims = p + sum(t.K for t in spline_terms)
     designs = [t.design for t in spline_terms]
@@ -412,7 +414,7 @@ def parametric_prerun(dataset, config, spline_terms, rng, iters):
     beta = np.zeros(dims)
     eta = stacked_predictor(dataset.X, designs, beta)
     cache = ev.build_cache(theta, eta)
-    ll = ev.loglik_obs(cache, w, eta)
+    ll = ev.loglik_obs(cache, coef, eta)
     if not np.all(np.isfinite(ll)):
         bad = int(np.flatnonzero(~np.isfinite(ll))[0])
         raise ValueError(f"non-finite likelihood at initialization (observation {bad}); "
@@ -431,7 +433,7 @@ def parametric_prerun(dataset, config, spline_terms, rng, iters):
     for it in range(iters):
         th_star = theta + prop_theta.step(rng)
         cache_star = ev.build_cache(th_star, eta)
-        ll_star = ev.loglik_obs(cache_star, w, eta)
+        ll_star = ev.loglik_obs(cache_star, coef, eta)
         lt = float(ll_star.sum())
         dprior = -0.5 * vague_theta * (th_star @ th_star - theta @ theta)
         if np.isfinite(lt) and math.log(rng.uniform()) < lt - ll_tot + dprior:
@@ -442,7 +444,7 @@ def parametric_prerun(dataset, config, spline_terms, rng, iters):
             b_star = beta + prop_beta.step(rng)
             eta_star = stacked_predictor(dataset.X, designs, b_star)
             cache_b = ev.cache_for_eta(cache, eta_star)
-            ll_star = ev.loglik_obs(cache_b, w, eta_star)
+            ll_star = ev.loglik_obs(cache_b, coef, eta_star)
             lt = float(ll_star.sum())
             dprior = -0.5 * vague_beta * (b_star @ b_star - beta @ beta)
             if np.isfinite(lt) and math.log(rng.uniform()) < lt - ll_tot + dprior:
@@ -611,7 +613,7 @@ def frailty_scan(s):
     logu = np.log(rng.uniform(size=m))
     v_prop = st.v + sd * eps
     eta_prop = s.eta_lin + v_prop[s.ev.loc0]
-    ll_prop = s.ev.loglik_obs(s.ev.cache_for_eta(s.cache, eta_prop), st.w, eta_prop)
+    ll_prop = s.ev.loglik_obs(s.ev.cache_for_eta(s.cache, eta_prop), st.coef, eta_prop)
     site_prop = s.ev.site_sums(np.where(np.isfinite(ll_prop), ll_prop, -1e306))
     site_cur = s.ev.site_sums(st.ll_obs)
     v = st.v
@@ -631,4 +633,4 @@ def frailty_scan(s):
         v -= v.mean()
     s.eta = s._eta(s.eta_lin)
     s.cache = s.ev.cache_for_eta(s.cache, s.eta)
-    st.ll_obs = s.ev.loglik_obs(s.cache, st.w, s.eta)
+    st.ll_obs = s.ev.loglik_obs(s.cache, st.coef, s.eta)

@@ -124,6 +124,23 @@ class TestLayout:
         for key, value in expect.items():
             assert np.array_equal(draws[key][-1], value), key
 
+    @pytest.mark.parametrize("name", ["icar-selection-spline", "grf-dense"])
+    def test_loglik_total_is_the_chains_total(self, name, monkeypatch):
+        # the archive derives each draw's total from loglik_obs; it must equal,
+        # bit for bit, the total the chain's Metropolis steps compared
+        ds, cfg = FITS[name]()
+        totals = []
+        sweep = sm.ChainSampler.sweep
+
+        def recorded(self):
+            sweep(self)
+            totals.append(self.state.ll_total)
+
+        monkeypatch.setattr(sm.ChainSampler, "sweep", recorded)
+        terms = [build_basis(ds.column(t), cfg.spline_K, t) for t in cfg.nonlinear]
+        archive = sm.ChainSampler(ds, cfg, terms).run()
+        assert archive.loglik_total.tolist() == totals[cfg.nburn:]
+
     def test_scalar_blocks_are_1d(self):
         ds, cfg = FITS["grf-dense"]()
         draws = sm.run_chain(ds, cfg).draws
@@ -143,7 +160,7 @@ def test_weights_match_weights_from_logits():
     mat = np.column_stack([np.zeros((4, 2)), Z, np.ones(4)])
     archive = sm.PosteriorArchive(
         model="ph", family="loglogistic", J=4, covariate_names=[], spline_names=[],
-        names=names, matrix=mat, loglik_obs=np.zeros((4, 1)), loglik_total=np.zeros(4),
+        names=names, matrix=mat, loglik_obs=np.zeros((4, 1)),
         loglik_at_mean=0.0, accept_rates={}, config=None, n=1, m=1, elapsed=0.0)
     W = archive.weights()
     assert np.all(np.isfinite(W))

@@ -102,13 +102,20 @@ class TestFit:
         assert "beta.trunc" not in header
 
     @pytest.mark.parametrize("flag, value", [("--nskip", "0"), ("--nburn", "-1"),
-                                             ("--nsave", "-1")])
+                                             ("--nsave", "-1"), ("--J", "1"), ("--J", "0")])
     def test_broken_chain_setting_is_an_error(self, tmp_path, capsys, flag, value):
         path = tiny_dataset_csv(tmp_path)
         rc = main(["fit", "--data", str(path), "--location-col", "location",
                    "--trunc-col", "trunc", *FAST, flag, value, "--dry-run"])
         assert rc == 2
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+    def test_unknown_nonlinear_covariate_is_an_error(self, tmp_path, capsys):
+        path = tiny_dataset_csv(tmp_path)
+        rc = main(["fit", "--data", str(path), "--location-col", "location",
+                   "--trunc-col", "trunc", "--nonlinear", "x9", "--dry-run"])
+        assert rc == 2
+        assert "unknown covariate 'x9'; the data has ['x1', 'x2']" in capsys.readouterr().err
 
     def test_large_magnitude_covariate(self, tmp_path, capsys):
         # epoch seconds: numpy's centering leaves |sum Xc| far above 1e-10 n
@@ -272,6 +279,9 @@ class TestFit:
                                                 "prerun_iters": 2000}}))
         assert main(["fit", "--config", str(old_meta), "--dry-run"]) == 2
         assert "['l0', 'no_prerun', 'prerun_iters']" in capsys.readouterr().err
+        old_meta.write_text(json.dumps({"cli": {"nburn": 120, "loglik_csv": False}}))
+        assert main(["fit", "--config", str(old_meta), "--dry-run"]) == 2
+        assert "['loglik_csv']" in capsys.readouterr().err
 
     @staticmethod
     def dry_run_options(text):
@@ -356,6 +366,18 @@ class TestDiagnose:
         assert "deviates" in capsys.readouterr().err
         assert not (fit / "diagnose.json").exists()
 
+    def test_meta_json_with_loglik_totals_loads(self, tmp_path):
+        # meta.json once stored each draw's total log-likelihood; such a fit
+        # directory still diagnoses, to the same residuals
+        fit, argv = self.fit_dir(tmp_path)
+        assert main(argv + ["--outdir", str(tmp_path / "now")]) == 0
+        meta = json.loads((fit / "meta.json").read_text())
+        meta["loglik_total"] = np.load(fit / "loglik.npy").sum(axis=1).tolist()
+        (fit / "meta.json").write_text(json.dumps(meta))
+        assert main(argv + ["--outdir", str(tmp_path / "old")]) == 0
+        assert ((tmp_path / "old" / "coxsnell.csv").read_bytes()
+                == (tmp_path / "now" / "coxsnell.csv").read_bytes())
+
     def test_missing_loglik_is_a_missing_file(self, tmp_path, capsys):
         fit, argv = self.fit_dir(tmp_path)
         (fit / "loglik.npy").unlink()
@@ -383,6 +405,14 @@ class TestMcStudy:
         agg = json.loads((out1 / "aggregate.json").read_text())
         assert agg["replicates"] == 2
         assert len(agg["beta_bias"]) == 2
+
+    def test_no_replicates_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mc-study", "--design", "sim1-ph", "--replicates", "0",
+                  "--outdir", str(tmp_path / "none")])
+        assert exc.value.code == 2
+        assert "--replicates: must be at least 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "none").exists()
 
     def test_one_replicate_writes_strict_json(self, tmp_path):
         # the spread of the replicate means needs two replicates

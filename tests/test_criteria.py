@@ -74,7 +74,7 @@ class TestDic:
         arch = sampler.PosteriorArchive(
             model="po", family=cfg.family, J=3, covariate_names=ds.covariate_names,
             spline_names=[], names=names, matrix=np.column_stack([beta, theta, z, np.ones(4)]),
-            loglik_obs=np.zeros((4, ds.n)), loglik_total=np.zeros(4), loglik_at_mean=math.nan,
+            loglik_obs=np.zeros((4, ds.n)), loglik_at_mean=math.nan,
             accept_rates={}, config=cfg, n=ds.n, m=ds.m, elapsed=0.0)
         eta = oracle.linear_predictor(ds, oracle.RegressionState(beta=beta.mean(axis=0)))
         family = oracle.CenteringFamily(cfg.family, tuple(theta.mean(axis=0)))

@@ -89,6 +89,25 @@ class TestCsv:
         with pytest.raises(ValueError, match="unknown column"):
             dm.load_csv(path, dm.CsvSchema(t1="start"))
 
+    @pytest.mark.parametrize("text, schema, message", [
+        ("t1,t2,x1\n1.0,2.0,0.5\n1.5,\n", dm.CsvSchema(), "expected 3 fields, got 2"),
+        ("t1,t2,x1,loc\n1.0,2.0,0.5,A\n1.5,3\n", dm.CsvSchema(location="loc"),
+         "expected 4 fields, got 2"),
+        # a long row would lose its extra field silently
+        ("t1,t2,x1\n1.0,2.0,0.5\n1.5,3,1,7\n", dm.CsvSchema(), "expected 3 fields, got 4"),
+    ], ids=["short", "short-location", "long"])
+    def test_row_with_the_wrong_field_count(self, tmp_path, text, schema, message):
+        path = tmp_path / "ragged.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^row 3: {message}$"):
+            dm.load_csv(path, schema)
+
+    def test_malformed_coordinate_names_the_row(self, tmp_path):
+        path = tmp_path / "geo.csv"
+        path.write_text("t1,t2,x1,lon,lat\n1.0,1.0,0.2,1.5,2.5\n2.0,,0.1,abc,2.5\n")
+        with pytest.raises(ValueError, match="row 3: malformed lon/lat value .*'abc'"):
+            dm.load_csv(path, dm.CsvSchema(lon="lon", lat="lat"))
+
     def test_coordinate_deduplication(self, tmp_path):
         path = tmp_path / "geo.csv"
         path.write_text(

@@ -128,9 +128,9 @@ class TestSpecValidation:
 
 def conditional(structure, i, v, tau2):
     """Mean and variance of v_i given the rest under precision kernel C, read
-    as the frailty scan reads them: (coupling v)_i / C_ii and tau2 / C_ii,
-    with coupling = diag(C) - C."""
-    return (structure.coupling @ v)[i] / structure.diag[i], tau2 / structure.diag[i]
+    as the frailty scan reads them: v_i - (C v)_i / C_ii and tau2 / C_ii."""
+    C = structure.C
+    return v[i] - (C @ v)[i] / C[i, i], tau2 / C[i, i]
 
 
 class TestIcarStructure:
@@ -298,7 +298,7 @@ class TestFactorStructure:
             assert st.logdet_half == pytest.approx(-0.5 * ld, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["iid", "icar", "grf", "fsa"])
-    def test_coupling_is_exactly_symmetric(self, kind):
+    def test_precision_is_exactly_symmetric(self, kind):
         if kind == "iid":
             st = fr.build_structure(fr.FrailtySpec(kind="iid"), m=5)
         elif kind == "icar":
@@ -307,7 +307,6 @@ class TestFactorStructure:
             spec = fr.FrailtySpec(kind="grf", coords=grid_coords(40, seed=8),
                                   fsa=(8, 3) if kind == "fsa" else None)
             st = fr.build_structure(spec, phi=0.7)
-        assert np.array_equal(st.coupling, st.coupling.T)
         assert np.array_equal(st.C, st.C.T)
 
     def test_inverse_is_formed_on_first_read_only(self, monkeypatch):
@@ -317,7 +316,7 @@ class TestFactorStructure:
         st = fr.build_structure(spec, phi=0.6)
         st.quad_form(np.ones(30))
         assert calls == [] and st.logdet_half > 0.0  # log det R < 0
-        st.coupling, st.diag, st.C
+        st.C, st.C
         assert calls == [1]
 
     def test_unfactorable_knots_name_the_range(self):

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from bpsurv import data as dm
 from bpsurv import models as md
+from bpsurv.baseline import bernstein_coefficients
 
 import oracle
 from oracle import CenteringFamily, TbpBaseline
@@ -207,7 +208,7 @@ class TestEvaluator:
             w = rng.dirichlet(np.ones(base.J))
             base2 = TbpBaseline(J=base.J, w=w, family=base.family)
             fresh = oracle.total_loglik(model, ds, state, base2)[1]
-            cached = ev.loglik_obs(cache, w, eta)
+            cached = ev.loglik_obs(cache, bernstein_coefficients(w), eta)
             assert np.max(np.abs(fresh - cached)) < 1e-12
 
     def test_site_sums(self):

@@ -9,7 +9,8 @@ from scipy.stats import kstest, norm
 from bpsurv import data as dm
 from bpsurv import frailty as fr
 from bpsurv import sampler as sm
-from bpsurv.baseline import dirichlet_symmetric_logpdf, weights_from_logits
+from bpsurv.baseline import (bernstein_coefficients, dirichlet_symmetric_logpdf,
+                             weights_from_logits)
 from bpsurv.simulate import SimDesign
 from bpsurv.splines import build_basis
 
@@ -34,13 +35,14 @@ def make_sampler(dataset, **kw):
 
 @pytest.fixture
 def checked_sweeps(monkeypatch):
-    """After every sweep, the cached log-likelihood must equal a fresh one."""
+    """After every sweep, the cached log-likelihood must equal a fresh one,
+    formed from coefficients of the current weights."""
     sweep = sm.ChainSampler.sweep
 
     def checked(self):
         sweep(self)
         fresh = self.ev.loglik_obs(self.ev.build_cache(self.state.theta, self.eta),
-                                   self.state.w, self.eta)
+                                   bernstein_coefficients(self.state.w), self.eta)
         assert np.allclose(fresh, self.state.ll_obs, atol=1e-10, equal_nan=True), \
             "cached log-likelihood diverged from a fresh evaluation"
 
@@ -91,6 +93,9 @@ class TestMcmcConfigValidation:
         (dict(nsave=-1), "nsave"),
         # an empty chain still needs a valid thinning
         (dict(nburn=0, nsave=0, nskip=0), "nskip"),
+        # J = 1 leaves the z block without columns; J = 0 has no weights
+        (dict(J=1), "J"),
+        (dict(J=0), "J"),
     ])
     def test_rejects_broken_chain_settings(self, settings, name):
         with pytest.raises(ValueError, match=name):
@@ -215,7 +220,7 @@ class TestBlockFullConditionals:
 
         def target(zval):
             w = weights_from_logits(np.array([zval]))
-            ll = float(s.ev.loglik_obs(s.cache, w, eta).sum())
+            ll = float(s.ev.loglik_obs(s.cache, bernstein_coefficients(w), eta).sum())
             return ll + s.state.alpha * float(np.log(w).sum())
 
         grid = np.linspace(-9, 9, 3001)
@@ -230,7 +235,7 @@ class TestBlockFullConditionals:
 
         def target(b):
             eta = ds.X[:, 0] * b
-            ll = float(s.ev.loglik_obs(s.cache, s.state.w, eta).sum())
+            ll = float(s.ev.loglik_obs(s.cache, s.state.coef, eta).sum())
             return ll - 0.5 * b * b / 4.0
 
         grid = np.linspace(-8, 8, 3001)
@@ -263,7 +268,7 @@ class TestBlockFullConditionals:
 
         def target(th):
             cache = s.ev.build_cache(th, s.eta)
-            return float(s.ev.loglik_obs(cache, s.state.w, s.eta).sum()) - 0.5 * th @ th
+            return float(s.ev.loglik_obs(cache, s.state.coef, s.eta).sum()) - 0.5 * th @ th
 
         logdens = np.array([[target(np.array([a, b])) for b in g1] for a in g0])
         # cumulated cell masses give the CDF at the right edge of each cell
@@ -319,7 +324,7 @@ class TestBlockFullConditionals:
 class TestFrailtyScan:
     @pytest.mark.parametrize("kind", ["iid", "icar", "grf", "fsa"])
     def test_matches_per_kind_reference(self, kind):
-        # the one coupling rule against each kind's conditional mean written out
+        # the one precision rule against each kind's conditional mean written out
         ds, _ = SimDesign(model="ph", m=8, n_per_site=5,
                           frailty_kind="grf" if kind in ("grf", "fsa") else "none").generate(3)
         if kind == "icar":
