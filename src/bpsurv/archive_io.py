@@ -24,7 +24,7 @@ import numpy as np
 
 from . import criteria as cr
 from .sampler import PosteriorArchive
-from .splines import build_basis
+from .splines import build_terms
 
 _LOW_ACCEPT = 0.01  # summary.txt warns of a block accepting less than this
 
@@ -123,10 +123,11 @@ def load_archive(outdir, dataset=None):
 
     The draws.csv header splits the draw matrix into blocks as in the chain,
     so every block, weights(), the residuals and the criteria of the loaded
-    archive equal those of the writing one bit for bit.  Spline terms are
-    rebuilt from the dataset (the basis build is deterministic), so dataset
-    is required when the fit used nonlinear terms.  The loaded archive has no
-    McmcConfig (config is None): meta.json keeps the settings.
+    archive equal those of the writing one bit for bit.  The chain's builder
+    (splines.build_terms) rebuilds the spline terms from the dataset and the
+    nonlinear and spline_K of meta.json's config, so dataset is required when
+    the fit used nonlinear terms.  The loaded archive has no McmcConfig
+    (config is None): meta.json keeps the settings.
     """
     outdir = Path(outdir)
     with open(outdir / "meta.json") as fh:
@@ -135,16 +136,14 @@ def load_archive(outdir, dataset=None):
         names = fh.readline().strip().split(",")
         mat = np.loadtxt(fh, delimiter=",", ndmin=2) if meta["retained_draws"] \
             else np.zeros((0, len(names)))
-    terms = []
-    if meta["spline_names"]:
-        if dataset is None:
-            raise ValueError("loading a fit with spline terms needs the dataset")
-        terms = [build_basis(dataset.column(nm), meta["config"]["spline_K"], nm)
-                 for nm in meta["spline_names"]]
+    cfg = meta["config"]
+    if cfg["nonlinear"] and dataset is None:
+        raise ValueError("loading a fit with spline terms needs the dataset")
+    terms = build_terms(dataset, cfg["nonlinear"], cfg["spline_K"])
     return PosteriorArchive(
         model=meta["model"], family=meta["family"], J=meta["J"],
-        covariate_names=meta["covariate_names"], spline_names=meta["spline_names"],
-        names=names, matrix=mat, loglik_obs=np.load(outdir / "loglik.npy"),
+        covariate_names=meta["covariate_names"], names=names, matrix=mat,
+        loglik_obs=np.load(outdir / "loglik.npy"),
         loglik_at_mean=float(meta["criteria"]["loglik_at_mean"]),
         accept_rates=meta["accept_rates"], config=None,
         n=meta["n"], m=meta["m"], elapsed=meta["elapsed_seconds"],
@@ -183,12 +182,13 @@ def summary_text(archive, criteria=None):
         for i in show:
             col = mat[:, i]
             lo, hi = np.quantile(col, [0.025, 0.975])  # type-7 interpolation
+            sd = f"{col.std(ddof=1):>12.4g}" if L >= 2 else f"{'n/a':>12}"
             try:
-                ness = cr.ess(col)
-            except ValueError:
-                ness = float("nan")
+                ness = f"{cr.ess(col):>9.0f}"
+            except ValueError:  # too few draws
+                ness = f"{'n/a':>9}"
             lines.append(f"{names[i]:<14}{col.mean():>13.5g}{np.median(col):>13.5g}"
-                         f"{col.std(ddof=1):>12.4g}{lo:>13.5g}{hi:>13.5g}{ness:>9.0f}")
+                         f"{sd}{lo:>13.5g}{hi:>13.5g}{ness}")
         lines.append("")
     if "gamma" in archive.draws and L:
         lines.append("sub-model visit proportions:")

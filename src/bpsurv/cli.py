@@ -96,7 +96,7 @@ def build_parser():
     p.add_argument("--data", required=True)
     _schema_flags(p)
     p.add_argument("--adjacency", default=None)
-    p.add_argument("--draws", type=int, default=10)
+    p.add_argument("--draws", type=_positive_int, default=10)
     p.add_argument("--svg", action="store_true")
     p.add_argument("--outdir", default=None, help="default: the fit directory")
 
@@ -336,8 +336,7 @@ def cmd_mc_study(args):
     cfg_kwargs = {name: getattr(args, name) for name in _STUDY_CHAIN_FIELDS}
     models = _split(args.models)
     result = run_mc_study(design, args.replicates, master_seed=args.seed,
-                          jobs=args.jobs, fit_models=models, cfg_kwargs=cfg_kwargs,
-                          design_name=args.design)
+                          jobs=args.jobs, fit_models=models, cfg_kwargs=cfg_kwargs)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     p = result.truth_beta.shape[0]

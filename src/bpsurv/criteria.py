@@ -136,15 +136,11 @@ def log_bf_linearity(archive, name):
     covariate: log prior density minus log posterior density at xi=0.
     None (unavailable) when the xi draws span fewer than all dimensions or
     have not mixed (see _posterior_logpdf_at_zero)."""
-    key = f"xi_{name}"
-    if key not in archive.draws:
-        raise ValueError(f"no spline term for covariate {name!r}")
-    xi = archive.draws[key]
-    term = {t.name: t for t in (archive.spline_terms or [])}.get(name)
+    term = next((t for t in archive.spline_terms if t.name == name), None)
     if term is None:
-        raise ValueError("archive does not carry spline term metadata")
+        raise ValueError(f"no spline term for covariate {name!r}")
     log_num = _mvn_logpdf_at_zero(np.zeros(term.K), term.prior_cov)
-    log_den = _posterior_logpdf_at_zero(xi)
+    log_den = _posterior_logpdf_at_zero(archive.draws[f"xi_{name}"])
     return None if log_den is None else float(log_num - log_den)
 
 

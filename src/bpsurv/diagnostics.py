@@ -55,11 +55,8 @@ def coxsnell_residuals(archive, dataset, draws=10):
     idx = np.atleast_1d(draws) if not np.isscalar(draws) else _select_draws(archive.L, draws)
     ev = LikelihoodEvaluator(dataset, archive.model, archive.family, archive.J)
     W = archive.weights()
-    terms = {t.name: t for t in archive.spline_terms or []}
-    designs = [terms[name].design for name in archive.spline_names]
-    coefs = np.concatenate([archive.effective_beta_draws(),
-                            *(archive.draws[f"xi_{name}"] for name in archive.spline_names)],
-                           axis=1)
+    designs = [t.design for t in archive.spline_terms]
+    coefs = archive.coefficients()
     out = []
     for s in idx:
         s = int(s)

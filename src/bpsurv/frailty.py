@@ -59,7 +59,7 @@ def solve_phi0(dmax, nu=1.0, rho=0.001):
     return (-np.log(rho)) ** (1.0 / nu) / dmax
 
 
-def select_knots(coords, A, refine=True):
+def select_knots(coords, A):
     """Pick A space-filling knots from a site set.
 
     Greedy farthest-point (maximin) selection seeded at the site farthest from
@@ -83,7 +83,7 @@ def select_knots(coords, A, refine=True):
         np.minimum(mind, dist[nxt], out=mind)
     # A single knot has no pairwise distance: every swap scores inf, and
     # inf - inf is no gain.
-    if refine and A >= 2:
+    if A >= 2:
         iu = np.triu_indices(A - 1, k=1)
         for _ in range(3):  # bounded number of sweeps
             improved = False

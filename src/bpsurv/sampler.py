@@ -9,6 +9,8 @@ random-walk Metropolis step (ChainSampler._metropolis).  Each block proposes
 x + L e, e ~ N(0, I), where L = ChainSampler.prop[block] is the lower
 Cholesky factor of the block's seed covariance, built once: no proposal
 adapts, so the chain is a time-homogeneous Markov chain by construction.
+The model comes from the McmcConfig alone: the chain, its parametric fit and
+a loaded archive all build the spline terms by splines.build_terms.
 
 Before the chain, parametric_prerun fits the parametric special case
 (weights pinned at 1/J) by a Laplace approximation: the mode of its
@@ -31,7 +33,7 @@ from . import frailty as fr
 from .baseline import (_CLAMP, bernstein_coefficients, bernstein_monomials, bernstein_survival,
                        dirichlet_symmetric_logpdf, family_survival, weights_from_logits)
 from .models import LikelihoodEvaluator, linear_predictor
-from .splines import build_basis, gprior_scale
+from .splines import build_terms, gprior_scale
 
 # SeedSequence.spawn children are positional, so the unused "prerun" and
 # "init" slots stay: every block keeps the stream it has always drawn from.
@@ -180,10 +182,11 @@ def _laplace_covariance(f, x):
     return None
 
 
-def parametric_prerun(dataset, config, spline_terms=None):
+def parametric_prerun(dataset, config):
     """Laplace fit of the parametric special case: (theta_hat, V_hat,
     beta_hat, W_hat).
 
+    The regression block is beta then the xi of the config's spline terms.
     With the weights pinned at 1/J (S0 = S_theta), no frailties or selection
     and vague priors (precisions 1e-6 I for theta around 0, 1e-10 I for the
     regression block), BFGS minimises the negative log-posterior from
@@ -200,7 +203,7 @@ def parametric_prerun(dataset, config, spline_terms=None):
 
     if dataset.n == 0:
         raise ValueError("the parametric Laplace fit needs at least one observation")
-    designs = [t.design for t in spline_terms or []]
+    designs = [t.design for t in build_terms(dataset, config.nonlinear, config.spline_K)]
     ev = LikelihoodEvaluator(dataset, config.model, config.family, config.J)
     coef = bernstein_coefficients(np.full(config.J, 1.0 / config.J))
 
@@ -238,14 +241,17 @@ def parametric_prerun(dataset, config, spline_terms=None):
 class ChainSampler:
     """One MCMC chain; construct, then call run().
 
-    The per-block update methods are exposed individually so tests can drive
-    a single block against its full conditional.
+    The model, spline terms included, is the config's.  prerun_est, the
+    config's parametric_prerun fit, supplies the theta prior, the starting
+    values and the theta and beta proposals.  The per-block update methods
+    are exposed individually so tests can drive a single block against its
+    full conditional.
     """
 
-    def __init__(self, dataset, config, spline_terms=None, prerun_est=None):
+    def __init__(self, dataset, config, prerun_est=None):
         self.ds = dataset
         self.cfg = config
-        self.terms = list(spline_terms or [])
+        self.terms = build_terms(dataset, config.nonlinear, config.spline_K)
         self.ev = LikelihoodEvaluator(dataset, config.model, config.family, config.J)
         seqs = np.random.SeedSequence(config.seed).spawn(len(_BLOCKS))
         self.rngs = {name: np.random.default_rng(s) for name, s in zip(_BLOCKS, seqs)}
@@ -659,7 +665,6 @@ class ChainSampler:
         archive = PosteriorArchive(
             model=cfg.model, family=cfg.family, J=cfg.J,
             covariate_names=list(self.ds.covariate_names),
-            spline_names=[t.name for t in self.terms],
             names=names, matrix=mat, loglik_obs=ll_obs,
             loglik_at_mean=math.nan, accept_rates=self.acceptance_rates(),
             config=cfg, n=self.ds.n, m=self.ds.m, elapsed=math.nan,
@@ -673,12 +678,14 @@ class ChainSampler:
     def _loglik_at_posterior_mean(self, archive):
         """Plug-in total log-likelihood at the componentwise posterior mean:
         of the weights w rather than their logits z, of theta, of the
-        effective coefficients under selection, and of v."""
+        coefficients, and of v.  Each coefficient block is averaged on its
+        own: numpy sums a one-column block pairwise, a wider one row by row."""
         draws = archive.draws
         w = archive.weights().mean(axis=0)
         theta = draws["theta"].mean(axis=0)
-        coef = np.concatenate([archive.effective_beta_draws().mean(axis=0),
-                               *(draws[f"xi_{t.name}"].mean(axis=0) for t in self.terms)])
+        ends = np.cumsum([self.p] + [t.K for t in self.terms])[:-1]
+        coef = np.concatenate([block.mean(axis=0)
+                               for block in np.split(archive.coefficients(), ends, axis=1)])
         v = draws["v"].mean(axis=0) if self.has_frailty else None
         eta = linear_predictor(self.ds.X, self._designs, coef, v, self.ev.loc0)
         cache = self.ev.build_cache(theta, eta)
@@ -714,15 +721,14 @@ class PosteriorArchive:
     """Retained draws plus everything the criteria and diagnostics need.
 
     names and matrix hold the draws as draws.csv does, one row per retained
-    draw; draws is their split into blocks (split_draws).  config is None
-    for an archive loaded from disk.
+    draw; draws is their split into blocks (split_draws); spline_terms are
+    in xi block order.  config is None for an archive loaded from disk.
     """
 
     model: str
     family: str
     J: int
     covariate_names: list
-    spline_names: list
     names: list
     matrix: np.ndarray
     loglik_obs: np.ndarray
@@ -733,12 +739,16 @@ class PosteriorArchive:
     m: int
     elapsed: float
     nonfinite_rejects: int = 0
-    spline_terms: list = None
+    spline_terms: list = field(default_factory=list)
     prerun: dict = None       # PrerunEstimates.figures; None without a fit
     draws: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self.draws = split_draws(self.names, self.matrix)
+
+    @property
+    def spline_names(self):
+        return [t.name for t in self.spline_terms]
 
     @property
     def L(self):
@@ -766,10 +776,15 @@ class PosteriorArchive:
             acc += bernstein_survival(cs, bernstein_monomials(x, self.J)[0])
         return acc / self.L
 
-    def effective_beta_draws(self):
+    def coefficients(self):
+        """The regression block of each draw as linear_predictor takes it,
+        one row per draw: beta * gamma (beta without selection), then each
+        spline term's xi in term order."""
+        beta = self.draws["beta"]
         if "gamma" in self.draws:
-            return self.draws["beta"] * self.draws["gamma"]
-        return self.draws["beta"]
+            beta = beta * self.draws["gamma"]
+        return np.concatenate([beta, *(self.draws[f"xi_{t.name}"] for t in self.spline_terms)],
+                              axis=1)
 
     def submodel_table(self):
         """Sub-model visit proportions under variable selection, best first."""
@@ -786,16 +801,14 @@ class PosteriorArchive:
 
 
 def run_chain(dataset, config):
-    """The parametric Laplace fit followed by the main chain; returns the
-    archive.
+    """The parametric Laplace fit followed by the main chain, both of the
+    model the config states; returns the archive.
 
     The archive's elapsed time covers both, and archive.prerun carries the
     fit's figures.
     """
     t_start = time.perf_counter()
-    terms = [build_basis(dataset.column(name), config.spline_K, name)
-             for name in config.nonlinear]
-    est = parametric_prerun(dataset, config, terms)
-    archive = ChainSampler(dataset, config, terms, est).run(t_start)
+    est = parametric_prerun(dataset, config)
+    archive = ChainSampler(dataset, config, est).run(t_start)
     archive.prerun = est.figures
     return archive

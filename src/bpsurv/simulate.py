@@ -28,6 +28,7 @@ from .data import CensoredObservation, Dataset, load_adjacency
 from .models import model_time, survival_transform
 
 _INF = math.inf
+_COORDS_EXTENT = 10.0  # grf sites are uniform on [0, 10]^2
 
 
 def bundled_adjacency37():
@@ -182,8 +183,6 @@ class SimTruth:
     v: np.ndarray
     tau2: float
     phi: float = None
-    times: np.ndarray = None
-    baseline: object = None
 
 
 @dataclass
@@ -200,9 +199,7 @@ class SimDesign:
     phi: float = 1.0
     nu: float = 1.0
     adjacency: np.ndarray = None       # default: bundled 37-region map
-    coords_extent: float = 10.0
     baseline: object = field(default_factory=BimodalBaseline)
-    censoring: bool = True
 
     def covariate_names(self, p):
         return [f"x{j + 1}" for j in range(p)]
@@ -227,7 +224,7 @@ class SimDesign:
 
         coords = None
         if self.frailty_kind == "grf":
-            coords = rng.uniform(0, self.coords_extent, size=(m, 2))
+            coords = rng.uniform(0, _COORDS_EXTENT, size=(m, 2))
         spec = self.frailty_spec(coords)
         if spec.kind == "icar" and spec.m != m:
             raise ValueError("adjacency size must match m")
@@ -236,17 +233,13 @@ class SimDesign:
         loc = np.repeat(np.arange(1, m + 1), self.n_per_site)
         eta = X @ beta + v[loc - 1]
         times = sample_survival_time(self.model, eta, self.baseline, rng.uniform(size=n))
-        if self.censoring:
-            a, b = apply_censoring(times, rng)
-        else:
-            a, b = times, times.copy()
+        a, b = apply_censoring(times, rng)
         obs = [CensoredObservation(a=float(a[i]), b=float(b[i]), x=tuple(X[i]),
                                    location=int(loc[i])) for i in range(n)]
         ds = Dataset(observations=obs, m=m, covariate_names=self.covariate_names(p),
                      coords=coords)
         truth = SimTruth(model=self.model, beta=beta, v=v, tau2=self.tau2,
-                         phi=self.phi if self.frailty_kind == "grf" else None,
-                         times=times, baseline=self.baseline)
+                         phi=self.phi if self.frailty_kind == "grf" else None)
         return ds, truth
 
 

@@ -98,3 +98,9 @@ def build_basis(values, K=5, name="x"):
     prior_cov = 0.5 * (prior_cov + prior_cov.T)
     return SplineTerm(name=name, K=K, knots=knots, col_means=col_means, design=design,
                       xmin=xmin, xmax=xmax, g=g, prior_cov=prior_cov)
+
+
+def build_terms(dataset, nonlinear, K):
+    """A fit's spline terms: one deterministic build_basis term of K columns
+    per covariate named in nonlinear, in that order."""
+    return [build_basis(dataset.column(name), K, name) for name in nonlinear]

@@ -17,7 +17,7 @@ from .sampler import McmcConfig, run_chain
 
 _MASK = (1 << 62) - 1
 
-DEFAULT_S0_GRID = np.linspace(0.05, 5.0, 60)
+S0_GRID = np.linspace(0.05, 5.0, 60)  # where each replicate's fitted S0 is averaged
 
 
 def data_seed(master, rep):
@@ -43,12 +43,7 @@ class ReplicateResult:
     alt_criteria: dict = field(default_factory=dict)  # model -> (lpml, dic, waic)
 
 
-def _fit_once(dataset, model, cfg_kwargs, seed, frailty_spec):
-    cfg = McmcConfig(model=model, seed=seed, frailty=frailty_spec, **cfg_kwargs)
-    return run_chain(dataset, cfg)
-
-
-def _summaries(archive, truth, s0_grid):
+def _summaries(archive, truth):
     beta = archive.draws["beta"]
     mean = beta.mean(axis=0)
     sd = beta.std(axis=0, ddof=1)
@@ -61,27 +56,29 @@ def _summaries(archive, truth, s0_grid):
         tau2_median = float(np.median(t2))
         t2lo, t2hi = np.quantile(t2, [0.025, 0.975])
         tau2_cov = bool(t2lo <= truth.tau2 <= t2hi)
-    s0 = archive.fitted_baseline_survival(s0_grid) if s0_grid is not None else None
+    s0 = archive.fitted_baseline_survival(S0_GRID)
     return mean, sd, covered, ess_beta, tau2_median, tau2_cov, s0
 
 
 def run_replicate(args):
     """One replicate: generate data, fit one or more models, summarize.
 
-    args is the tuple (design, rep, master_seed, fit_models, cfg_kwargs,
-    s0_grid); module-level so it pickles for worker pools.
+    args is the tuple (design, rep, master_seed, fit_models, cfg_kwargs);
+    module-level so it pickles for worker pools.
     """
-    design, rep, master, fit_models, cfg_kwargs, s0_grid = args
+    design, rep, master, fit_models, cfg_kwargs = args
     ds, truth = design.generate(data_seed(master, rep))
     spec = design.frailty_spec(ds.coords)
     alt = {}
     for k, model in enumerate(fit_models):
-        arch = _fit_once(ds, model, cfg_kwargs, chain_seed(master, rep, k), spec)
+        cfg = McmcConfig(model=model, seed=chain_seed(master, rep, k), frailty=spec,
+                         **cfg_kwargs)
+        arch = run_chain(ds, cfg)
         alt[model] = crit = (cr.lpml(arch.loglik_obs)[0], cr.dic(arch)[0],
                              cr.waic(arch.loglik_obs)[0])
         if k == 0:
             arch0, (lp, d, wa) = arch, crit
-    mean, sd, covered, ess_beta, tau2_med, tau2_cov, s0 = _summaries(arch0, truth, s0_grid)
+    mean, sd, covered, ess_beta, tau2_med, tau2_cov, s0 = _summaries(arch0, truth)
     return ReplicateResult(
         replicate=rep, beta_mean=mean, beta_sd=sd, covered=covered, ess_beta=ess_beta,
         tau2_median=tau2_med, tau2_covered=tau2_cov, lpml=lp, dic=d, waic=wa, s0_fit=s0,
@@ -90,7 +87,6 @@ def run_replicate(args):
 
 @dataclass
 class StudyResult:
-    design_name: str
     truth_beta: np.ndarray
     truth_tau2: float
     replicates: list
@@ -113,8 +109,7 @@ class StudyResult:
             t2 = np.array([r.tau2_median for r in reps])
             out["tau2_median_bias"] = float((t2 - self.truth_tau2).mean())
             out["tau2_cp"] = float(np.mean([r.tau2_covered for r in reps]))
-        if reps[0].s0_fit is not None:
-            out["s0_mean_fit"] = np.array([r.s0_fit for r in reps]).mean(axis=0).tolist()
+        out["s0_mean_fit"] = np.array([r.s0_fit for r in reps]).mean(axis=0).tolist()
         return out
 
     def selection_proportions(self, criterion="lpml"):
@@ -131,8 +126,7 @@ class StudyResult:
         return {mdl: cnt / total for mdl, cnt in wins.items()}
 
 
-def run_mc_study(design, replicates, master_seed=0, jobs=1, fit_models=None,
-                 cfg_kwargs=None, s0_grid=DEFAULT_S0_GRID, design_name=""):
+def run_mc_study(design, replicates, master_seed=0, jobs=1, fit_models=None, cfg_kwargs=None):
     """Run a replicate study, optionally across processes.
 
     fit_models defaults to just the design's generating model; passing several
@@ -141,8 +135,7 @@ def run_mc_study(design, replicates, master_seed=0, jobs=1, fit_models=None,
     """
     cfg_kwargs = dict(cfg_kwargs or {})
     fit_models = list(fit_models or [design.model])
-    tasks = [(design, rep, master_seed, fit_models, cfg_kwargs, s0_grid)
-             for rep in range(replicates)]
+    tasks = [(design, rep, master_seed, fit_models, cfg_kwargs) for rep in range(replicates)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run_replicate, tasks))
@@ -150,5 +143,4 @@ def run_mc_study(design, replicates, master_seed=0, jobs=1, fit_models=None,
         results = [run_replicate(t) for t in tasks]
     results.sort(key=lambda r: r.replicate)
     _, truth = design.generate(data_seed(master_seed, 0))
-    return StudyResult(design_name=design_name, truth_beta=truth.beta,
-                       truth_tau2=truth.tau2, replicates=results)
+    return StudyResult(truth_beta=truth.beta, truth_tau2=truth.tau2, replicates=results)

@@ -16,16 +16,19 @@ cover each model, each frailty kind (none, iid, icar, dense grf, FSA with 20
 knots and 4 blocks), --selection, --nonlinear x2 and left truncation.  BLAS
 runs on one thread.
 
-Each line reads: label, sha256 of draws.csv, sha256 of loglik.npy, and
+Each line reads: label, sha256 of draws.csv, sha256 of loglik.npy,
 sha256 of meta.json's criteria and accept_rates, dumped as
-json.dumps({"criteria": ..., "accept_rates": ...}, sort_keys=True).  The
-third digest extends the check to LPML, WAIC, DIC, p_D, p_V and
+json.dumps({"criteria": ..., "accept_rates": ...}, sort_keys=True), and
+sha256 of the coxsnell.csv that `bpsurv diagnose --draws 10` writes for the
+fit.  The third digest extends the check to LPML, WAIC, DIC, p_D, p_V and
 loglik_at_mean, which the archive derives from the draws and the
 log-likelihood (DIC and p_V from the per-draw totals) and which the other
 two files do not show; the rest of meta.json carries the elapsed time and
-the resolved options, and is left out.  To compare with a parent commit, run
-this script in a checkout of the parent too.  The script takes about ten
-seconds; it is not a pytest module.
+the resolved options, and is left out.  The fourth covers the Cox-Snell
+residuals of a loaded archive: its rebuilt spline terms, its regression
+coefficients and the Turnbull estimate.  To compare with a parent commit,
+run this script in a checkout of the parent too.  The script takes about
+ten seconds; it is not a pytest module.
 
 A change meant to move the likelihood by rounding only cannot keep the
 digests, but it should keep the chain's path: every accept/reject decision
@@ -63,7 +66,7 @@ import numpy as np  # noqa: E402
 
 from bpsurv.cli import main  # noqa: E402
 
-SHORT = ["--nburn", "150", "--nsave", "150", "--seed", "3", "--trunc-col", "trunc"]
+SHORT = ["--nburn", "150", "--nsave", "150", "--seed", "3"]
 
 # (label, data set, extra fit options)
 FITS = [
@@ -133,14 +136,17 @@ def main_digests(keep=None):
                   "geo": ["--lon-col", "lon", "--lat-col", "lat"]}
         for k, (label, data, extra) in enumerate(FITS):
             out = (Path(keep) if keep else tmp) / _slug(k, label)
-            argv = ["fit", "--data", str(tmp / f"{data}.csv"), *places[data], *SHORT,
-                    *extra, "--outdir", str(out)]
+            data_args = ["--data", str(tmp / f"{data}.csv"), *places[data],
+                         "--trunc-col", "trunc"]
+            argv = ["fit", *data_args, *SHORT, *extra, "--outdir", str(out)]
             if "icar" in extra:
                 argv += ["--adjacency", adjacency]
             _run(argv)
+            _run(["diagnose", "--fit", str(out), *data_args, "--draws", "10"])
             print(f"{label}: draws.csv {_sha256(out / 'draws.csv')} "
                   f"loglik.npy {_sha256(out / 'loglik.npy')} "
-                  f"meta.json {_meta_sha256(out / 'meta.json')}", flush=True)
+                  f"meta.json {_meta_sha256(out / 'meta.json')} "
+                  f"coxsnell.csv {_sha256(out / 'coxsnell.csv')}", flush=True)
 
 
 def _draws(fit):

@@ -6,11 +6,10 @@ import pytest
 
 from bpsurv import frailty as fr
 from bpsurv import sampler as sm
-from bpsurv.archive_io import compute_criteria, load_archive, save_archive
+from bpsurv.archive_io import compute_criteria, load_archive, save_archive, summary_text
 from bpsurv.baseline import weights_from_logits
 from bpsurv.diagnostics import coxsnell_residuals
 from bpsurv.simulate import SimDesign
-from bpsurv.splines import build_basis
 
 
 def path_adjacency(m):
@@ -109,13 +108,12 @@ class TestLayout:
     @pytest.mark.parametrize("name", ["icar-selection-spline", "grf-dense"])
     def test_last_row_is_the_final_state(self, name):
         ds, cfg = FITS[name]()
-        terms = [build_basis(ds.column(t), cfg.spline_K, t) for t in cfg.nonlinear]
-        s = sm.ChainSampler(ds, cfg, terms)
+        s = sm.ChainSampler(ds, cfg)
         draws = s.run().draws
         st, p = s.state, ds.p
         expect = {"beta": st.beta[:p], "theta": st.theta, "z": st.z, "alpha": st.alpha,
                   "v": st.v, "tau2": st.tau2}
-        expect.update({f"xi_{t.name}": st.beta[p:p + t.K] for t in terms})
+        expect.update({f"xi_{t.name}": st.beta[p:p + t.K] for t in s.terms})
         if cfg.selection:
             expect["gamma"] = st.gamma
         if s.has_phi:
@@ -137,8 +135,7 @@ class TestLayout:
             totals.append(self.state.ll_total)
 
         monkeypatch.setattr(sm.ChainSampler, "sweep", recorded)
-        terms = [build_basis(ds.column(t), cfg.spline_K, t) for t in cfg.nonlinear]
-        archive = sm.ChainSampler(ds, cfg, terms).run()
+        archive = sm.ChainSampler(ds, cfg).run()
         assert archive.loglik_total.tolist() == totals[cfg.nburn:]
 
     def test_scalar_blocks_are_1d(self):
@@ -154,14 +151,23 @@ class TestLayout:
         assert draws["alpha"].shape == (3,) and draws["z"].shape == (3, 1)
 
 
+def test_one_draw_summary_reads_n_a():
+    # the sd of one draw is undefined; a RuntimeWarning would fail the suite
+    ds, cfg = FITS["nsave-1"]()
+    text = summary_text(sm.run_chain(ds, cfg))
+    row = next(line for line in text.splitlines() if line.startswith("beta.x1")).split()
+    assert row[3] == "n/a" and row[-1] == "n/a"
+    assert "nan" not in text
+
+
 def test_weights_match_weights_from_logits():
     Z = np.array([[0.0, 0.0, 0.0], [1.5, -2.0, 0.3], [800.0, 1.0, -3.0], [-700.0, 2.0, 0.1]])
     names = ["theta.1", "theta.2", "z.1", "z.2", "z.3", "alpha"]
     mat = np.column_stack([np.zeros((4, 2)), Z, np.ones(4)])
     archive = sm.PosteriorArchive(
-        model="ph", family="loglogistic", J=4, covariate_names=[], spline_names=[],
-        names=names, matrix=mat, loglik_obs=np.zeros((4, 1)),
-        loglik_at_mean=0.0, accept_rates={}, config=None, n=1, m=1, elapsed=0.0)
+        model="ph", family="loglogistic", J=4, covariate_names=[], names=names, matrix=mat,
+        loglik_obs=np.zeros((4, 1)), loglik_at_mean=0.0, accept_rates={}, config=None,
+        n=1, m=1, elapsed=0.0)
     W = archive.weights()
     assert np.all(np.isfinite(W))
     for row, z in zip(W, Z):

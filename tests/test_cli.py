@@ -356,6 +356,16 @@ class TestDiagnose:
         return fit, ["diagnose", "--fit", str(fit), "--data", str(path),
                      "--location-col", "location", "--trunc-col", "trunc", "--draws", "3"]
 
+    @pytest.mark.parametrize("draws", ["0", "-2"])
+    def test_draws_must_be_positive(self, tmp_path, capsys, draws):
+        fit, argv = self.fit_dir(tmp_path)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:-1] + [draws])
+        assert exc.value.code == 2
+        assert f"--draws: must be at least 1, got {draws}" in capsys.readouterr().err
+        assert not (fit / "coxsnell.csv").exists()
+
     def test_lpml_drift_is_an_error(self, tmp_path, capsys):
         fit, argv = self.fit_dir(tmp_path)
         meta = json.loads((fit / "meta.json").read_text())

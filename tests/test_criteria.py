@@ -66,14 +66,14 @@ class TestDic:
         from bpsurv.simulate import SimDesign
         ds = SimDesign(model="po", m=4, n_per_site=10, frailty_kind="none").generate(2)[0]
         cfg = sampler.McmcConfig(model="po", J=3, nburn=0, nsave=0)
-        s = sampler.ChainSampler(ds, cfg, [], None)
+        s = sampler.ChainSampler(ds, cfg)
         beta = np.array([[0.5, 1.0], [0.7, 0.9], [0.6, 1.1], [0.8, 1.2]])
         theta = np.array([[0.1, 0.2], [0.0, 0.1], [-0.2, 0.3], [0.3, 0.0]])
         z = np.array([[6.0, -4.0], [-5.0, 3.0], [4.0, 4.0], [-3.0, -6.0]])
         names = [nm for cols, _ in s._draw_blocks() for nm in cols]
         arch = sampler.PosteriorArchive(
             model="po", family=cfg.family, J=3, covariate_names=ds.covariate_names,
-            spline_names=[], names=names, matrix=np.column_stack([beta, theta, z, np.ones(4)]),
+            names=names, matrix=np.column_stack([beta, theta, z, np.ones(4)]),
             loglik_obs=np.zeros((4, ds.n)), loglik_at_mean=math.nan,
             accept_rates={}, config=cfg, n=ds.n, m=ds.m, elapsed=0.0)
         eta = oracle.linear_predictor(ds, oracle.RegressionState(beta=beta.mean(axis=0)))

@@ -12,7 +12,7 @@ from bpsurv import sampler as sm
 from bpsurv.baseline import (bernstein_coefficients, dirichlet_symmetric_logpdf,
                              weights_from_logits)
 from bpsurv.simulate import SimDesign
-from bpsurv.splines import build_basis
+from bpsurv.splines import build_terms
 
 import oracle
 
@@ -30,7 +30,7 @@ def make_sampler(dataset, **kw):
                     seed=9, theta0=(0.0, 0.0), V0=np.eye(2))
     defaults.update(kw)
     cfg = sm.McmcConfig(**defaults)
-    return sm.ChainSampler(dataset, cfg, [], None)
+    return sm.ChainSampler(dataset, cfg)
 
 
 @pytest.fixture
@@ -77,7 +77,7 @@ class TestFixedProposals:
         cfg = sm.McmcConfig(J=4, seed=2,
                             frailty=fr.FrailtySpec(kind="grf", coords=ds.coords))
         est = sm.parametric_prerun(ds, cfg)
-        s = sm.ChainSampler(ds, cfg, [], est)
+        s = sm.ChainSampler(ds, cfg, est)
         assert set(s.prop) == {"z", "theta", "beta", "alpha", "phi"}
         assert all(isinstance(L, np.ndarray) for L in s.prop.values())
         assert np.array_equal(s.prop["theta"], np.linalg.cholesky(est.V_hat))
@@ -181,9 +181,10 @@ class TestPrerun:
             ds = dm.Dataset(observations=[dm.CensoredObservation(a=o.a, b=o.b, x=())
                                           for o in ds.observations],
                             m=1, covariate_names=[])
-        terms = [build_basis(ds.column("x2"), 4, "x2")] if spline else []
-        cfg = sm.McmcConfig(model=model, J=5, seed=1)
-        got = sm.parametric_prerun(ds, cfg, terms)
+        cfg = sm.McmcConfig(model=model, J=5, seed=1, nonlinear=("x2",) if spline else (),
+                            spline_K=4)
+        got = sm.parametric_prerun(ds, cfg)
+        terms = build_terms(ds, cfg.nonlinear, cfg.spline_K)
         ref = oracle.parametric_prerun(ds, cfg, terms, np.random.default_rng(11), iters=4000)
         assert got.beta_hat.size == ds.p + 4 * spline
         for mode, var, mean, ref_var in ((got.theta_hat, got.V_hat, ref.theta_hat, ref.V_hat),
@@ -487,6 +488,51 @@ class TestRunChain:
         cfg = self.small_config(nonlinear=("x2",), spline_K=4)
         arch = sm.run_chain(ds, cfg)
         assert arch.draws["xi_x2"].shape == (40, 4)
+
+    def test_sampler_takes_its_spline_terms_from_the_config(self):
+        ds = self.dataset()
+        arch = sm.ChainSampler(ds, self.small_config(nonlinear=("x2",), spline_K=4)).run()
+        assert [nm for nm in arch.names if nm.startswith("xi.")] == \
+            [f"xi.x2.{i}" for i in range(1, 5)]
+        assert arch.spline_names == ["x2"]
+
+    @pytest.mark.parametrize("kw", [{}, dict(selection=True, nonlinear=("x2",), spline_K=4)])
+    def test_sampler_from_the_prerun_is_run_chain(self, kw):
+        ds = self.dataset()
+        cfg = self.small_config(**kw)
+        got = sm.ChainSampler(ds, cfg, sm.parametric_prerun(ds, cfg)).run()
+        ref = sm.run_chain(ds, cfg)
+        assert got.names == ref.names
+        assert np.array_equal(got.matrix, ref.matrix)
+        assert np.array_equal(got.loglik_obs, ref.loglik_obs)
+        assert got.loglik_at_mean == ref.loglik_at_mean
+
+    def test_coefficients_are_what_the_predictor_takes(self):
+        ds = self.dataset()
+        arch = sm.run_chain(ds, self.small_config(selection=True, nonlinear=("x2",),
+                                                  spline_K=4))
+        coefs = arch.coefficients()
+        assert coefs.shape == (40, ds.p + 4)
+        assert np.array_equal(coefs[:, :ds.p], arch.draws["beta"] * arch.draws["gamma"])
+        assert np.array_equal(coefs[:, ds.p:], arch.draws["xi_x2"])
+
+    def test_plug_in_averages_each_coefficient_block_alone(self):
+        # one covariate: numpy sums a one-column block pairwise, but a column
+        # of a wider matrix row by row; the plug-in keeps the block's sum
+        ds = self.dataset()
+        ds = dm.Dataset(observations=[dm.CensoredObservation(a=o.a, b=o.b, x=o.x[1:])
+                                      for o in ds.observations],
+                        m=1, covariate_names=["x2"])
+        cfg = self.small_config(nonlinear=("x2",), spline_K=4, nsave=300, nskip=1)
+        s = sm.ChainSampler(ds, cfg, sm.parametric_prerun(ds, cfg))
+        arch = s.run()
+        beta, xi = arch.draws["beta"], arch.draws["xi_x2"]
+        coef = np.concatenate([beta.mean(axis=0), xi.mean(axis=0)])
+        eta = sm.linear_predictor(ds.X, [s.terms[0].design], coef)
+        w = arch.weights().mean(axis=0)
+        cache = s.ev.build_cache(arch.draws["theta"].mean(axis=0), eta)
+        expected = float(s.ev.loglik_obs(cache, bernstein_coefficients(w), eta).sum())
+        assert arch.loglik_at_mean == expected
 
     def test_identical_seed_bit_identical(self):
         ds = self.dataset()
