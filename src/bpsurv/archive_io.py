@@ -102,6 +102,7 @@ def save_archive(archive, outdir, cli=None):
         "accept_rates": _jsonable(archive.accept_rates),
         "criteria": _jsonable(crit),
         "nonfinite_rejects": archive.nonfinite_rejects,
+        "structure_wait_s": archive.structure_wait,
         "prerun": _jsonable(archive.prerun),
         "elapsed_seconds": archive.elapsed,
     }
@@ -148,7 +149,7 @@ def load_archive(outdir, dataset=None):
         accept_rates=meta["accept_rates"], config=None,
         n=meta["n"], m=meta["m"], elapsed=meta["elapsed_seconds"],
         nonfinite_rejects=meta["nonfinite_rejects"], spline_terms=terms,
-        prerun=meta.get("prerun"))
+        structure_wait=meta.get("structure_wait_s", 0.0), prerun=meta.get("prerun"))
 
 
 def summary_text(archive, criteria=None):
@@ -166,6 +167,9 @@ def summary_text(archive, criteria=None):
                          "barely move, and their summaries do not describe its posterior")
     if archive.nonfinite_rejects:
         lines.append(f"non-finite proposals auto-rejected: {archive.nonfinite_rejects}")
+    if "phi" in archive.draws:
+        lines.append(f"range worker: the chain waited {archive.structure_wait:.3f} s of "
+                     f"{archive.elapsed:.3f} s for its factors and inverses")
     fit = archive.prerun  # None only for a ChainSampler run given no fit
     if fit:
         lines.append(f"pre-run: Laplace fit  evaluations: {fit['evaluations']}  "

@@ -9,13 +9,29 @@ form v'Cv with the rank of C, and the log-determinant of a random field's R.
 A random field's structure is built from the lower Cholesky factor L of R,
 exact or approximated, and nothing else: the log-determinant is read from
 diag(L) and v'R^{-1}v from one triangular solve (Rue & Held 2005, sec. 2.4).
-Its C = R^{-1} is formed from L when first read.  Only the frailty scan reads
-it, so a range proposal pays for the factor alone and the inverse is formed
-once per accepted range.
+Its C = R^{-1} is formed from L once per accepted range, and only the frailty
+scan reads it, so a range proposal pays for the factor alone.
+
+A chain asks for the structure at a proposed range through a range source:
+submit(phi) when the proposal is drawn, result(phi) when its factor is
+needed, accept(structure) when it becomes the chain's.  LocalRanges builds in
+this process when the result is asked for, and the structure forms C on first
+read.  ForkedRanges hands the same build_structure and the same inverse to a
+forked worker process, which factors a proposal while the chain runs the rest
+of its sweep and forms C as soon as the range is accepted; the factors and
+inverses land in two shared-memory slots that swap roles on acceptance.  Both
+make one factorisation per proposal and one inversion per accepted range, on
+the same matrices, so they give bit-identical structures.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
+import signal
+import struct
+import time
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -248,13 +264,30 @@ class PrecisionStructure:
         return float(v @ self.C @ v)
 
 
+def precision_from_factor(L, out=None):
+    """R^{-1} from the lower Cholesky factor L of R, exactly symmetric, in
+    Fortran order (into out when given).
+
+    LAPACK dpotri fills the lower triangle and leaves L's zero upper triangle,
+    so inv + inv' mirrors it with the diagonal doubled; halving a double is
+    exact.
+    """
+    inv = dpotri(L, lower=1)[0]
+    if out is None:
+        out = np.empty_like(inv, order="F")
+    np.add(inv.T, inv, out=out.T)  # the same sums, traversed twice as fast as out's
+    out.flat[::out.shape[0] + 1] *= 0.5
+    return out
+
+
 class FieldStructure(PrecisionStructure):
     """A random field's PrecisionStructure, held as the lower Cholesky factor
     L of its correlation matrix R.
 
     logdet_half = -sum log L_ii and quad_form(v) = |L^{-1} v|^2 come from L
-    at construction and per call.  C = R^{-1} is formed from L (LAPACK
-    dpotri, its lower triangle mirrored, so exactly symmetric) on first read.
+    at construction and per call.  C = R^{-1} (precision_from_factor) is
+    formed on first read; a structure in a ForkedRanges slot reads the one
+    its worker formed after the range was accepted.
     """
 
     def __init__(self, L):
@@ -264,8 +297,7 @@ class FieldStructure(PrecisionStructure):
 
     @cached_property
     def C(self):
-        inv = dpotri(self.L, lower=1)[0]  # lower triangle; the upper stays zero
-        return inv + np.tril(inv, -1).T
+        return precision_from_factor(self.L)
 
     def quad_form(self, v):
         y = dtrtrs(self.L, v, lower=1)[0]
@@ -333,3 +365,214 @@ def fsa_build(geometry, phi, nu):
         resid = rho_bb - half[:, I].T @ half[:, I]
         Rs[np.ix_(I, I)] = one * resid + _NUGGET * np.eye(I.size)
     return one * (half.T @ half) + Rs
+
+
+def range_source(spec, m):
+    """The range source of a chain's run: a ForkedRanges worker where this
+    process can fork one, else LocalRanges, which gives the same structures."""
+    if hasattr(os, "fork"):
+        try:
+            return ForkedRanges(spec, m)
+        except OSError:  # no process to spare
+            pass
+    return LocalRanges(spec)
+
+
+class LocalRanges:
+    """A chain's range source that builds in this process: result(phi) is
+    build_structure at phi, and the structure forms its C on first read."""
+
+    wait_s = 0.0  # no worker to wait on
+
+    def __init__(self, spec):
+        self.spec = spec
+
+    def submit(self, phi):
+        """Nothing to start: the structure is built when its result is asked for."""
+
+    def result(self, phi):
+        return build_structure(self.spec, phi=phi)
+
+    def accept(self, structure):
+        """Nothing to start: the accepted structure forms C on first read."""
+
+    def close(self):
+        """Nothing to stop."""
+
+
+_REQUEST = struct.Struct("<Bid")   # operation, slot, phi
+_REPLY = struct.Struct("<BI")      # status, length of the message that follows
+_FACTOR, _INVERSE = 0, 1
+_OK, _SINGULAR, _FAILED = 0, 1, 2
+
+
+class _Reply:
+    """A worker's answer to one request, once read."""
+
+    __slots__ = ("status", "message")
+
+    def __init__(self):
+        self.status = None
+        self.message = ""
+
+
+class _SlotStructure(FieldStructure):
+    """A FieldStructure whose factor lives in a ForkedRanges slot.  Its C is
+    the inverse the worker forms in the slot once the range is accepted."""
+
+    def __init__(self, ranges, slot):
+        super().__init__(ranges.slots[slot][0])
+        self.slot = slot
+        self._ranges = ranges
+        self._inverse = None  # the _Reply of the inverse request, once accepted
+
+    @cached_property
+    def C(self):
+        if self._inverse is None:  # accepted without a request: form it here
+            return precision_from_factor(self.L)
+        self._ranges.wait(self._inverse)
+        return self._ranges.slots[self.slot][1]
+
+
+class ForkedRanges:
+    """A chain's range source backed by one forked worker process.
+
+    The worker shares two slots with this process, each an (m, m) factor L and
+    an (m, m) inverse C in Fortran order, in one anonymous shared mapping.
+    submit(phi) asks it to factor build_structure(spec, phi) into the free
+    slot; result(phi) waits for that factor (or submits phi first if it was
+    not the one submitted) and raises SingularCorrelation as build_structure
+    does; accept(structure) asks it to form the structure's C in its slot
+    (precision_from_factor), which the structure's first read of C waits for.
+    The accepted slot is then the chain's and the other takes the next
+    proposal, so nothing is copied.  Requests are answered in order over a
+    pipe; wait_s totals the time this process blocked on an answer.  A
+    worker failure other than SingularCorrelation, or a worker that exits, is
+    raised here as RuntimeError.  close() ends the pipe, reads the answers
+    still due and reaps the worker, which exits (os._exit) when its request
+    pipe reaches end of file, so it cannot outlive this process either.
+    """
+
+    def __init__(self, spec, m):
+        nbytes = m * m * 8
+        self._map = mmap.mmap(-1, 4 * nbytes)
+        self.slots = [tuple(np.ndarray((m, m), buffer=self._map, offset=(2 * s + k) * nbytes,
+                                       order="F") for k in (0, 1)) for s in (0, 1)]
+        self.wait_s = 0.0
+        self._due = deque()      # the _Reply of every request not yet answered
+        self._pending = None     # (phi, slot, _Reply) of the submitted factor
+        self._free = 0           # the slot the next proposal is factored into
+        req_r, req_w = os.pipe()
+        rep_r, rep_w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (req_r, req_w, rep_r, rep_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:  # the worker: never returns
+            status = 1
+            try:
+                os.close(req_w)
+                os.close(rep_r)
+                signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles ^C
+                _serve(spec, self.slots, req_r, rep_w)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(req_r)
+        os.close(rep_w)
+        self._requests, self._replies = req_w, rep_r
+
+    def _send(self, op, slot, phi=0.0):
+        reply = _Reply()
+        os.write(self._requests, _REQUEST.pack(op, slot, phi))
+        self._due.append(reply)
+        return reply
+
+    def _read_one(self):
+        """Read the oldest due answer; False when the worker has exited."""
+        t0 = time.perf_counter()
+        head = _read_exact(self._replies, _REPLY.size)
+        message = None
+        if head is not None:
+            status, size = _REPLY.unpack(head)
+            message = _read_exact(self._replies, size) if size else b""
+        self.wait_s += time.perf_counter() - t0
+        if message is None:
+            return False
+        reply = self._due.popleft()
+        reply.status, reply.message = status, message.decode()
+        return True
+
+    def wait(self, reply):
+        """Block until reply is answered; raise if the worker failed."""
+        while reply.status is None:
+            if self._replies is None or not self._read_one():
+                raise RuntimeError("the range worker exited before answering")
+        if reply.status == _FAILED:
+            raise RuntimeError(f"the range worker failed: {reply.message}")
+
+    def submit(self, phi):
+        self._pending = phi, self._free, self._send(_FACTOR, self._free, phi)
+
+    def result(self, phi):
+        if self._pending is None or self._pending[0] != phi:
+            self.submit(phi)
+        _, slot, reply = self._pending
+        self._pending = None
+        self.wait(reply)
+        if reply.status == _SINGULAR:
+            raise SingularCorrelation(reply.message)
+        return _SlotStructure(self, slot)
+
+    def accept(self, structure):
+        structure._inverse = self._send(_INVERSE, structure.slot)
+        self._free = 1 - structure.slot
+
+    def close(self):
+        if self._requests is None:
+            return
+        os.close(self._requests)
+        self._requests = None
+        try:
+            while self._due and self._read_one():
+                pass
+        finally:
+            os.close(self._replies)
+            self._replies = None
+            os.waitpid(self.pid, 0)
+
+
+def _read_exact(fd, size):
+    """size bytes from fd, or None at end of file."""
+    data = b""
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            return None
+        data += chunk
+    return data
+
+
+def _serve(spec, slots, requests, replies):
+    """The range worker's loop: answer requests until the pipe closes."""
+    while True:
+        msg = _read_exact(requests, _REQUEST.size)
+        if msg is None:
+            return
+        op, slot, phi = _REQUEST.unpack(msg)
+        L, C = slots[slot]
+        status, text = _OK, ""
+        try:
+            if op == _FACTOR:
+                L[...] = build_structure(spec, phi=phi).L
+            else:
+                precision_from_factor(L, out=C)
+        except SingularCorrelation as exc:
+            status, text = _SINGULAR, str(exc)
+        except Exception as exc:  # noqa: BLE001 - reported to the chain, which raises
+            status, text = _FAILED, f"{type(exc).__name__}: {exc}"
+        data = _REPLY.pack(status, len(text.encode())) + text.encode()
+        while data:
+            data = data[os.write(replies, data):]

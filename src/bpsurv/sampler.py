@@ -12,6 +12,16 @@ adapts, so the chain is a time-homogeneous Markov chain by construction.
 The model comes from the McmcConfig alone: the chain, its parametric fit and
 a loaded archive all build the spline terms by splines.build_terms.
 
+A random-field chain spends much of a sweep on the range phi: a Cholesky
+factor per proposal and an inverse per accepted range.  ChainSampler.run
+forks one worker process (frailty.ForkedRanges) for that linear algebra.
+Only update_phi draws from the phi stream or moves phi, so it draws the next
+sweep's proposal as soon as it has decided the current one, and the worker
+factors it while the other blocks run; after an accepted range the worker
+forms C before the next frailty scan reads it.  The worker makes the same
+calls on the same matrices as the serial chain, so the draws equal those of
+sweeps called one by one, which build in process (frailty.LocalRanges).
+
 Before the chain, parametric_prerun fits the parametric special case
 (weights pinned at 1/J) by a Laplace approximation: the mode of its
 log-posterior and the inverse Hessian there.  The fit supplies the starting
@@ -21,6 +31,7 @@ beta.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import time
@@ -308,6 +319,12 @@ class ChainSampler:
         if self.has_frailty:
             self.structure = fr.build_structure(spec, phi=phi_init if self.has_phi else None,
                                                 m=self.m)
+        # range proposals: their source, a drawn (step, log u) not yet used,
+        # and how many more update_phi calls of run() draw one ahead
+        self.ranges = fr.LocalRanges(spec)
+        self._phi_drawn = None
+        self._phi_ahead = 0
+        self.structure_wait = 0.0
         self.accept = {k: 0 for k in ("z", "theta", "beta", "alpha", "phi")}
         self.accept_frailty = 0
         self.n_sweeps = 0
@@ -367,11 +384,18 @@ class ChainSampler:
 
     # -- block updates ------------------------------------------------------
 
-    def _metropolis(self, block, x, target, positive=False):
+    def _draw(self, block):
+        """The step L e from the block's fixed factor L = prop[block] (e
+        standard normal), then log u."""
+        L, rng = self.prop[block], self.rngs[block]
+        step = L @ rng.standard_normal(L.shape[0])
+        return step, math.log(rng.uniform())
+
+    def _metropolis(self, block, x, target, positive=False, drawn=None):
         """One random-walk Metropolis step of `block` from state x.
 
-        Draws the step L e from the block's fixed factor L = prop[block]
-        (e standard normal), then log u; x* = x + step.
+        Takes the step and log u from _draw(block), or from drawn when the
+        caller drew them ahead; x* = x + step.
         When x* is in the support (x*[0] > 0 for a positive block), target(x*)
         returns (ll*, log_ratio, extra): the proposal's per-observation
         log-likelihood (None for a block the likelihood does not see), the
@@ -379,9 +403,7 @@ class ChainSampler:
         acceptance.  A non-finite total ll* is counted and rejected.  Returns
         (x*, ll*, extra) on acceptance, else None.
         """
-        L, rng = self.prop[block], self.rngs[block]
-        step = L @ rng.standard_normal(L.shape[0])
-        logu = math.log(rng.uniform())
+        step, logu = self._draw(block) if drawn is None else drawn
         x_star = x + step
         hit = None
         if not positive or x_star[0] > 0.0:
@@ -532,10 +554,16 @@ class ChainSampler:
     def update_phi(self):
         """Random-walk Metropolis on the range phi.
 
-        A proposal factors its correlation matrix and reads logdet_half and
-        v'R^{-1}v from the factor; it forms no inverse (the next frailty scan
-        does, on acceptance).  A proposal whose correlation has no Cholesky
-        factor is rejected and counted in nonfinite_rejects.
+        A proposal's structure comes from the range source (self.ranges): its
+        correlation matrix factored, with logdet_half and v'R^{-1}v read from
+        the factor.  A proposal forms no inverse; the accepted structure's C
+        is formed by the next frailty scan's first read, or by run()'s worker
+        as soon as the range is accepted.  A proposal whose correlation has no
+        Cholesky factor is rejected and counted in nonfinite_rejects.
+
+        Only this block draws from the phi stream or moves phi, so while run()
+        has sweeps to go the next proposal is drawn here, one sweep ahead, and
+        submitted to the source: the same draws in the same order.
         """
         if not self.has_phi:
             return
@@ -548,15 +576,31 @@ class ChainSampler:
         def target(x):
             phi = float(x[0])
             try:
-                struct = fr.build_structure(self.spec, phi=phi, m=self.m)
+                struct = self.ranges.result(phi)
             except fr.SingularCorrelation:
                 self.nonfinite_rejects += 1
                 return None, -math.inf, None
             return None, logpost(struct, phi) - logpost(self.structure, st.phi), struct
 
-        hit = self._metropolis("phi", np.array([st.phi]), target, positive=True)
+        drawn, self._phi_drawn = self._phi_drawn, None
+        hit = self._metropolis("phi", np.array([st.phi]), target, positive=True, drawn=drawn)
         if hit:
             st.phi, self.structure = float(hit[0][0]), hit[2]
+        if self._phi_ahead:
+            self._phi_ahead -= 1
+            if hit:
+                self.ranges.accept(self.structure)
+            self._draw_phi_ahead()
+
+    def _draw_phi_ahead(self):
+        """Draw the next range proposal, unless one is drawn already, and
+        submit it to the range source when it is positive."""
+        if self._phi_drawn is None:
+            self._phi_drawn = self._draw("phi")
+        step = self._phi_drawn[0]
+        phi = float((np.array([self.state.phi]) + step)[0])  # x* as _metropolis forms it
+        if phi > 0.0:
+            self.ranges.submit(phi)
 
     def update_gamma(self):
         """Gibbs sweep over inclusion indicators (Bernoulli full conditionals)."""
@@ -636,16 +680,40 @@ class ChainSampler:
             blocks.append(([f"v.{i + 1}" for i in range(self.m)], lambda: st.v))
         return blocks
 
+    @contextlib.contextmanager
+    def _range_worker(self, sweeps):
+        """For a random-field chain of `sweeps` sweeps, the range source of
+        the enclosed sweeps is frailty.range_source's, a forked worker where
+        one can be forked: each sweep's proposal is drawn and submitted one
+        sweep ahead, the first one here.  On exit, normal or not, the worker
+        is reaped, its wait is added to structure_wait, and the source is
+        local again."""
+        if not (self.has_phi and sweeps):
+            yield
+            return
+        self.ranges = fr.range_source(self.spec, self.m)
+        try:
+            self._phi_ahead = sweeps - 1
+            self._draw_phi_ahead()
+            yield
+        finally:
+            self._phi_ahead = 0
+            try:
+                self.ranges.close()
+            finally:
+                self.structure_wait += self.ranges.wait_s
+                self.ranges = fr.LocalRanges(self.spec)
+
     def run(self, t_start=None):
         """Burn-in and saved sweeps; elapsed counts from t_start (default: now).
 
+        A random-field chain runs its range linear algebra in a forked worker
+        (_range_worker), with the same draws as sweeps called one by one.
         Each saved state fills one row of an (L, k) matrix, every block
         written into its own slice of the row.
         """
         cfg = self.cfg
         t_start = time.perf_counter() if t_start is None else t_start
-        for _ in range(cfg.nburn):
-            self.sweep()
         L = cfg.nsave
         names, slots = [], []
         for cols, get in self._draw_blocks():
@@ -654,13 +722,16 @@ class ChainSampler:
         mat = np.empty((L, len(names)))
         ll_obs = np.empty((L, self.ds.n))
 
-        for s in range(L):
-            for _ in range(cfg.nskip):
+        with self._range_worker(cfg.nburn + L * cfg.nskip):
+            for _ in range(cfg.nburn):
                 self.sweep()
-            row = mat[s]
-            for sl, get in slots:
-                row[sl] = get()
-            ll_obs[s] = self.state.ll_obs
+            for s in range(L):
+                for _ in range(cfg.nskip):
+                    self.sweep()
+                row = mat[s]
+                for sl, get in slots:
+                    row[sl] = get()
+                ll_obs[s] = self.state.ll_obs
 
         archive = PosteriorArchive(
             model=cfg.model, family=cfg.family, J=cfg.J,
@@ -669,7 +740,7 @@ class ChainSampler:
             loglik_at_mean=math.nan, accept_rates=self.acceptance_rates(),
             config=cfg, n=self.ds.n, m=self.ds.m, elapsed=math.nan,
             nonfinite_rejects=self.nonfinite_rejects,
-            spline_terms=self.terms)
+            spline_terms=self.terms, structure_wait=self.structure_wait)
         if L:
             archive.loglik_at_mean = self._loglik_at_posterior_mean(archive)
         archive.elapsed = time.perf_counter() - t_start
@@ -740,6 +811,7 @@ class PosteriorArchive:
     elapsed: float
     nonfinite_rejects: int = 0
     spline_terms: list = field(default_factory=list)
+    structure_wait: float = 0.0  # seconds the chain waited on its range worker
     prerun: dict = None       # PrerunEstimates.figures; None without a fit
     draws: dict = field(init=False, repr=False)
 

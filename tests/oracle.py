@@ -41,6 +41,11 @@ the binomial pmf table (_pmf_rows), the cdf by the complement 1 - sum of
 pmf terms; TbpBaseline evaluates S0 and f0 from them, in a form that shares
 no arithmetic with the likelihood's coefficient sums.
 
+precision_from_factor mirrors dpotri's lower triangle by adding its strict
+lower part transposed: the reference for bpsurv.frailty.precision_from_factor,
+which adds the whole transpose and halves the diagonal, and must match it bit
+for bit and in memory order.
+
 CenteringFamily and TbpBaseline evaluate a centering family and the TBP
 baseline S0(t) = D(S_theta(t) | J, w) at arbitrary times, the form in which
 surv, dens and obs_loglik take a baseline.
@@ -53,6 +58,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotri
 from scipy.optimize import brentq
 
 from bpsurv.baseline import (
@@ -599,6 +605,12 @@ def turnbull_npmle(lo, hi, trunc=None, tol=1e-8, max_iter=1000):
         warnings.warn(f"Turnbull EM did not converge in {max_iter} iterations "
                       f"(last change {delta:.2e})")
     return TurnbullEstimate(support=support, masses=s, converged=converged, iterations=it)
+
+
+def precision_from_factor(L):
+    """R^{-1} from the lower Cholesky factor L of R."""
+    inv = dpotri(L, lower=1)[0]
+    return inv + np.tril(inv, -1).T
 
 
 def frailty_scan(s):

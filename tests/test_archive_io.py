@@ -76,6 +76,7 @@ class TestRoundTrip:
         assert np.array_equal(loaded.loglik_obs, fitted.loglik_obs)
         assert np.array_equal(loaded.loglik_total, fitted.loglik_total)
         assert loaded.prerun == fitted.prerun
+        assert loaded.structure_wait == fitted.structure_wait
 
     def test_weights(self, round_trip):
         _, fitted, loaded = round_trip
@@ -149,6 +150,19 @@ class TestLayout:
         draws = sm.split_draws(["theta.1", "theta.2", "z.1", "alpha"], np.ones((3, 4)))
         assert draws["beta"].shape == (3, 0)
         assert draws["alpha"].shape == (3,) and draws["z"].shape == (3, 1)
+
+
+@pytest.mark.parametrize("name", ["icar-selection-spline", "grf-dense"])
+def test_summary_reports_the_range_workers_wait(name):
+    archive = sm.run_chain(*FITS[name]())
+    lines = [line for line in summary_text(archive).splitlines()
+             if line.startswith("range worker: ")]
+    if name == "grf-dense":
+        assert archive.structure_wait > 0.0
+        assert lines == [f"range worker: the chain waited {archive.structure_wait:.3f} s of "
+                         f"{archive.elapsed:.3f} s for its factors and inverses"]
+    else:
+        assert archive.structure_wait == 0.0 and lines == []
 
 
 def test_one_draw_summary_reads_n_a():

@@ -416,6 +416,16 @@ class TestMcStudy:
         assert agg["replicates"] == 2
         assert len(agg["beta_bias"]) == 2
 
+    def test_worker_count_independence_with_range_workers(self, tmp_path):
+        # each pool worker forks its chain's range worker
+        argv = ["mc-study", "--design", "sim3-ph", "--replicates", "2", "--seed", "4",
+                "--nburn", "10", "--nsave", "10", "--nskip", "1"]
+        out1, out2 = tmp_path / "j1", tmp_path / "j2"
+        assert main(argv + ["--jobs", "1", "--outdir", str(out1)]) == 0
+        assert main(argv + ["--jobs", "2", "--outdir", str(out2)]) == 0
+        assert (out1 / "replicates.csv").read_bytes() == (out2 / "replicates.csv").read_bytes()
+        assert (out1 / "aggregate.json").read_bytes() == (out2 / "aggregate.json").read_bytes()
+
     def test_no_replicates_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["mc-study", "--design", "sim1-ph", "--replicates", "0",

@@ -309,6 +309,20 @@ class TestFactorStructure:
             st = fr.build_structure(spec, phi=0.7)
         assert np.array_equal(st.C, st.C.T)
 
+    @pytest.mark.parametrize("fsa", [None, (8, 3)])
+    @pytest.mark.parametrize("phi", [0.05, 0.7, 4.0])
+    def test_inverse_matches_mirrored_lower_triangle(self, fsa, phi):
+        # inv + inv' with the diagonal halved equals the lower triangle plus
+        # its strict part transposed, bit for bit and in memory order
+        spec = fr.FrailtySpec(kind="grf", coords=grid_coords(40, seed=8), fsa=fsa)
+        st = fr.build_structure(spec, phi=phi)
+        ref = oracle.precision_from_factor(st.L)
+        assert st.C.tobytes() == ref.tobytes()
+        assert st.C.flags.f_contiguous and ref.flags.f_contiguous
+        out = np.empty((40, 40), order="F")
+        assert fr.precision_from_factor(st.L, out=out) is out
+        assert out.tobytes() == ref.tobytes()
+
     def test_inverse_is_formed_on_first_read_only(self, monkeypatch):
         calls = []
         monkeypatch.setattr(fr, "dpotri", lambda *a, _f=fr.dpotri, **k: calls.append(1) or _f(*a, **k))

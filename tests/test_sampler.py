@@ -1,4 +1,7 @@
+import copy
 import math
+import mmap
+import os
 import time
 
 import numpy as np
@@ -11,7 +14,7 @@ from bpsurv import frailty as fr
 from bpsurv import sampler as sm
 from bpsurv.baseline import (bernstein_coefficients, dirichlet_symmetric_logpdf,
                              weights_from_logits)
-from bpsurv.simulate import SimDesign
+from bpsurv.simulate import DESIGNS, SimDesign
 from bpsurv.splines import build_terms
 
 import oracle
@@ -385,6 +388,150 @@ class TestPhiStep:
         assert 0 < s.accept["phi"] < 30
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes os.fork starts during the test."""
+    pids = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+@pytest.fixture
+def linalg_counts(monkeypatch):
+    """[structure builds, inverses formed], counted in this process and in
+    any process forked from it through a shared mapping."""
+    counts = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)
+    for k, name in enumerate(("build_structure", "precision_from_factor")):
+        def counted(*args, _f=getattr(fr, name), _k=k, **kw):
+            counts[_k] += 1
+            return _f(*args, **kw)
+        monkeypatch.setattr(fr, name, counted)
+    return counts
+
+
+def swept(s):
+    """The draw rows and log-likelihoods of s's config from sweep() called one
+    by one, which builds every range structure in process."""
+    cfg = s.cfg
+    blocks = s._draw_blocks()
+    rows, lls = [], []
+    for k in range(cfg.nburn + cfg.nsave * cfg.nskip):
+        s.sweep()
+        if k >= cfg.nburn and (k - cfg.nburn + 1) % cfg.nskip == 0:
+            rows.append(np.concatenate([np.atleast_1d(get()) for _, get in blocks]))
+            lls.append(s.state.ll_obs.copy())
+    return np.array(rows), np.array(lls)
+
+
+class TestRangeWorker:
+    def geo_samplers(self, fsa=None, **kw):
+        ds, _ = SimDesign(model="po", m=40, n_per_site=3, frailty_kind="grf").generate(5)
+        spec = fr.FrailtySpec(kind="grf", coords=ds.coords, fsa=fsa)
+        cfg = sm.McmcConfig(**{**dict(model="po", J=6, nburn=30, nsave=40, nskip=2, seed=7,
+                                      frailty=spec), **kw})
+        est = sm.parametric_prerun(ds, cfg)
+        return sm.ChainSampler(ds, cfg, est), sm.ChainSampler(ds, cfg, est)
+
+    @pytest.mark.parametrize("fsa", [None, (10, 3)], ids=["dense", "fsa"])
+    def test_run_equals_sweeps_in_process(self, forks, linalg_counts, fsa):
+        got, ref = self.geo_samplers(fsa)
+        linalg_counts[:] = 0
+        arch = got.run()
+        worker_counts = linalg_counts.copy()
+        linalg_counts[:] = 0
+        rows, lls = swept(ref)
+        assert len(forks) == 1 and arch.structure_wait > 0.0
+        assert arch.matrix.tobytes() == rows.tobytes()
+        assert arch.loglik_obs.tobytes() == lls.tobytes()
+        assert got.accept == ref.accept and got.accept_frailty == ref.accept_frailty
+        assert 0 < got.accept["phi"] < got.n_sweeps  # the slots swapped roles
+        # one factor per positive proposal, one inverse per range a scan reads
+        assert np.array_equal(worker_counts, linalg_counts)
+
+    @pytest.mark.parametrize("platform", ["no fork", "fork fails"])
+    def test_run_without_a_worker_draws_ahead_in_process(self, monkeypatch, platform):
+        got, ref = self.geo_samplers()
+        if platform == "no fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            def failing_fork():
+                raise BlockingIOError("no process to spare")
+            monkeypatch.setattr(os, "fork", failing_fork)
+        fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
+        arch = got.run()
+        rows, lls = swept(ref)
+        assert arch.matrix.tobytes() == rows.tobytes()
+        assert arch.loglik_obs.tobytes() == lls.tobytes()
+        assert arch.structure_wait == 0.0
+        if fds:  # the pipes of a failed fork are closed
+            assert set(os.listdir("/proc/self/fd")) <= fds
+
+    def test_singular_proposals_are_counted_alike(self, forks):
+        # nu = 2 leaves the knot correlation without a Cholesky factor at
+        # short ranges: the worker reports it and the chain counts it
+        ds, _ = DESIGNS["sim3-po"]().generate(1)
+        spec = fr.FrailtySpec(kind="grf", coords=ds.coords, nu=2.0, fsa=(30, 5))
+        cfg = sm.McmcConfig(model="po", nburn=100, nsave=20, seed=1, frailty=spec)
+        est = sm.parametric_prerun(ds, cfg)
+        got, ref = sm.ChainSampler(ds, cfg, est), sm.ChainSampler(ds, cfg, est)
+        arch = got.run()
+        rows, _ = swept(ref)
+        assert len(forks) == 1
+        assert arch.matrix.tobytes() == rows.tobytes()
+        assert arch.nonfinite_rejects == ref.nonfinite_rejects > 0
+
+    def test_worker_is_reaped_after_run(self, forks):
+        s, _ = self.geo_samplers(nburn=5, nsave=5)
+        s.run()
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
+        assert isinstance(s.ranges, fr.LocalRanges)
+
+    def test_worker_is_reaped_when_a_block_raises(self, forks, monkeypatch):
+        update_tau2 = sm.ChainSampler.update_tau2
+
+        def failing(self):
+            if self.n_sweeps == 5:
+                raise RuntimeError("tau2 failed")
+            update_tau2(self)
+
+        monkeypatch.setattr(sm.ChainSampler, "update_tau2", failing)
+        s, _ = self.geo_samplers()
+        with pytest.raises(RuntimeError, match="tau2 failed"):
+            s.run()
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
+
+    def test_worker_failure_is_raised_in_the_chain(self, forks, monkeypatch):
+        s, _ = self.geo_samplers()
+
+        def broken(spec, phi=None, m=None):
+            raise ZeroDivisionError("broken build")
+
+        monkeypatch.setattr(fr, "build_structure", broken)
+        with pytest.raises(RuntimeError, match="range worker failed: ZeroDivisionError: broken"):
+            s.run()
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
+
+    def test_no_worker_without_a_range(self, forks):
+        ds, _ = SimDesign(model="ph", m=6, n_per_site=4, frailty_kind="none").generate(2)
+        cfg = sm.McmcConfig(J=4, nburn=5, nsave=5, seed=1, frailty=fr.FrailtySpec(kind="iid"))
+        assert sm.ChainSampler(ds, cfg).run().structure_wait == 0.0
+        assert forks == []
+
+
 class TestTau2Gibbs:
     def test_moments_at_zero_field(self):
         ds = dm.Dataset(observations=[], m=3, covariate_names=[])
@@ -474,14 +621,34 @@ class TestRunChain:
                 return _f(*args, **kw)
             monkeypatch.setattr(fr, name, counted)
         spec = fr.FrailtySpec(kind="grf", coords=ds.coords, fsa=(6, 3))
+        chosen_at_fork = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: chosen_at_fork.append(
+            "fsa_geometry" in vars(spec)) or fork())
         cfg = self.small_config(nburn=10, nsave=20, nskip=1, frailty=spec)
         arch = sm.run_chain(ds, cfg)
         assert arch.L == 20
-        # the initial structure, then one per positive phi proposal
-        assert 10 < calls.count("build_structure") <= 31
+        # chosen in this process, before the range worker is forked
+        assert chosen_at_fork == [True]
         assert calls.count("assign_blocks") == 1
         # once for the knots, once inside assign_blocks for the block centers
         assert calls.count("select_knots") == 2
+
+        # in process: the initial structure, then one per positive proposal,
+        # replayed from a copy of the phi stream (step, then log u)
+        calls.clear()
+        s = sm.ChainSampler(ds, cfg)
+        rng = copy.deepcopy(s.rngs["phi"])
+        phis = [s.state.phi]
+        for _ in range(30):
+            s.sweep()
+            phis.append(s.state.phi)
+        positive = 0
+        for phi in phis[:-1]:
+            step = s.prop["phi"] @ rng.standard_normal(1)
+            rng.uniform()
+            positive += float((np.array([phi]) + step)[0]) > 0.0
+        assert calls == ["build_structure"] * (1 + positive)
 
     def test_nonlinear_terms_run(self, checked_sweeps):
         ds = self.dataset()
