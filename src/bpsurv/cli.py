@@ -103,7 +103,7 @@ def build_parser():
     p = sub.add_parser("mc-study", help="replicate simulation study")
     p.add_argument("--design", required=True, choices=sorted(DESIGNS))
     p.add_argument("--replicates", type=_positive_int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--models", default=None,
                    help="comma-separated models to fit per replicate "
@@ -184,21 +184,20 @@ def _load_dataset(opts):
 
 
 def _frailty_spec(opts, dataset):
-    kind = opts["frailty"]
-    if kind == "icar":
-        if not opts["adjacency"]:
-            raise ValueError("icar frailties need --adjacency")
-        E = load_adjacency(opts["adjacency"], labels=dataset.location_ids)
-        return fr.FrailtySpec(kind="icar", adjacency=E)
-    if kind != "grf":
-        return fr.FrailtySpec(kind=kind)
-    if dataset.coords is None:
-        raise ValueError("grf frailties need lon/lat columns in the data")
-    fsa = None
+    kind, fsa = opts["frailty"], None
     if opts["fsa_knots"] is not None or opts["fsa_blocks"] is not None:
         if opts["fsa_knots"] is None or opts["fsa_blocks"] is None:
             raise ValueError("--fsa-knots and --fsa-blocks go together")
         fsa = (opts["fsa_knots"], opts["fsa_blocks"])
+    if kind == "icar":
+        if not opts["adjacency"]:
+            raise ValueError("icar frailties need --adjacency")
+        E = load_adjacency(opts["adjacency"], labels=dataset.location_ids)
+        return fr.FrailtySpec(kind="icar", adjacency=E, fsa=fsa)
+    if kind != "grf":
+        return fr.FrailtySpec(kind=kind, fsa=fsa)
+    if dataset.coords is None:
+        raise ValueError("grf frailties need lon/lat columns in the data")
     return fr.FrailtySpec(kind="grf", coords=dataset.coords, nu=opts["nu"], fsa=fsa)
 
 

@@ -12,16 +12,15 @@ diag(L) and v'R^{-1}v from one triangular solve (Rue & Held 2005, sec. 2.4).
 Its C = R^{-1} is formed from L once per accepted range, and only the frailty
 scan reads it, so a range proposal pays for the factor alone.
 
-A chain asks for the structure at a proposed range through a range source:
-submit(phi) when the proposal is drawn, result(phi) when its factor is
-needed, accept(structure) when it becomes the chain's.  LocalRanges builds in
-this process when the result is asked for, and the structure forms C on first
-read.  ForkedRanges hands the same build_structure and the same inverse to a
-forked worker process, which factors a proposal while the chain runs the rest
-of its sweep and forms C as soon as the range is accepted; the factors and
-inverses land in two shared-memory slots that swap roles on acceptance.  Both
-make one factorisation per proposal and one inversion per accepted range, on
-the same matrices, so they give bit-identical structures.
+A chain's run() may hand that linear algebra to ForkedRanges, one forked
+worker process: submit(phi) when a proposal is drawn, result() when its
+factor is needed, accept(structure) when it becomes the chain's.  The worker
+runs the same build_structure and the same inverse, factoring a proposal
+while the chain runs the rest of its sweep and forming C as soon as the range
+is accepted; factors and inverses land in two shared-memory slots that swap
+roles on acceptance.  It makes one factorisation per proposal and one
+inversion per accepted range, on the matrices a build in this process would
+use, so its structures are bit-identical to build_structure's.
 """
 
 from __future__ import annotations
@@ -29,11 +28,11 @@ from __future__ import annotations
 import mmap
 import os
 import signal
-import struct
 import time
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from multiprocessing.connection import Pipe
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -153,6 +152,9 @@ class FrailtySpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown frailty kind {self.kind!r}")
+        if self.fsa is not None and self.kind != "grf":
+            raise ValueError(f"the full-scale approximation applies to grf frailties, "
+                             f"not {self.kind}")
         if self.kind == "icar":
             E = np.asarray(self.adjacency)
             if E is None or E.ndim != 2 or E.shape[0] != E.shape[1]:
@@ -367,53 +369,7 @@ def fsa_build(geometry, phi, nu):
     return one * (half.T @ half) + Rs
 
 
-def range_source(spec, m):
-    """The range source of a chain's run: a ForkedRanges worker where this
-    process can fork one, else LocalRanges, which gives the same structures."""
-    if hasattr(os, "fork"):
-        try:
-            return ForkedRanges(spec, m)
-        except OSError:  # no process to spare
-            pass
-    return LocalRanges(spec)
-
-
-class LocalRanges:
-    """A chain's range source that builds in this process: result(phi) is
-    build_structure at phi, and the structure forms its C on first read."""
-
-    wait_s = 0.0  # no worker to wait on
-
-    def __init__(self, spec):
-        self.spec = spec
-
-    def submit(self, phi):
-        """Nothing to start: the structure is built when its result is asked for."""
-
-    def result(self, phi):
-        return build_structure(self.spec, phi=phi)
-
-    def accept(self, structure):
-        """Nothing to start: the accepted structure forms C on first read."""
-
-    def close(self):
-        """Nothing to stop."""
-
-
-_REQUEST = struct.Struct("<Bid")   # operation, slot, phi
-_REPLY = struct.Struct("<BI")      # status, length of the message that follows
-_FACTOR, _INVERSE = 0, 1
-_OK, _SINGULAR, _FAILED = 0, 1, 2
-
-
-class _Reply:
-    """A worker's answer to one request, once read."""
-
-    __slots__ = ("status", "message")
-
-    def __init__(self):
-        self.status = None
-        self.message = ""
+_OK, _SINGULAR, _FAILED = 0, 1, 2  # the status of a worker's answer
 
 
 class _SlotStructure(FieldStructure):
@@ -424,7 +380,7 @@ class _SlotStructure(FieldStructure):
         super().__init__(ranges.slots[slot][0])
         self.slot = slot
         self._ranges = ranges
-        self._inverse = None  # the _Reply of the inverse request, once accepted
+        self._inverse = None  # the answer to the inverse request, once accepted
 
     @cached_property
     def C(self):
@@ -435,22 +391,22 @@ class _SlotStructure(FieldStructure):
 
 
 class ForkedRanges:
-    """A chain's range source backed by one forked worker process.
+    """A chain's range linear algebra in one forked worker process.
 
     The worker shares two slots with this process, each an (m, m) factor L and
     an (m, m) inverse C in Fortran order, in one anonymous shared mapping.
     submit(phi) asks it to factor build_structure(spec, phi) into the free
-    slot; result(phi) waits for that factor (or submits phi first if it was
-    not the one submitted) and raises SingularCorrelation as build_structure
-    does; accept(structure) asks it to form the structure's C in its slot
-    (precision_from_factor), which the structure's first read of C waits for.
-    The accepted slot is then the chain's and the other takes the next
-    proposal, so nothing is copied.  Requests are answered in order over a
-    pipe; wait_s totals the time this process blocked on an answer.  A
-    worker failure other than SingularCorrelation, or a worker that exits, is
-    raised here as RuntimeError.  close() ends the pipe, reads the answers
-    still due and reaps the worker, which exits (os._exit) when its request
-    pipe reaches end of file, so it cannot outlive this process either.
+    slot; result() waits for that factor and raises SingularCorrelation as
+    build_structure does; accept(structure) asks it to form the structure's C
+    in its slot (precision_from_factor), which the structure's first read of C
+    waits for.  The accepted slot is then the chain's and the other takes the
+    next proposal, so nothing is copied.  Requests and answers travel over
+    one duplex multiprocessing pipe, answered in order; each answer fills the
+    list the request queued in _due, and wait_s totals the time this process
+    blocked on one.  A worker failure other than SingularCorrelation, or a
+    worker that exits, is raised here as RuntimeError.  close() hangs up and
+    reaps the worker, which exits (os._exit) when the pipe reaches end of
+    file, so it cannot outlive this process either.
     """
 
     def __init__(self, spec, m):
@@ -459,120 +415,83 @@ class ForkedRanges:
         self.slots = [tuple(np.ndarray((m, m), buffer=self._map, offset=(2 * s + k) * nbytes,
                                        order="F") for k in (0, 1)) for s in (0, 1)]
         self.wait_s = 0.0
-        self._due = deque()      # the _Reply of every request not yet answered
-        self._pending = None     # (phi, slot, _Reply) of the submitted factor
-        self._free = 0           # the slot the next proposal is factored into
-        req_r, req_w = os.pipe()
-        rep_r, rep_w = os.pipe()
+        self._due = deque()    # the answer list of every request not yet answered
+        self._pending = None   # (slot, answer) of the submitted factor
+        self._free = 0         # the slot the next proposal is factored into
+        self._conn, child = Pipe()
         try:
             self.pid = os.fork()
         except OSError:
-            for fd in (req_r, req_w, rep_r, rep_w):
-                os.close(fd)
+            self._conn.close()
+            child.close()
             raise
         if self.pid == 0:  # the worker: never returns
             status = 1
             try:
-                os.close(req_w)
-                os.close(rep_r)
+                self._conn.close()
                 signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles ^C
-                _serve(spec, self.slots, req_r, rep_w)
+                _serve(spec, self.slots, child)
                 status = 0
             finally:
                 os._exit(status)
-        os.close(req_r)
-        os.close(rep_w)
-        self._requests, self._replies = req_w, rep_r
+        child.close()
 
-    def _send(self, op, slot, phi=0.0):
-        reply = _Reply()
-        os.write(self._requests, _REQUEST.pack(op, slot, phi))
-        self._due.append(reply)
-        return reply
+    def _send(self, slot, phi):
+        answer = []
+        self._conn.send((slot, phi))
+        self._due.append(answer)
+        return answer
 
-    def _read_one(self):
-        """Read the oldest due answer; False when the worker has exited."""
+    def wait(self, answer):
+        """Block until answer is filled; raise if the worker failed."""
         t0 = time.perf_counter()
-        head = _read_exact(self._replies, _REPLY.size)
-        message = None
-        if head is not None:
-            status, size = _REPLY.unpack(head)
-            message = _read_exact(self._replies, size) if size else b""
-        self.wait_s += time.perf_counter() - t0
-        if message is None:
-            return False
-        reply = self._due.popleft()
-        reply.status, reply.message = status, message.decode()
-        return True
-
-    def wait(self, reply):
-        """Block until reply is answered; raise if the worker failed."""
-        while reply.status is None:
-            if self._replies is None or not self._read_one():
-                raise RuntimeError("the range worker exited before answering")
-        if reply.status == _FAILED:
-            raise RuntimeError(f"the range worker failed: {reply.message}")
+        try:
+            while not answer:
+                self._due.popleft().extend(self._conn.recv())
+        except (EOFError, OSError):
+            raise RuntimeError("the range worker exited before answering") from None
+        finally:
+            self.wait_s += time.perf_counter() - t0
+        status, message = answer
+        if status == _FAILED:
+            raise RuntimeError(f"the range worker failed: {message}")
 
     def submit(self, phi):
-        self._pending = phi, self._free, self._send(_FACTOR, self._free, phi)
+        self._pending = self._free, self._send(self._free, phi)
 
-    def result(self, phi):
-        if self._pending is None or self._pending[0] != phi:
-            self.submit(phi)
-        _, slot, reply = self._pending
-        self._pending = None
-        self.wait(reply)
-        if reply.status == _SINGULAR:
-            raise SingularCorrelation(reply.message)
+    def result(self):
+        slot, answer = self._pending
+        self.wait(answer)
+        if answer[0] == _SINGULAR:
+            raise SingularCorrelation(answer[1])
         return _SlotStructure(self, slot)
 
     def accept(self, structure):
-        structure._inverse = self._send(_INVERSE, structure.slot)
+        structure._inverse = self._send(structure.slot, None)
         self._free = 1 - structure.slot
 
     def close(self):
-        if self._requests is None:
-            return
-        os.close(self._requests)
-        self._requests = None
-        try:
-            while self._due and self._read_one():
-                pass
-        finally:
-            os.close(self._replies)
-            self._replies = None
-            os.waitpid(self.pid, 0)
+        self._conn.close()
+        os.waitpid(self.pid, 0)
 
 
-def _read_exact(fd, size):
-    """size bytes from fd, or None at end of file."""
-    data = b""
-    while len(data) < size:
-        chunk = os.read(fd, size - len(data))
-        if not chunk:
-            return None
-        data += chunk
-    return data
-
-
-def _serve(spec, slots, requests, replies):
-    """The range worker's loop: answer requests until the pipe closes."""
+def _serve(spec, slots, conn):
+    """The range worker's loop: answer each (slot, phi) request, a factor at
+    phi or the slot's inverse for phi None, until the chain hangs up."""
     while True:
-        msg = _read_exact(requests, _REQUEST.size)
-        if msg is None:
-            return
-        op, slot, phi = _REQUEST.unpack(msg)
-        L, C = slots[slot]
-        status, text = _OK, ""
         try:
-            if op == _FACTOR:
-                L[...] = build_structure(spec, phi=phi).L
-            else:
+            slot, phi = conn.recv()
+        except EOFError:
+            return
+        L, C = slots[slot]
+        answer = _OK, ""
+        try:
+            if phi is None:
                 precision_from_factor(L, out=C)
+            else:
+                L[...] = build_structure(spec, phi=phi).L
         except SingularCorrelation as exc:
-            status, text = _SINGULAR, str(exc)
+            answer = _SINGULAR, str(exc)
         except Exception as exc:  # noqa: BLE001 - reported to the chain, which raises
-            status, text = _FAILED, f"{type(exc).__name__}: {exc}"
-        data = _REPLY.pack(status, len(text.encode())) + text.encode()
-        while data:
-            data = data[os.write(replies, data):]
+            answer = _FAILED, f"{type(exc).__name__}: {exc}"
+        conn.send(answer)

@@ -20,7 +20,8 @@ sweep's proposal as soon as it has decided the current one, and the worker
 factors it while the other blocks run; after an accepted range the worker
 forms C before the next frailty scan reads it.  The worker makes the same
 calls on the same matrices as the serial chain, so the draws equal those of
-sweeps called one by one, which build in process (frailty.LocalRanges).
+sweeps called one by one, which call frailty.build_structure in process, as
+run() does where no worker can be forked.
 
 Before the chain, parametric_prerun fits the parametric special case
 (weights pinned at 1/J) by a Laplace approximation: the mode of its
@@ -34,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -51,6 +53,7 @@ from .splines import build_terms, gprior_scale
 _BLOCKS = ("prerun", "init", "z", "theta", "beta", "alpha", "frailty", "tau2",
            "phi", "gamma")
 _SEED_SCALE = 0.16  # seed proposal variance per coordinate
+_Q_INCL = 0.5       # prior inclusion probability of each covariate under selection
 
 
 @dataclass
@@ -87,7 +90,6 @@ class McmcConfig:
     V0: np.ndarray = None
     # variable selection
     selection: bool = False
-    q_incl: float = 0.5
     # partially linear terms
     nonlinear: tuple = ()
     spline_K: int = 5
@@ -319,9 +321,10 @@ class ChainSampler:
         if self.has_frailty:
             self.structure = fr.build_structure(spec, phi=phi_init if self.has_phi else None,
                                                 m=self.m)
-        # range proposals: their source, a drawn (step, log u) not yet used,
-        # and how many more update_phi calls of run() draw one ahead
-        self.ranges = fr.LocalRanges(spec)
+        # range proposals: run()'s worker (None without one), a drawn
+        # (step, log u) not yet used, and how many more update_phi calls of
+        # run() draw one ahead
+        self.ranges = None
         self._phi_drawn = None
         self._phi_ahead = 0
         self.structure_wait = 0.0
@@ -554,16 +557,17 @@ class ChainSampler:
     def update_phi(self):
         """Random-walk Metropolis on the range phi.
 
-        A proposal's structure comes from the range source (self.ranges): its
-        correlation matrix factored, with logdet_half and v'R^{-1}v read from
-        the factor.  A proposal forms no inverse; the accepted structure's C
-        is formed by the next frailty scan's first read, or by run()'s worker
-        as soon as the range is accepted.  A proposal whose correlation has no
-        Cholesky factor is rejected and counted in nonfinite_rejects.
+        A proposal's structure is its correlation matrix factored, with
+        logdet_half and v'R^{-1}v read from the factor: frailty.build_structure
+        here, or run()'s worker (self.ranges) when it has one.  A proposal
+        forms no inverse; the accepted structure's C is formed by the next
+        frailty scan's first read, or by the worker as soon as the range is
+        accepted.  A proposal whose correlation has no Cholesky factor is
+        rejected and counted in nonfinite_rejects.
 
-        Only this block draws from the phi stream or moves phi, so while run()
-        has sweeps to go the next proposal is drawn here, one sweep ahead, and
-        submitted to the source: the same draws in the same order.
+        Only this block draws from the phi stream or moves phi, so while a
+        worker has sweeps to go the next proposal is drawn here, one sweep
+        ahead, and submitted to it: the same draws in the same order.
         """
         if not self.has_phi:
             return
@@ -576,7 +580,8 @@ class ChainSampler:
         def target(x):
             phi = float(x[0])
             try:
-                struct = self.ranges.result(phi)
+                struct = fr.build_structure(self.spec, phi=phi) if self.ranges is None \
+                    else self.ranges.result()
             except fr.SingularCorrelation:
                 self.nonfinite_rejects += 1
                 return None, -math.inf, None
@@ -594,7 +599,7 @@ class ChainSampler:
 
     def _draw_phi_ahead(self):
         """Draw the next range proposal, unless one is drawn already, and
-        submit it to the range source when it is positive."""
+        submit it to the worker when it is positive."""
         if self._phi_drawn is None:
             self._phi_drawn = self._draw("phi")
         step = self._phi_drawn[0]
@@ -620,9 +625,8 @@ class ChainSampler:
                 ll1, ll0 = st.ll_total, lt_alt
             else:
                 ll1, ll0 = lt_alt, st.ll_total
-            q = self.cfg.q_incl
             # P(gamma_j = 1 | else) = q / (q + (1-q) L0/L1), computed in logs
-            log_odds = math.log(q) - math.log1p(-q) + ll1 - ll0
+            log_odds = math.log(_Q_INCL) - math.log1p(-_Q_INCL) + ll1 - ll0
             p1 = 1.0 / (1.0 + math.exp(-log_odds)) if abs(log_odds) < 500 \
                 else (1.0 if log_odds > 0 else 0.0)
             new = 1.0 if us[j] < p1 else 0.0
@@ -682,16 +686,18 @@ class ChainSampler:
 
     @contextlib.contextmanager
     def _range_worker(self, sweeps):
-        """For a random-field chain of `sweeps` sweeps, the range source of
-        the enclosed sweeps is frailty.range_source's, a forked worker where
-        one can be forked: each sweep's proposal is drawn and submitted one
-        sweep ahead, the first one here.  On exit, normal or not, the worker
-        is reaped, its wait is added to structure_wait, and the source is
-        local again."""
-        if not (self.has_phi and sweeps):
+        """For a random-field chain of `sweeps` sweeps, fork the worker
+        (frailty.ForkedRanges) of the enclosed sweeps where this process can
+        fork one: each sweep's proposal is drawn and submitted one sweep
+        ahead, the first one here.  On exit, normal or not, the worker is
+        reaped and its wait added to structure_wait.  Without a worker the
+        sweeps build in process and draw nothing ahead."""
+        if self.has_phi and sweeps and hasattr(os, "fork"):
+            with contextlib.suppress(OSError):  # no process to spare
+                self.ranges = fr.ForkedRanges(self.spec, self.m)
+        if self.ranges is None:
             yield
             return
-        self.ranges = fr.range_source(self.spec, self.m)
         try:
             self._phi_ahead = sweeps - 1
             self._draw_phi_ahead()
@@ -702,7 +708,7 @@ class ChainSampler:
                 self.ranges.close()
             finally:
                 self.structure_wait += self.ranges.wait_s
-                self.ranges = fr.LocalRanges(self.spec)
+                self.ranges = None
 
     def run(self, t_start=None):
         """Burn-in and saved sweeps; elapsed counts from t_start (default: now).

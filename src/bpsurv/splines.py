@@ -68,15 +68,13 @@ def build_basis(values, K=5, name="x"):
     K-2 interior knots at equispaced quantiles of the data.
     """
     values = np.asarray(values, dtype=float)
-    if K < 1:
-        raise ValueError("K must be at least 1")
+    if K < 2:
+        raise ValueError(f"a cubic spline basis needs K >= 2, got K = {K}")
     distinct = np.unique(values)
     if distinct.size < K + 5:
         raise ValueError(f"need at least K+5={K + 5} distinct values, got {distinct.size}")
     xmin, xmax = float(distinct[0]), float(distinct[-1])
     n_interior = K + 2 - (DEGREE + 1)
-    if n_interior < 0:
-        raise ValueError("K too small for a cubic basis; need K >= 2")
     if n_interior:
         qs = np.linspace(0, 1, n_interior + 2)[1:-1]
         interior = np.quantile(values, qs)

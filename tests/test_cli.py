@@ -10,6 +10,7 @@ import pytest
 
 import bpsurv
 from bpsurv import cli
+from bpsurv.archive_io import load_archive
 from bpsurv.cli import main
 from bpsurv.data import CsvSchema, load_csv
 from bpsurv.simulate import SimDesign
@@ -136,7 +137,8 @@ class TestFit:
         data, adj = regions_csv(tmp_path), tmp_path / "adj.txt"
         adj.write_text(text)  # the path graph 1 - 2 - 3
         ds = load_csv(data, CsvSchema(location="location"))
-        spec = cli._frailty_spec({"frailty": "icar", "adjacency": str(adj)}, ds)
+        spec = cli._frailty_spec({"frailty": "icar", "adjacency": str(adj), "fsa_knots": None,
+                                  "fsa_blocks": None}, ds)
         # sites in order are the regions labelled 3, 1 and 2
         assert np.array_equal(spec.adjacency, [[0, 0, 1], [0, 0, 1], [1, 1, 0]])
         assert main(["fit", "--data", str(data), "--location-col", "location",
@@ -151,6 +153,26 @@ class TestFit:
         assert main(["fit", "--data", str(data), "--location-col", "location",
                      "--frailty", "icar", "--adjacency", str(adj), "--dry-run"]) == 2
         assert f"regions {missing}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["none", "iid", "icar"])
+    def test_fsa_flags_need_a_grf_frailty(self, tmp_path, capsys, kind):
+        data, adj = regions_csv(tmp_path), tmp_path / "adj.txt"
+        adj.write_text("1 2\n2 3\n")
+        argv = ["fit", "--data", str(data), "--location-col", "location", "--frailty", kind,
+                "--fsa-knots", "5", "--fsa-blocks", "2", "--dry-run"]
+        if kind == "icar":
+            argv += ["--adjacency", str(adj)]
+        assert main(argv) == 2
+        assert f"applies to grf frailties, not {kind}" in capsys.readouterr().err
+
+    def test_spline_k_below_two_is_an_error(self, tmp_path, capsys):
+        path = tiny_dataset_csv(tmp_path)
+        rc = main(["fit", "--data", str(path), "--location-col", "location",
+                   "--trunc-col", "trunc", "--nonlinear", "x2", "--spline-k", "1", *FAST,
+                   "--outdir", str(tmp_path / "fit")])
+        assert rc == 2
+        assert "a cubic spline basis needs K >= 2, got K = 1" in capsys.readouterr().err
+        assert not (tmp_path / "fit").exists()
 
     def test_missing_data_file(self, tmp_path, capsys):
         rc = main(["fit", "--data", str(tmp_path / "nope.csv"), "--outdir",
@@ -179,6 +201,21 @@ class TestFit:
                      "--trunc-col", "trunc", "--seed", "5", *FAST, "--outdir", str(out1)]) == 0
         rc = main(["fit", "--config", str(out1 / "meta.json"), "--outdir", str(out2)])
         assert rc == 0
+        assert (out1 / "draws.csv").read_bytes() == (out2 / "draws.csv").read_bytes()
+
+    def test_fit_directory_with_q_incl_still_loads_and_replays(self, tmp_path):
+        # fits written while McmcConfig had a q_incl field keep it in meta.json
+        path = tiny_dataset_csv(tmp_path)
+        out1, out2 = tmp_path / "f", tmp_path / "g"
+        assert main(["fit", "--data", str(path), "--location-col", "location",
+                     "--trunc-col", "trunc", "--selection", "--seed", "5", *FAST,
+                     "--outdir", str(out1)]) == 0
+        meta = json.loads((out1 / "meta.json").read_text())
+        assert "q_incl" not in meta["config"]
+        meta["config"]["q_incl"] = 0.5
+        (out1 / "meta.json").write_text(json.dumps(meta, indent=1))
+        assert load_archive(out1).L == 80
+        assert main(["fit", "--config", str(out1 / "meta.json"), "--outdir", str(out2)]) == 0
         assert (out1 / "draws.csv").read_bytes() == (out2 / "draws.csv").read_bytes()
 
     def test_prerun_figures_in_meta_and_summary(self, tmp_path, capsys):
@@ -432,6 +469,15 @@ class TestMcStudy:
                   "--outdir", str(tmp_path / "none")])
         assert exc.value.code == 2
         assert "--replicates: must be at least 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "none").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_no_jobs_is_a_usage_error(self, tmp_path, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["mc-study", "--design", "sim1-ph", "--replicates", "1", "--jobs", jobs,
+                  "--outdir", str(tmp_path / "none")])
+        assert exc.value.code == 2
+        assert f"--jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
         assert not (tmp_path / "none").exists()
 
     def test_one_replicate_writes_strict_json(self, tmp_path):

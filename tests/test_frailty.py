@@ -120,6 +120,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="distinct"):
             fr.FrailtySpec(kind="grf", coords=coords)
 
+    @pytest.mark.parametrize("kind", ["none", "iid", "icar"])
+    def test_fsa_is_for_grf_only(self, kind):
+        adjacency = path_graph(3) if kind == "icar" else None
+        with pytest.raises(ValueError, match=f"applies to grf frailties, not {kind}"):
+            fr.FrailtySpec(kind=kind, adjacency=adjacency, fsa=(2, 1))
+
     def test_phi0_anchor(self):
         coords = np.array([[0.0, 0.0], [10.0, 0.0], [3.0, 1.0]])
         spec = fr.FrailtySpec(kind="grf", coords=coords)

@@ -457,7 +457,7 @@ class TestRangeWorker:
         assert np.array_equal(worker_counts, linalg_counts)
 
     @pytest.mark.parametrize("platform", ["no fork", "fork fails"])
-    def test_run_without_a_worker_draws_ahead_in_process(self, monkeypatch, platform):
+    def test_run_without_a_worker_builds_in_process(self, monkeypatch, platform):
         got, ref = self.geo_samplers()
         if platform == "no fork":
             monkeypatch.delattr(os, "fork")
@@ -494,19 +494,28 @@ class TestRangeWorker:
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(forks[0], os.WNOHANG)
-        assert isinstance(s.ranges, fr.LocalRanges)
+        assert s.ranges is None
 
-    def test_worker_is_reaped_when_a_block_raises(self, forks, monkeypatch):
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists descriptors on Linux")
+    def test_run_leaves_no_descriptor_open(self, forks):
+        s, _ = self.geo_samplers(nburn=5, nsave=5)
+        fds = set(os.listdir("/proc/self/fd"))
+        s.run()
+        assert len(forks) == 1
+        assert set(os.listdir("/proc/self/fd")) <= fds
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_worker_is_reaped_when_a_block_raises(self, forks, monkeypatch, error):
         update_tau2 = sm.ChainSampler.update_tau2
 
         def failing(self):
             if self.n_sweeps == 5:
-                raise RuntimeError("tau2 failed")
+                raise error("tau2 failed")
             update_tau2(self)
 
         monkeypatch.setattr(sm.ChainSampler, "update_tau2", failing)
         s, _ = self.geo_samplers()
-        with pytest.raises(RuntimeError, match="tau2 failed"):
+        with pytest.raises(error, match="tau2 failed"):
             s.run()
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):
@@ -565,7 +574,7 @@ class TestGammaBlock:
     def test_zero_coefficient_gives_prior_inclusion(self):
         ds, _ = __import__("bpsurv.simulate", fromlist=["sim4_design"]) \
             .sim4_design(1).generate(3)
-        s = make_sampler(ds, selection=True, q_incl=0.5, J=4)
+        s = make_sampler(ds, selection=True, J=4)
         s.state.beta[:] = 0.0  # likelihood ratio is exactly 1
         s._refresh_likelihood()
         hits = np.zeros(ds.p)

@@ -48,6 +48,11 @@ class TestBuildBasis:
         with pytest.raises(ValueError, match="distinct"):
             sp.build_basis(np.repeat([1.0, 2.0, 3.0], 10), K=5)
 
+    @pytest.mark.parametrize("K", [0, 1])
+    def test_too_small_k(self, values, K):
+        with pytest.raises(ValueError, match=f"a cubic spline basis needs K >= 2, got K = {K}"):
+            sp.build_basis(values, K=K)
+
     def test_gprior(self, values):
         term = sp.build_basis(values, K=5)
         assert term.g == pytest.approx(0.6456, abs=2e-4)
