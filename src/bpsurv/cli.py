@@ -2,8 +2,9 @@
 
 A fit writes summary.txt, draws.csv, loglik.npy, and meta.json into --outdir;
 meta.json echoes every resolved option under "cli", so passing it back via
---config (with the same seed) reproduces the draws file byte for byte.
-Config files may also be plain `key = value` lines; explicit flags win.
+--config reproduces the draws file byte for byte.  A --config file (JSON or
+`key = value` lines, keyed by option name) stands for flags placed before the
+command line's own, so its values are checked the same way and a flag wins.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .study import run_mc_study
 
 _CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(McmcConfig))
 _STUDY_CHAIN_FIELDS = ("nburn", "nsave", "nskip")
+_NOT_OPTIONS = ("command", "config", "outdir", "dry_run")  # fit arguments, not options
 
 
 def _schema_flags(p):
@@ -73,17 +75,25 @@ def _fit_flags(p):
     p.add_argument("--spline-k", type=int, default=McmcConfig.spline_K)
     _config_flags(p, ("nburn", "nsave", "nskip", "seed"), int)
     _config_flags(p, ("a_alpha", "b_alpha", "a_tau", "b_tau", "a_phi", "b_phi"), float)
-    p.add_argument("--config", default=None, help="key=value file or a fit meta.json")
+    p.add_argument("--config", help="key = value or JSON file, read as flags before the others")
     p.add_argument("--outdir", default=None)
     p.add_argument("--dry-run", action="store_true")
     return p
+
+
+def _model_names(text):
+    names = _split(text)
+    if not set(names) <= set(MODELS):
+        raise argparse.ArgumentTypeError(f"models must be among {list(MODELS)}, got {text!r}")
+    return names
 
 
 def build_parser():
     ap = argparse.ArgumentParser(prog="bpsurv",
                                  description="Bayesian semiparametric survival models")
     sub = ap.add_subparsers(dest="command", required=True)
-    _fit_flags(sub.add_parser("fit", help="fit a model to a CSV dataset"))
+    # main() checks a --config file's keys against the fit parser's options
+    ap.fit = _fit_flags(sub.add_parser("fit", help="fit a model to a CSV dataset"))
 
     p = sub.add_parser("simulate", help="generate a study dataset")
     p.add_argument("--design", required=True, choices=sorted(DESIGNS))
@@ -105,7 +115,7 @@ def build_parser():
     p.add_argument("--replicates", type=_positive_int, required=True)
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--models", default=None,
+    p.add_argument("--models", type=_model_names, default=None,
                    help="comma-separated models to fit per replicate "
                         "(default: the generating model)")
     _config_flags(p, _STUDY_CHAIN_FIELDS, int)
@@ -115,8 +125,7 @@ def build_parser():
 
 def _read_config_file(path):
     text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         blob = json.loads(text)
         return blob.get("cli", blob)
     out = {}
@@ -127,53 +136,38 @@ def _read_config_file(path):
         if "=" not in line:
             raise ValueError(f"config line {line_no}: expected key = value")
         key, val = (s.strip() for s in line.split("=", 1))
-        out[key.replace("-", "_")] = _coerce(val)
+        out[key.replace("-", "_")] = val
     return out
 
 
-def _coerce(text):
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    if low in ("none", ""):
-        return None
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    return text
-
-
-def _resolve_fit_options(argv):
-    """The fit options, by precedence: flags, then a --config file, then the
-    flag defaults.  Returns (parsed arguments, options); the options are the
-    arguments minus config, outdir and dry_run, in declaration order."""
-    p = _fit_flags(argparse.ArgumentParser(prog="bpsurv fit"))
-    args = p.parse_args(argv)
-    if args.config:
-        file_opts = _read_config_file(args.config)
-        unknown = set(file_opts) - set(_fit_options(args))
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        p.set_defaults(**file_opts)
-        args = p.parse_args(argv)
-    opts = _fit_options(args)
-    if opts["data"] is None:
-        raise ValueError("--data is required (flag or config)")
-    return args, opts
-
-
-def _fit_options(args):
-    return {k: v for k, v in vars(args).items() if k not in ("config", "outdir", "dry_run")}
+def _file_flags(path, fit):
+    """The flags a --config file stands for, one --flag=value token per key
+    (a value may start with '-').  A switch takes true or false, a JSON list
+    is joined with commas, and none, an empty value or null leaves a None
+    default alone; elsewhere an empty value or null is an error."""
+    given = _read_config_file(path)
+    defaults = {k: v for k, v in vars(fit.parse_args([])).items() if k not in _NOT_OPTIONS}
+    unknown = set(given) - set(defaults)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    flags = []
+    for key, value in given.items():
+        flag = "--" + key.replace("_", "-")
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        if isinstance(defaults[key], bool):  # a switch
+            if text.lower() not in ("true", "false"):
+                fit.error(f"argument {flag}: expected true or false, got {text!r}")
+            flags += [flag] if text.lower() == "true" else []
+        elif value is None or text == "" or defaults[key] is None and text.lower() == "none":
+            if defaults[key] is not None:
+                fit.error(f"argument {flag}: expected one argument")
+        else:
+            flags.append(f"{flag}={text}")
+    return flags
 
 
 def _split(names):
-    if names is None:
-        return None
-    if isinstance(names, (list, tuple)):
-        return tuple(names)
-    return tuple(s.strip() for s in str(names).split(",") if s.strip())
+    return None if names is None else tuple(s.strip() for s in names.split(",") if s.strip())
 
 
 def _load_dataset(opts):
@@ -210,8 +204,10 @@ def _mcmc_config(opts, spec):
     return McmcConfig(**given)
 
 
-def cmd_fit(argv):
-    args, opts = _resolve_fit_options(argv)
+def cmd_fit(args):
+    opts = {k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS}
+    if opts["data"] is None:
+        raise ValueError("--data is required (flag or config)")
     dataset = _load_dataset(opts)
     spec = _frailty_spec(opts, dataset)
     cfg = _mcmc_config(opts, spec)
@@ -295,10 +291,7 @@ def cmd_diagnose(args):
 
 
 def _write_svg(path, rows, size=480, margin=40):
-    rs = [r for _, r, _ in rows]
-    hs = [h for _, h, _ in rows]
-    finite = [(r, h, d) for (d, r, h) in rows if math.isfinite(r) and math.isfinite(h)]
-    top = max([max(rs, default=1.0), max(hs, default=1.0), 1e-9])
+    top = max([1e-9] + [max(r, h) for _, r, h in rows])  # residual_plot_data's rows are finite
     scale = (size - 2 * margin) / top
 
     def sx(v):
@@ -318,7 +311,7 @@ def _write_svg(path, rows, size=480, margin=40):
     palette = ["#1b6ca8", "#a83232", "#3a8f3a", "#8f6b19", "#6a4fa3",
                "#31848f", "#a8517d", "#5e5e5e", "#a87d31", "#4f6fa8"]
     seen = {}
-    for r, h, d in finite:
+    for d, r, h in rows:
         color = palette[seen.setdefault(d, len(seen)) % len(palette)]
         parts.append(f'<circle cx="{sx(r):.2f}" cy="{sy(h):.2f}" r="2" fill="{color}" '
                      'fill-opacity="0.6"/>')
@@ -333,9 +326,8 @@ def _write_svg(path, rows, size=480, margin=40):
 def cmd_mc_study(args):
     design = DESIGNS[args.design]()
     cfg_kwargs = {name: getattr(args, name) for name in _STUDY_CHAIN_FIELDS}
-    models = _split(args.models)
     result = run_mc_study(design, args.replicates, master_seed=args.seed,
-                          jobs=args.jobs, fit_models=models, cfg_kwargs=cfg_kwargs)
+                          jobs=args.jobs, fit_models=args.models, cfg_kwargs=cfg_kwargs)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     p = result.truth_beta.shape[0]
@@ -351,7 +343,7 @@ def cmd_mc_study(args):
                    f"{r.lpml:.17e}", f"{r.dic:.17e}", f"{r.waic:.17e}"]
             fh.write(",".join(vals) + "\n")
     agg = result.aggregate()
-    if models and len(models) > 1:
+    if args.models and len(args.models) > 1:
         agg["selection_lpml"] = result.selection_proportions("lpml")
         agg["selection_dic"] = result.selection_proportions("dic")
     with open(outdir / "aggregate.json", "w") as fh:
@@ -362,10 +354,13 @@ def cmd_mc_study(args):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         if args.command == "fit":
-            return cmd_fit(argv[1:])
+            if args.config:  # the file's flags go first, so the command line's win
+                args = parser.parse_args(["fit", *_file_flags(args.config, parser.fit), *argv[1:]])
+            return cmd_fit(args)
         if args.command == "simulate":
             return cmd_simulate(args)
         if args.command == "diagnose":

@@ -95,10 +95,10 @@ class TurnbullEstimate:
         return qs, -np.log(surv_before)
 
 
-# A cycle that still raises the log-likelihood by more than this has not
-# converged, however little it moved the masses: masses the NPMLE sets to zero
-# can shrink by less than tol per cycle while each still costs likelihood.
-_LOGLIK_RISE = 1e-10
+# A cycle converges when it moves no mass by _MASS_TOL or more and raises the
+# log-likelihood by at most _LOGLIK_RISE: masses the NPMLE sets to zero can
+# shrink by less than _MASS_TOL per cycle while each still costs likelihood.
+_MASS_TOL, _LOGLIK_RISE = 1e-8, 1e-10
 
 
 def _innermost_intervals(lo, hi, exact):
@@ -129,7 +129,7 @@ def _first_beyond(qs, atoms, t):
     return k + ((k < qs.shape[0]) & atoms[at] & (qs[at] == t))
 
 
-def turnbull_npmle(lo, hi, trunc=None, tol=1e-8, max_iter=10_000):
+def turnbull_npmle(lo, hi, trunc=None, max_iter=10_000):
     """Self-consistency EM on the Turnbull innermost intervals, SQUAREM-accelerated.
 
     lo/hi follow the ResidualSample convention: lo == hi marks an exact value
@@ -154,7 +154,7 @@ def turnbull_npmle(lo, hi, trunc=None, tol=1e-8, max_iter=10_000):
     and the observed log-likelihood sum_i log(alpha_i . s) - log(beta_i . s)
     does not fall; otherwise the plain double EM step is kept.  iterations
     counts these cycles; the run has converged when a cycle changes no mass
-    by tol or more and raises the log-likelihood by at most 1e-10.
+    by 1e-8 or more and raises the log-likelihood by at most 1e-10.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -220,7 +220,7 @@ def turnbull_npmle(lo, hi, trunc=None, tol=1e-8, max_iter=10_000):
         loglik_new, s1 = em_step(s_new)
         rise = loglik_new - loglik
         s, loglik = s_new, loglik_new
-        if delta < tol and rise <= _LOGLIK_RISE:
+        if delta < _MASS_TOL and rise <= _LOGLIK_RISE:
             converged = True
             break
     if not converged:

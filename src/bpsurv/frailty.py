@@ -41,6 +41,7 @@ from scipy.linalg.lapack import dpotrf, dpotri, dtrtrs
 KINDS = ("none", "iid", "icar", "grf")
 
 _NUGGET = 1e-10
+_RHO0 = 0.001  # correlation at the largest site distance under the range anchor phi0
 
 
 class SingularCorrelation(ValueError):
@@ -67,11 +68,11 @@ def pairwise_distances(coords):
     return np.sqrt((diff * diff).sum(-1))
 
 
-def solve_phi0(dmax, nu=1.0, rho=0.001):
-    """Range value phi0 with correlation rho at the maximum pairwise distance."""
+def solve_phi0(dmax, nu=1.0):
+    """Range value phi0 with correlation 0.001 at the maximum pairwise distance."""
     if dmax <= 0.0:
         raise ValueError("dmax must be positive")
-    return (-np.log(rho)) ** (1.0 / nu) / dmax
+    return (-np.log(_RHO0)) ** (1.0 / nu) / dmax
 
 
 def select_knots(coords, A):
@@ -157,7 +158,7 @@ class FrailtySpec:
                              f"not {self.kind}")
         if self.kind == "icar":
             E = np.asarray(self.adjacency)
-            if E is None or E.ndim != 2 or E.shape[0] != E.shape[1]:
+            if E.ndim != 2 or E.shape[0] != E.shape[1]:
                 raise ValueError("icar requires a square adjacency matrix")
             if not np.array_equal(E, E.T):
                 raise ValueError("adjacency must be symmetric")
@@ -171,7 +172,7 @@ class FrailtySpec:
                 raise ValueError("adjacency graph must be connected")
         if self.kind == "grf":
             c = np.asarray(self.coords, dtype=float)
-            if c is None or c.ndim != 2:
+            if c.ndim != 2:
                 raise ValueError("grf requires an (m, d) coordinate array")
             d = self.distances
             iu = np.triu_indices(c.shape[0], k=1)
@@ -192,11 +193,11 @@ class FrailtySpec:
             return np.asarray(self.coords).shape[0]
         return None
 
-    def phi0(self, rho=0.001):
-        """Default range anchor: correlation rho at the maximum pairwise distance."""
+    def phi0(self):
+        """Default range anchor: correlation 0.001 at the maximum pairwise distance."""
         if self.kind != "grf":
             raise ValueError("phi0 is defined for grf frailties only")
-        return solve_phi0(self.distances.max(), self.nu, rho)
+        return solve_phi0(self.distances.max(), self.nu)
 
     @cached_property
     def distances(self):

@@ -17,7 +17,7 @@ own model transform, for all subjects at once (sample_survival_time).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -29,6 +29,7 @@ from .models import model_time, survival_transform
 
 _INF = math.inf
 _COORDS_EXTENT = 10.0  # grf sites are uniform on [0, 10]^2
+_TAU2, _PHI, _NU = 1.0, 1.0, 1.0  # every design's frailty variance; a grf's range, smoothness
 
 
 def bundled_adjacency37():
@@ -187,7 +188,8 @@ class SimTruth:
 
 @dataclass
 class SimDesign:
-    """A reproducible simulation recipe; generate(seed) yields (Dataset, SimTruth)."""
+    """A reproducible simulation recipe; generate(seed) yields (Dataset, SimTruth).
+    All designs: bimodal S0, tau2 = 1, icar on the bundled map, grf with phi = nu = 1."""
 
     model: str = "ph"
     covariate_design: str = "sim1"
@@ -195,23 +197,14 @@ class SimDesign:
     m: int = 37
     n_per_site: int = 20
     frailty_kind: str = "icar"
-    tau2: float = 1.0
-    phi: float = 1.0
-    nu: float = 1.0
-    adjacency: np.ndarray = None       # default: bundled 37-region map
-    baseline: object = field(default_factory=BimodalBaseline)
-
-    def covariate_names(self, p):
-        return [f"x{j + 1}" for j in range(p)]
 
     def frailty_spec(self, coords=None):
         """The FrailtySpec that generates and fits the design's field; a grf
         spec needs the site coordinates of a generated dataset."""
         if self.frailty_kind == "icar":
-            E = self.adjacency if self.adjacency is not None else bundled_adjacency37()
-            return fr.FrailtySpec(kind="icar", adjacency=E)
+            return fr.FrailtySpec(kind="icar", adjacency=bundled_adjacency37())
         if self.frailty_kind == "grf":
-            return fr.FrailtySpec(kind="grf", coords=coords, nu=self.nu)
+            return fr.FrailtySpec(kind="grf", coords=coords, nu=_NU)
         return fr.FrailtySpec(kind=self.frailty_kind)
 
     def generate(self, seed):
@@ -227,19 +220,19 @@ class SimDesign:
             coords = rng.uniform(0, _COORDS_EXTENT, size=(m, 2))
         spec = self.frailty_spec(coords)
         if spec.kind == "icar" and spec.m != m:
-            raise ValueError("adjacency size must match m")
-        v = gen_frailty_truth(spec, self.tau2, rng, m, phi=self.phi)
+            raise ValueError(f"an icar design lives on the bundled 37-region map, not m = {m}")
+        v = gen_frailty_truth(spec, _TAU2, rng, m, phi=_PHI)
 
         loc = np.repeat(np.arange(1, m + 1), self.n_per_site)
         eta = X @ beta + v[loc - 1]
-        times = sample_survival_time(self.model, eta, self.baseline, rng.uniform(size=n))
+        times = sample_survival_time(self.model, eta, BimodalBaseline(), rng.uniform(size=n))
         a, b = apply_censoring(times, rng)
         obs = [CensoredObservation(a=float(a[i]), b=float(b[i]), x=tuple(X[i]),
                                    location=int(loc[i])) for i in range(n)]
-        ds = Dataset(observations=obs, m=m, covariate_names=self.covariate_names(p),
+        ds = Dataset(observations=obs, m=m, covariate_names=[f"x{j + 1}" for j in range(p)],
                      coords=coords)
-        truth = SimTruth(model=self.model, beta=beta, v=v, tau2=self.tau2,
-                         phi=self.phi if self.frailty_kind == "grf" else None)
+        truth = SimTruth(model=self.model, beta=beta, v=v, tau2=_TAU2,
+                         phi=_PHI if self.frailty_kind == "grf" else None)
         return ds, truth
 
 

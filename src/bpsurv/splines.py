@@ -17,11 +17,12 @@ import numpy as np
 from scipy.special import ndtri
 
 DEGREE = 3  # cubic
+_G_BIG, _G_PROB = 10.0, 0.9  # M and q of the g-prior scale
 
 
-def gprior_scale(dim, big=10.0, prob=0.9):
-    """g = [log(big) / Phi^{-1}(prob)]^2 / dim."""
-    return float((np.log(big) / ndtri(prob)) ** 2 / dim)
+def gprior_scale(dim):
+    """g = [log M / Phi^{-1}(q)]^2 / dim with M = 10 and q = 0.9."""
+    return float((np.log(_G_BIG) / ndtri(_G_PROB)) ** 2 / dim)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""sha256 digests of short fits on simulated data, and draw-by-draw shadows.
+"""sha256 digests of short fits and of simulated data, and draw-by-draw shadows.
 
 A change that must leave the chain's draws byte-identical prints the same
 lines as its parent.  Run from a checkout (the fits import the package from
@@ -26,9 +26,13 @@ log-likelihood (DIC and p_V from the per-draw totals) and which the other
 two files do not show; the rest of meta.json carries the elapsed time and
 the resolved options, and is left out.  The fourth covers the Cox-Snell
 residuals of a loaded archive: its rebuilt spline terms, its regression
-coefficients and the Turnbull estimate.  To compare with a parent commit,
-run this script in a checkout of the parent too.  The script takes about
-ten seconds; it is not a pytest module.
+coefficients and the Turnbull estimate.
+
+After the 13 fit lines come 9 lines, one per `bpsurv simulate --seed 7`
+design, each with the sha256 of the CSV, of the adjacency file (`-` for a
+design that writes none) and of the --truth-out JSON.  To compare with a
+parent commit, run this script in a checkout of the parent too.  The script
+takes about ten seconds; it is not a pytest module.
 
 A change meant to move the likelihood by rounding only cannot keep the
 digests, but it should keep the chain's path: every accept/reject decision
@@ -65,6 +69,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from bpsurv.cli import main  # noqa: E402
+from bpsurv.simulate import DESIGNS  # noqa: E402
 
 SHORT = ["--nburn", "150", "--nsave", "150", "--seed", "3"]
 
@@ -147,6 +152,14 @@ def main_digests(keep=None):
                   f"loglik.npy {_sha256(out / 'loglik.npy')} "
                   f"meta.json {_meta_sha256(out / 'meta.json')} "
                   f"coxsnell.csv {_sha256(out / 'coxsnell.csv')}", flush=True)
+        for design in sorted(DESIGNS):
+            csv_path, truth = tmp / f"sim-{design}.csv", tmp / f"sim-{design}-truth.json"
+            _run(["simulate", "--design", design, "--seed", "7", "--out", str(csv_path),
+                  "--truth-out", str(truth)])
+            adjacency = tmp / f"sim-{design}_adjacency.txt"
+            print(f"simulate {design}: csv {_sha256(csv_path)} adjacency "
+                  f"{_sha256(adjacency) if adjacency.exists() else '-'} "
+                  f"truth {_sha256(truth)}", flush=True)
 
 
 def _draws(fit):

@@ -35,6 +35,12 @@ def test_cli_import_leaves_out_optimize_and_interpolate():
     assert out.stdout.strip() == "[]"
 
 
+def tiny_data_args(tmp_path):
+    """The fit flags that read tiny_dataset_csv's data."""
+    return ["--data", str(tiny_dataset_csv(tmp_path)), "--location-col", "location",
+            "--trunc-col", "trunc"]
+
+
 def regions_csv(tmp_path):
     """24 rows over regions labelled 3, 1, 2, in order of first appearance."""
     rows = ["t1,t2,x,location"]
@@ -349,6 +355,59 @@ class TestFit:
         assert main(["fit", "--config", str(cfgfile), "--outdir", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, text, flag, dry_run", [
+        ("run.cfg", "nburn = 1e3\n", "--nburn", False),
+        ("run.cfg", "seed = 1.5\n", "--seed", False),
+        ("run.cfg", "J = 1.5\n", "--J", False),
+        ("run.json", '{"selection": "no"}', "--selection", False),
+        ("run.cfg", "model = weibull\n", "--model", True),
+        ("run.cfg", "nburn =\n", "--nburn", False),
+    ], ids=["nburn-float", "seed-float", "J-float", "selection-no", "model-dry-run",
+            "nburn-empty"])
+    def test_config_value_is_checked_like_its_flag(self, tmp_path, capsys, name, text, flag,
+                                                   dry_run):
+        cfgfile = tmp_path / name
+        cfgfile.write_text(text)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--config", str(cfgfile), *tiny_data_args(tmp_path),
+                  "--outdir", str(tmp_path / "fit")] + (["--dry-run"] if dry_run else []))
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err and "resolved options" not in out
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].startswith(f"bpsurv fit: error: argument {flag}")
+        assert not (tmp_path / "fit").exists()
+
+    def test_json_list_is_joined_with_commas(self, tmp_path):
+        path = tiny_dataset_csv(tmp_path)
+        argv = ["fit", "--data", str(path), "--location-col", "location",
+                "--trunc-col", "trunc", "--seed", "5", *FAST]
+        assert main(argv + ["--nonlinear", "x2", "--outdir", str(tmp_path / "flag")]) == 0
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({"nonlinear": ["x2"]}))
+        assert main(argv + ["--config", str(cfgfile), "--outdir", str(tmp_path / "file")]) == 0
+        assert ((tmp_path / "flag" / "draws.csv").read_bytes()
+                == (tmp_path / "file" / "draws.csv").read_bytes())
+
+    @pytest.mark.parametrize("name, text", [("run.cfg", "b_phi = none\n"),
+                                            ("run.cfg", "b_phi =\n"),
+                                            ("run.json", '{"b_phi": null}')],
+                             ids=["none", "empty", "null"])
+    def test_unset_value_leaves_a_none_default(self, tmp_path, capsys, name, text):
+        cfgfile = tmp_path / name
+        cfgfile.write_text(text)
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfgfile), *tiny_data_args(tmp_path), "--dry-run"]) == 0
+        assert self.dry_run_options(capsys.readouterr().out)["b_phi"] == "None"
+
+    def test_value_starting_with_a_dash_reaches_its_option(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("a_tau = -1.5\n")
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfgfile), *tiny_data_args(tmp_path), "--dry-run"]) == 0
+        assert self.dry_run_options(capsys.readouterr().out)["a_tau"] == "-1.5"
+
     def test_dry_run_lists_the_meta_json_options(self, tmp_path, capsys):
         path = tiny_dataset_csv(tmp_path)
         argv = ["fit", "--data", str(path), "--location-col", "location",
@@ -478,6 +537,14 @@ class TestMcStudy:
                   "--outdir", str(tmp_path / "none")])
         assert exc.value.code == 2
         assert f"--jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "none").exists()
+
+    def test_unknown_model_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mc-study", "--design", "sim1-ph", "--replicates", "1", "--models", "ph,weibull",
+                  "--outdir", str(tmp_path / "none")])
+        assert exc.value.code == 2
+        assert "--models: models must be among ['aft', 'ph', 'po']" in capsys.readouterr().err
         assert not (tmp_path / "none").exists()
 
     def test_one_replicate_writes_strict_json(self, tmp_path):

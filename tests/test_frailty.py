@@ -120,6 +120,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="distinct"):
             fr.FrailtySpec(kind="grf", coords=coords)
 
+    @pytest.mark.parametrize("kind, message", [
+        ("icar", "icar requires a square adjacency matrix"),
+        ("grf", r"grf requires an \(m, d\) coordinate array")])
+    def test_missing_structural_data(self, kind, message):
+        with pytest.raises(ValueError, match=message):
+            fr.FrailtySpec(kind=kind)
+
     @pytest.mark.parametrize("kind", ["none", "iid", "icar"])
     def test_fsa_is_for_grf_only(self, kind):
         adjacency = path_graph(3) if kind == "icar" else None
