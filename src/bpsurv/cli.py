@@ -23,7 +23,7 @@ from . import frailty as fr
 from .archive_io import load_archive, save_archive, summary_text
 from .baseline import FAMILIES
 from .data import CsvSchema, load_adjacency, load_csv
-from .diagnostics import cumhaz_slope, residual_plot_data
+from .diagnostics import check_fit_data, cumhaz_slope, residual_plot_data
 from .models import MODELS
 from .sampler import McmcConfig, run_chain
 from .simulate import DESIGNS
@@ -50,11 +50,13 @@ def _config_flags(p, fields, type):
                        default=getattr(McmcConfig, name))
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(floor, why=""):
+    """An argparse type: an int no smaller than floor."""
+    def parse(text):
+        if int(text) < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor}{why}, got {int(text)}")
+        return int(text)
+    return parse
 
 
 def _fit_flags(p):
@@ -106,19 +108,20 @@ def build_parser():
     p.add_argument("--data", required=True)
     _schema_flags(p)
     p.add_argument("--adjacency", default=None)
-    p.add_argument("--draws", type=_positive_int, default=10)
+    p.add_argument("--draws", type=_at_least(1), default=10)
     p.add_argument("--svg", action="store_true")
     p.add_argument("--outdir", default=None, help="default: the fit directory")
 
     p = sub.add_parser("mc-study", help="replicate simulation study")
     p.add_argument("--design", required=True, choices=sorted(DESIGNS))
-    p.add_argument("--replicates", type=_positive_int, required=True)
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--replicates", type=_at_least(1), required=True)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--models", type=_model_names, default=None,
                    help="comma-separated models to fit per replicate "
                         "(default: the generating model)")
-    _config_flags(p, _STUDY_CHAIN_FIELDS, int)
+    _config_flags(p, ("nburn", "nskip"), int)
+    _config_flags(p, ("nsave",), _at_least(cr.ESS_MIN_DRAWS, " for the study's ESS"))
     p.add_argument("--outdir", required=True)
     return ap
 
@@ -261,37 +264,33 @@ def cmd_diagnose(args):
     if args.adjacency:
         load_adjacency(args.adjacency, labels=dataset.location_ids)
     archive = load_archive(args.fit, dataset=dataset)
-    outdir = Path(args.outdir or args.fit)
-    outdir.mkdir(parents=True, exist_ok=True)
+    check_fit_data(archive, dataset)
 
     # The criteria are the stored ones; LPML is recomputed to catch a fit
     # directory whose files disagree.
-    with open(Path(args.fit) / "meta.json") as fh:
-        stored = json.load(fh)["criteria"]
+    stored = json.loads((Path(args.fit) / "meta.json").read_text())["criteria"]
     lpml, _ = cr.lpml(archive.loglik_obs)
     print(f"stored LPML {stored['lpml']:.8f}, recomputed {lpml:.8f}")
     if abs(lpml - stored["lpml"]) > 1e-8:
         print("error: recomputed LPML deviates from the stored value", file=sys.stderr)
         return 1
 
-    rows = residual_plot_data(archive, dataset, draws=args.draws)
-    with open(outdir / "coxsnell.csv", "w") as fh:
-        fh.write("draw_id,r,cumhaz\n")
-        for draw_id, r, h in rows:
-            fh.write(f"{draw_id},{r:.17e},{h:.17e}\n")
-    slope = cumhaz_slope(rows)
-    report = dict(stored, coxsnell_slope=slope)
-    with open(outdir / "diagnose.json", "w") as fh:
-        json.dump(report, fh, indent=1)
+    draw_id, r, cumhaz = residual_plot_data(archive, dataset, draws=args.draws)
+    slope = cumhaz_slope(r, cumhaz)
+    outdir = Path(args.outdir or args.fit)
+    outdir.mkdir(parents=True, exist_ok=True)
+    np.savetxt(outdir / "coxsnell.csv", np.column_stack((draw_id, r, cumhaz)),
+               fmt="%d,%.17e,%.17e", header="draw_id,r,cumhaz", comments="")
+    (outdir / "diagnose.json").write_text(json.dumps(dict(stored, coxsnell_slope=slope), indent=1))
     if args.svg:
-        _write_svg(outdir / "coxsnell.svg", rows)
+        _write_svg(outdir / "coxsnell.svg", draw_id, r, cumhaz)
     print(f"cox-snell cumulative-hazard slope: {slope:.4f} (1 is ideal)")
     print(f"residual data written to {outdir / 'coxsnell.csv'}")
     return 0
 
 
-def _write_svg(path, rows, size=480, margin=40):
-    top = max([1e-9] + [max(r, h) for _, r, h in rows])  # residual_plot_data's rows are finite
+def _write_svg(path, draw_id, r, cumhaz, size=480, margin=40):
+    top = float(np.max(np.concatenate([[1e-9], r, cumhaz])))  # the columns are finite
     scale = (size - 2 * margin) / top
 
     def sx(v):
@@ -310,11 +309,9 @@ def _write_svg(path, rows, size=480, margin=40):
              'stroke="black"/>']
     palette = ["#1b6ca8", "#a83232", "#3a8f3a", "#8f6b19", "#6a4fa3",
                "#31848f", "#a8517d", "#5e5e5e", "#a87d31", "#4f6fa8"]
-    seen = {}
-    for d, r, h in rows:
-        color = palette[seen.setdefault(d, len(seen)) % len(palette)]
-        parts.append(f'<circle cx="{sx(r):.2f}" cy="{sy(h):.2f}" r="2" fill="{color}" '
-                     'fill-opacity="0.6"/>')
+    trace = np.unique(draw_id, return_inverse=True)[1]  # draw ids ascend, trace by trace
+    parts += [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" fill="{palette[k % len(palette)]}" '
+              'fill-opacity="0.6"/>' for k, x, y in zip(trace, sx(r), sy(cumhaz))]
     parts.append(f'<text x="{size // 2}" y="{size - 8}" font-size="12">'
                  'Cox-Snell residual r</text>')
     parts.append(f'<text x="10" y="{size // 2}" font-size="12" '

@@ -22,6 +22,7 @@ from .baseline import alpha_log_prior_at_zero
 # A Savage-Dickey factor needs at least this many effective draws per
 # dimension in every column of the draws it fits a Gaussian to.
 _MIN_ESS_PER_DIM = 10
+ESS_MIN_DRAWS = 10  # the shortest series ess() estimates from
 
 
 def dic(archive):
@@ -152,7 +153,7 @@ def ess(series):
     """
     x = np.asarray(series, dtype=float)
     L = x.shape[0]
-    if L < 10:
+    if L < ESS_MIN_DRAWS:
         raise ValueError("series too short for an ESS estimate")
     var = x.var()
     if var == 0.0:

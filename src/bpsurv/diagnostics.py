@@ -4,7 +4,9 @@ r(t) = -log S_x(t) is standard exponential when the model is right, so the
 residual pairs (r(a), r(b)) form an arbitrarily censored Exp(1) sample; a
 Turnbull nonparametric estimate of their distribution should have a straight
 unit-slope cumulative hazard.  Residuals are computed for several posterior
-draws so the plot carries parameter uncertainty.
+draws so the plot carries parameter uncertainty: coxsnell_residuals gives
+(draws x observations) matrices, and residual_plot_data the plot's three
+columns (draw id, r, cumulative hazard), one trace per draw.
 
 The Turnbull NPMLE (Turnbull 1976, JRSS-B) works on the innermost intervals
 in sorted order, where every observation covers one contiguous run of them:
@@ -20,25 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .baseline import bernstein_coefficients
 from .models import LikelihoodEvaluator, linear_predictor
-
-
-@dataclass
-class ResidualSample:
-    """Censored residual pairs for one posterior draw.
-
-    lo/hi are r(a)/r(b) with hi = inf for right censoring and lo = hi for
-    exact observations; trunc = r(u) (0 when untruncated).
-    """
-
-    draw: int
-    lo: np.ndarray
-    hi: np.ndarray
-    trunc: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.lo > self.hi + 1e-12):
-            raise ValueError("residual pairs need lo <= hi")
 
 
 def _select_draws(L, ndraws):
@@ -46,30 +31,48 @@ def _select_draws(L, ndraws):
     return np.unique(np.linspace(0, L - 1, ndraws).round().astype(int))
 
 
-def coxsnell_residuals(archive, dataset, draws=10):
-    """Residual samples for a thinned set of posterior draws.
-
-    draws may be an int (that many evenly spaced retained draws) or an
-    explicit index list.
-    """
-    idx = np.atleast_1d(draws) if not np.isscalar(draws) else _select_draws(archive.L, draws)
-    ev = LikelihoodEvaluator(dataset, archive.model, archive.family, archive.J)
-    W = archive.weights()
+def _draw_states(archive, dataset, ev, idx):
+    """(theta, w, eta) of each retained draw in idx, eta on dataset's rows."""
+    W, coefs, v = archive.weights(), archive.coefficients(), archive.draws.get("v")
     designs = [t.design for t in archive.spline_terms]
-    coefs = archive.coefficients()
-    out = []
     for s in idx:
-        s = int(s)
-        v = archive.draws["v"][s] if "v" in archive.draws else None
-        eta = linear_predictor(dataset.X, designs, coefs[s], v, ev.loc0)
-        Sa, Sb, Su = ev.survival_probs(archive.draws["theta"][s], W[s], eta)
-        lo = -np.log(np.maximum(Sa, 1e-300))
-        hi = np.where(Sb > 0.0, -np.log(np.maximum(Sb, 1e-300)), np.inf)
-        hi = np.where(dataset.a == dataset.b, lo, hi)
-        trunc = -np.log(np.maximum(Su, 1e-300))
-        trunc = np.where(dataset.u > 0.0, trunc, 0.0)
-        out.append(ResidualSample(draw=s, lo=lo, hi=hi, trunc=trunc))
-    return out
+        yield archive.draws["theta"][s], W[s], linear_predictor(
+            dataset.X, designs, coefs[s], None if v is None else v[s], ev.loc0)
+
+
+def check_fit_data(archive, dataset):
+    """Refuse (ValueError) data the archive was not fitted to: data whose n, m
+    or covariates differ from the fit's, or on which the last retained draw's
+    per-observation log-likelihood is not the stored one (to 1e-9)."""
+    given, fitted = ((d.n, d.m, list(d.covariate_names)) for d in (dataset, archive))
+    if given != fitted:
+        raise ValueError(f"the data are not the fit's: their n, m and covariates are "
+                         f"{given}, the fit's {fitted}")
+    ev = LikelihoodEvaluator(dataset, archive.model, archive.family, archive.J)
+    for theta, w, eta in _draw_states(archive, dataset, ev, range(archive.L)[-1:]):
+        ll = ev.loglik_obs(ev.build_cache(theta, eta), bernstein_coefficients(w), eta)
+        if not np.allclose(ll, archive.loglik_obs[-1], rtol=1e-9, atol=1e-9):
+            raise ValueError("the data are not the fit's: the last draw's log-likelihood "
+                             "on them differs from the stored one")
+
+
+def coxsnell_residuals(archive, dataset, draws=10):
+    """(draw indices, lo, hi, trunc) for `draws` evenly spaced retained draws.
+
+    lo, hi and trunc are (draws x observations) matrices of r(a), r(b) and
+    r(u): hi = inf for right censoring, lo = hi for exact observations and
+    trunc = 0 when untruncated.
+    """
+    idx = _select_draws(archive.L, draws)
+    ev = LikelihoodEvaluator(dataset, archive.model, archive.family, archive.J)
+    S = np.array([ev.survival_probs(*st) for st in _draw_states(archive, dataset, ev, idx)])
+    S = S.reshape(idx.size, 3, dataset.n)  # (S_x(a), S_x(b), S_x(u)) per draw
+    R = -np.log(np.maximum(S, 1e-300))
+    lo = R[:, 0]
+    hi = np.where(dataset.a == dataset.b, lo, np.where(S[:, 1] > 0.0, R[:, 1], np.inf))
+    if np.any(lo > hi + 1e-12):
+        raise ValueError("residual pairs need lo <= hi")
+    return idx, lo, hi, np.where(dataset.u > 0.0, R[:, 2], 0.0)
 
 
 @dataclass
@@ -132,7 +135,7 @@ def _first_beyond(qs, atoms, t):
 def turnbull_npmle(lo, hi, trunc=None, max_iter=10_000):
     """Self-consistency EM on the Turnbull innermost intervals, SQUAREM-accelerated.
 
-    lo/hi follow the ResidualSample convention: lo == hi marks an exact value
+    lo/hi follow the coxsnell_residuals convention: lo == hi marks an exact value
     (a point mass candidate), otherwise the observation interval is (lo, hi].
     Left-truncated entries (trunc > 0) condition their contribution on the
     event landing beyond trunc.
@@ -231,27 +234,24 @@ def turnbull_npmle(lo, hi, trunc=None, max_iter=10_000):
 
 
 def residual_plot_data(archive, dataset, draws=10):
-    """Rows (draw_id, r, cumhaz) for the Cox-Snell plot, one trace per draw.
-
-    The cumulative hazard is the Turnbull estimate evaluated at the left
-    endpoints of its support; a correct model tracks the 45-degree line.
+    """Columns (draw_id, r, cumhaz) of the Cox-Snell plot: per draw in
+    ascending order, the Turnbull cumulative hazard at the left endpoints of
+    its support (finite points only); a correct model tracks the 45-degree line.
     """
-    rows = []
-    for sample in coxsnell_residuals(archive, dataset, draws):
-        est = turnbull_npmle(sample.lo, sample.hi, sample.trunc)
-        r, cumhaz = est.step_points()
+    idx, lo, hi, trunc = coxsnell_residuals(archive, dataset, draws)
+    traces = [np.zeros((0, 3))]
+    for s, a, b, u in zip(idx, lo, hi, trunc):
+        r, cumhaz = turnbull_npmle(a, b, u).step_points()
         keep = np.isfinite(r) & np.isfinite(cumhaz)
-        for rr, hh in zip(r[keep], cumhaz[keep]):
-            rows.append((sample.draw, float(rr), float(hh)))
-    return rows
+        traces.append(np.column_stack((np.full(keep.sum(), s), r[keep], cumhaz[keep])))
+    draw_id, r, cumhaz = np.concatenate(traces).T
+    return draw_id.astype(int), r, cumhaz
 
 
-def cumhaz_slope(rows):
-    """Least-squares slope through the origin of cumhaz vs r over all traces."""
-    if not rows:
+def cumhaz_slope(r, cumhaz):
+    """Least-squares slope through the origin of cumhaz on r over all traces."""
+    if r.size == 0:
         raise ValueError("no residual plot rows")
-    r = np.array([x[1] for x in rows])
-    h = np.array([x[2] for x in rows])
-    keep = (r > 0) & np.isfinite(r) & np.isfinite(h)
-    r, h = r[keep], h[keep]
-    return float((r * h).sum() / (r * r).sum())
+    keep = (r > 0) & np.isfinite(r) & np.isfinite(cumhaz)
+    r, cumhaz = r[keep], cumhaz[keep]
+    return float((r * cumhaz).sum() / (r * r).sum())

@@ -10,7 +10,6 @@ N_K(0, g n (X_l' X_l)^{-1}) with g = [log M / Phi^{-1}(q)]^2 / K, M=10, q=0.9.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,30 +35,9 @@ class SplineTerm:
     name: str
     K: int
     knots: np.ndarray          # full knot vector (boundary multiplicities included)
-    col_means: np.ndarray      # means of the retained raw columns
     design: np.ndarray = field(repr=False)
-    xmin: float = 0.0
-    xmax: float = 1.0
     g: float = 0.0
     prior_cov: np.ndarray = field(default=None, repr=False)
-
-    def raw_rows(self, x):
-        """Rows of the retained (dropped-boundary) raw basis at new points.
-
-        Points outside the training range are clamped with a warning.
-        """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any((x < self.xmin) | (x > self.xmax)):
-            warnings.warn("spline term evaluated outside its data range; clamping",
-                          stacklevel=2)
-            x = np.clip(x, self.xmin, self.xmax)
-        from scipy.interpolate import BSpline  # costs a quarter second; only spline fits pay
-        full = BSpline.design_matrix(x, self.knots, DEGREE, extrapolate=False).toarray()
-        return full[:, 1:-1]
-
-    def rows(self, x):
-        """Centered basis rows at new points (what enters the predictor)."""
-        return self.raw_rows(x) - self.col_means
 
 
 def build_basis(values, K=5, name="x"):
@@ -88,15 +66,13 @@ def build_basis(values, K=5, name="x"):
     from scipy.interpolate import BSpline  # costs a quarter second; only spline fits pay
     full = BSpline.design_matrix(values, knots, DEGREE, extrapolate=False).toarray()
     raw = full[:, 1:-1]
-    col_means = raw.mean(axis=0)
-    design = raw - col_means
+    design = raw - raw.mean(axis=0)
     g = gprior_scale(K)
     xtx = design.T @ design
     n = values.shape[0]
     prior_cov = g * n * np.linalg.inv(xtx + 1e-12 * np.eye(K))
     prior_cov = 0.5 * (prior_cov + prior_cov.T)
-    return SplineTerm(name=name, K=K, knots=knots, col_means=col_means, design=design,
-                      xmin=xmin, xmax=xmax, g=g, prior_cov=prior_cov)
+    return SplineTerm(name=name, K=K, knots=knots, design=design, g=g, prior_cov=prior_cov)
 
 
 def build_terms(dataset, nonlinear, K):

@@ -18,15 +18,16 @@ runs on one thread.
 
 Each line reads: label, sha256 of draws.csv, sha256 of loglik.npy,
 sha256 of meta.json's criteria and accept_rates, dumped as
-json.dumps({"criteria": ..., "accept_rates": ...}, sort_keys=True), and
-sha256 of the coxsnell.csv that `bpsurv diagnose --draws 10` writes for the
-fit.  The third digest extends the check to LPML, WAIC, DIC, p_D, p_V and
-loglik_at_mean, which the archive derives from the draws and the
-log-likelihood (DIC and p_V from the per-draw totals) and which the other
-two files do not show; the rest of meta.json carries the elapsed time and
-the resolved options, and is left out.  The fourth covers the Cox-Snell
-residuals of a loaded archive: its rebuilt spline terms, its regression
-coefficients and the Turnbull estimate.
+json.dumps({"criteria": ..., "accept_rates": ...}, sort_keys=True),
+and sha256 of the coxsnell.csv, diagnose.json and coxsnell.svg that
+`bpsurv diagnose --draws 10 --svg` writes for the fit.  The third digest
+extends the check to LPML, WAIC, DIC, p_D, p_V and loglik_at_mean, which
+the archive derives from the draws and the log-likelihood (DIC and p_V from
+the per-draw totals) and which the other two files do not show; the rest of
+meta.json carries the elapsed time and the resolved options, and is left
+out.  The last three cover the Cox-Snell assessment of a loaded archive:
+its rebuilt spline terms, its regression coefficients, the Turnbull
+estimate, the cumulative-hazard slope and the plot.
 
 After the 13 fit lines come 9 lines, one per `bpsurv simulate --seed 7`
 design, each with the sha256 of the CSV, of the adjacency file (`-` for a
@@ -147,11 +148,13 @@ def main_digests(keep=None):
             if "icar" in extra:
                 argv += ["--adjacency", adjacency]
             _run(argv)
-            _run(["diagnose", "--fit", str(out), *data_args, "--draws", "10"])
+            _run(["diagnose", "--fit", str(out), *data_args, "--draws", "10", "--svg"])
             print(f"{label}: draws.csv {_sha256(out / 'draws.csv')} "
                   f"loglik.npy {_sha256(out / 'loglik.npy')} "
                   f"meta.json {_meta_sha256(out / 'meta.json')} "
-                  f"coxsnell.csv {_sha256(out / 'coxsnell.csv')}", flush=True)
+                  f"coxsnell.csv {_sha256(out / 'coxsnell.csv')} "
+                  f"diagnose.json {_sha256(out / 'diagnose.json')} "
+                  f"coxsnell.svg {_sha256(out / 'coxsnell.svg')}", flush=True)
         for design in sorted(DESIGNS):
             csv_path, truth = tmp / f"sim-{design}.csv", tmp / f"sim-{design}-truth.json"
             _run(["simulate", "--design", design, "--seed", "7", "--out", str(csv_path),

@@ -522,7 +522,7 @@ def turnbull_loglik(lo, hi, trunc, support, masses):
 def turnbull_npmle(lo, hi, trunc=None, tol=1e-8, max_iter=1000):
     """Self-consistency EM on the Turnbull innermost intervals.
 
-    lo/hi follow the ResidualSample convention: lo == hi marks an exact value
+    lo/hi follow the coxsnell_residuals convention: lo == hi marks an exact value
     (a point mass candidate), otherwise the observation interval is (lo, hi].
     Left-truncated entries (trunc > 0) condition their contribution on the
     event landing beyond trunc.

@@ -471,6 +471,8 @@ class TestDiagnose:
         assert main(argv) == 1
         assert "deviates" in capsys.readouterr().err
         assert not (fit / "diagnose.json").exists()
+        assert main(argv + ["--outdir", str(tmp_path / "none")]) == 1
+        assert not (tmp_path / "none").exists()
 
     def test_meta_json_with_loglik_totals_loads(self, tmp_path):
         # meta.json once stored each draw's total log-likelihood; such a fit
@@ -490,6 +492,36 @@ class TestDiagnose:
         capsys.readouterr()
         assert main(argv) == 2
         assert "missing file" in capsys.readouterr().err
+
+    @pytest.fixture(scope="class")
+    def sim1_fit(self, tmp_path_factory):
+        """A short fit of `simulate --design sim1-ph --seed 1`; beside it the
+        --seed 2 data (also n = 740) and their first 399 rows."""
+        tmp = tmp_path_factory.mktemp("sim1")
+        for seed in (1, 2):
+            assert main(["simulate", "--design", "sim1-ph", "--seed", str(seed),
+                         "--out", str(tmp / f"seed{seed}.csv")]) == 0
+        lines = (tmp / "seed2.csv").read_text().splitlines()
+        (tmp / "subset.csv").write_text("\n".join(lines[:400]) + "\n")
+        assert main(["fit", "--data", str(tmp / "seed1.csv"), "--location-col", "location",
+                     "--trunc-col", "trunc", "--nburn", "20", "--nsave", "10",
+                     "--outdir", str(tmp / "fit")]) == 0
+        return tmp
+
+    @pytest.mark.parametrize("data, error", [
+        ("seed1.csv", ""),
+        ("seed2.csv", "error: the data are not the fit's: the last draw's log-likelihood on "
+                      "them differs from the stored one\n"),
+        ("subset.csv", "error: the data are not the fit's: their n, m and covariates are "
+                       "(399, 20, ['x1', 'x2']), the fit's (740, 37, ['x1', 'x2'])\n"),
+    ])
+    def test_data_must_be_the_fits(self, sim1_fit, capsys, data, error):
+        out = sim1_fit / f"diagnose-{data}"
+        capsys.readouterr()
+        rc = main(["diagnose", "--fit", str(sim1_fit / "fit"), "--data", str(sim1_fit / data),
+                   "--location-col", "location", "--trunc-col", "trunc", "--outdir", str(out)])
+        assert (rc, capsys.readouterr().err) == (2 if error else 0, error)
+        assert out.exists() == (not error)
 
     def test_adjacency_must_match_the_regions(self, tmp_path, capsys):
         fit, argv = self.fit_dir(tmp_path)
@@ -538,6 +570,18 @@ class TestMcStudy:
         assert exc.value.code == 2
         assert f"--jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
         assert not (tmp_path / "none").exists()
+
+    def test_chain_too_short_for_ess_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mc-study", "--design", "sim1-ph", "--replicates", "1", "--nburn", "20",
+                  "--nsave", "9", "--outdir", str(tmp_path / "none")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --nsave: must be at least 10 for the study's ESS, got 9" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "none").exists()
+        # a fit keeps short chains: its summary prints n/a for their ESS
+        assert cli.build_parser().parse_args(["fit", "--nsave", "9"]).nsave == 9
 
     def test_unknown_model_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -186,24 +186,21 @@ class TestTurnbullAgainstOracle:
         assert peak < 64 * 2**20
 
 
-def exp_exact_archive_rows(n, seed):
-    """Rows (draw, r, cumhaz) from a perfect Exp(1) exact sample."""
+def exp_exact_plot_columns(n, seed):
+    """Plot columns (r, cumhaz) from a perfect Exp(1) exact sample."""
     rng = np.random.default_rng(seed)
     r = rng.exponential(1.0, n)
-    est = dg.turnbull_npmle(r, r)
-    x, h = est.step_points()
-    return [(0, float(a), float(b)) for a, b in zip(x, h)]
+    return dg.turnbull_npmle(r, r).step_points()
 
 
 class TestResidualPlot:
     def test_exp1_slope_near_one(self):
-        rows = exp_exact_archive_rows(10000, seed=5)
-        slope = dg.cumhaz_slope(rows)
+        slope = dg.cumhaz_slope(*exp_exact_plot_columns(10000, seed=5))
         assert 0.95 <= slope <= 1.05
 
     def test_empty_selection(self):
         with pytest.raises(ValueError):
-            dg.cumhaz_slope([])
+            dg.cumhaz_slope(np.zeros(0), np.zeros(0))
 
 
 class TestCoxSnellResiduals:
@@ -220,37 +217,47 @@ class TestCoxSnellResiduals:
                             frailty=fr.FrailtySpec(kind="iid"))
         arch = sm.run_chain(ds, cfg)
         arch.draws["gamma"][[3, 9], 0] = 0.0  # exercise the selection mask
-        samples = dg.coxsnell_residuals(arch, ds, draws=[3, 9])
-        assert [r.draw for r in samples] == [3, 9]
-        for res in samples:
-            s = res.draw
+        idx, lo, hi, trunc = dg.coxsnell_residuals(arch, ds, draws=4)
+        assert idx.tolist() == [0, 3, 6, 9]
+        assert lo.shape == hi.shape == trunc.shape == (4, ds.n)
+        for k, s in enumerate(idx):
             state = oracle.RegressionState(beta=arch.draws["beta"][s],
                                            gamma=arch.draws["gamma"][s],
                                            xi=[arch.draws["xi_x2"][s]], v=arch.draws["v"][s])
             eta = oracle.linear_predictor(ds, state, arch.spline_terms)
             base = oracle.baseline_for_draw(arch, s)
 
-            def r(t, i):
-                return -math.log(oracle.surv(model, t, float(eta[i]), base))
+            def r(t, i):  # with the residuals' floor of 1e-300 on S
+                return -math.log(max(oracle.surv(model, t, float(eta[i]), base), 1e-300))
 
             for i, o in enumerate(ds.observations):
-                assert res.lo[i] == pytest.approx(r(o.a, i) if o.a > 0 else 0.0,
-                                                  rel=1e-9, abs=1e-12)
+                assert lo[k, i] == pytest.approx(r(o.a, i) if o.a > 0 else 0.0,
+                                                 rel=1e-9, abs=1e-12)
                 if o.a == o.b:
-                    assert res.hi[i] == res.lo[i]
+                    assert hi[k, i] == lo[k, i]
                 elif math.isinf(o.b):
-                    assert res.hi[i] == math.inf
+                    assert hi[k, i] == math.inf
                 else:
-                    assert res.hi[i] == pytest.approx(r(o.b, i), rel=1e-9, abs=1e-12)
-                assert res.trunc[i] == pytest.approx(r(o.u, i) if o.u > 0 else 0.0,
-                                                     rel=1e-9, abs=1e-12)
+                    assert hi[k, i] == pytest.approx(r(o.b, i), rel=1e-9, abs=1e-12)
+                assert trunc[k, i] == pytest.approx(r(o.u, i) if o.u > 0 else 0.0,
+                                                    rel=1e-9, abs=1e-12)
 
 
 class TestResidualSample:
-    def test_orders_validated(self):
-        with pytest.raises(ValueError):
-            dg.ResidualSample(draw=0, lo=np.array([2.0]), hi=np.array([1.0]),
-                              trunc=np.zeros(1))
+    """The (draws x observations) residual sample of coxsnell_residuals."""
+
+    def test_orders_validated(self, monkeypatch):
+        ds, _ = SimDesign(model="ph", m=4, n_per_site=10, frailty_kind="none").generate(2)
+        arch = sm.run_chain(ds, sm.McmcConfig(model="ph", J=4, nburn=5, nsave=3, seed=5))
+        probs = dg.LikelihoodEvaluator.survival_probs
+
+        def swapped(*args):  # S(a) and S(b) exchanged: censored pairs come out reversed
+            Sa, Sb, Su = probs(*args)
+            return Sb, Sa, Su
+
+        monkeypatch.setattr(dg.LikelihoodEvaluator, "survival_probs", swapped)
+        with pytest.raises(ValueError, match="residual pairs need lo <= hi"):
+            dg.coxsnell_residuals(arch, ds, draws=3)
 
     def test_select_draws_even_spacing(self):
         idx = dg._select_draws(100, 10)
