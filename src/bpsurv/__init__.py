@@ -7,7 +7,19 @@ distortion of a parametric survival curve.  Areal (intrinsic CAR) and
 georeferenced (Gaussian random field) frailties, spike-and-slab variable
 selection, partially linear spline terms, and LPML/DIC/WAIC/Cox-Snell model
 assessment are included.
+
+Imported before numpy, with none of OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
+and MKL_NUM_THREADS set, the package sets all three to 1.  A second BLAS
+thread slowed a random-field fit on two cores, most of all under the
+full-scale approximation, and changed its draws.
 """
+
+import os as _os
+import sys as _sys
+
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in _sys.modules and not any(var in _os.environ for var in _BLAS_THREADS):
+    _os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))  # read when numpy loads BLAS
 
 from .baseline import alpha_log_prior_at_zero
 from .criteria import (

@@ -25,7 +25,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, ndtr
+
+from ._deferred import deferred
+
+gammaln = deferred("scipy.special", "gammaln", globals())
+ndtr = deferred("scipy.special", "ndtr", globals())
 
 FAMILIES = ("loglogistic", "lognormal", "weibull")
 

@@ -15,9 +15,11 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.special import logsumexp
 
+from ._deferred import deferred
 from .baseline import alpha_log_prior_at_zero
+
+logsumexp = deferred("scipy.special", "logsumexp", globals())
 
 # A Savage-Dickey factor needs at least this many effective draws per
 # dimension in every column of the draws it fits a Gaussian to.

@@ -35,8 +35,12 @@ from functools import cached_property
 from multiprocessing.connection import Pipe
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotri, dtrtrs
+
+from ._deferred import deferred
+
+solve_triangular = deferred("scipy.linalg", "solve_triangular", globals())
+dpotrf, dpotri, dtrtrs = (deferred("scipy.linalg.lapack", name, globals())
+                          for name in ("dpotrf", "dpotri", "dtrtrs"))
 
 KINDS = ("none", "iid", "icar", "grf")
 

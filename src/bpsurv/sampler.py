@@ -40,7 +40,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import frailty as fr
 from .baseline import (_CLAMP, bernstein_coefficients, bernstein_monomials, bernstein_survival,
@@ -355,7 +354,13 @@ class ChainSampler:
                 blocks.append(np.eye(self.p) / cfg.beta_prior_var)
         for t in self.terms:
             blocks.append(np.linalg.inv(t.prior_cov))
-        return block_diag(*blocks) if blocks else np.zeros((0, 0))
+        out = np.zeros((self.dims, self.dims))  # the blocks on the diagonal
+        i = 0
+        for b in blocks:
+            j = i + b.shape[0]
+            out[i:j, i:j] = b
+            i = j
+        return out
 
     def _effective_beta(self, beta=None, gamma=None):
         beta = self.state.beta if beta is None else beta

@@ -21,11 +21,13 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import frailty as fr
+from ._deferred import deferred
 from .data import CensoredObservation, Dataset, load_adjacency
 from .models import model_time, survival_transform
+
+ndtr = deferred("scipy.special", "ndtr", globals())
 
 _INF = math.inf
 _COORDS_EXTENT = 10.0  # grf sites are uniform on [0, 10]^2

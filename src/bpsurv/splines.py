@@ -13,15 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 DEGREE = 3  # cubic
-_G_BIG, _G_PROB = 10.0, 0.9  # M and q of the g-prior scale
+_G_BIG = 10.0  # M of the g-prior scale
+_G_QUANTILE = 1.2815515655446004  # Phi^{-1}(q) at q = 0.9: scipy.special.ndtri(0.9), bit for bit
 
 
 def gprior_scale(dim):
     """g = [log M / Phi^{-1}(q)]^2 / dim with M = 10 and q = 0.9."""
-    return float((np.log(_G_BIG) / ndtri(_G_PROB)) ** 2 / dim)
+    return float((np.log(_G_BIG) / _G_QUANTILE) ** 2 / dim)
 
 
 @dataclass

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -23,16 +24,111 @@ def tiny_dataset_csv(tmp_path, seed=0):
     return path
 
 
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def python(*args, **env_vars):
+    """Run a fresh interpreter that imports this checkout's bpsurv, with none
+    of BLAS_THREADS set unless env_vars sets it; returns the finished process."""
+    src = str(Path(bpsurv.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**env, **env_vars}, check=True, timeout=120)
+
+
 def test_cli_import_leaves_out_optimize_and_interpolate():
     # every bpsurv command pays for the modules that importing the CLI loads
     code = ("import sys, bpsurv.cli; print(sorted(m for m in ('scipy.optimize', "
             "'scipy.interpolate') if m in sys.modules))")
-    src = str(Path(bpsurv.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    assert python("-c", code).stdout.strip() == "[]"
+
+
+@pytest.fixture(scope="module")
+def simulated(tmp_path_factory):
+    """bpsurv simulate's sim1-ph (37 regions) and sim3-po (150 sites) data."""
+    d = tmp_path_factory.mktemp("simulated")
+    for design in ("sim1-ph", "sim3-po"):
+        assert main(["simulate", "--design", design, "--seed", "1",
+                     "--out", str(d / f"{design}.csv")]) == 0
+    return d
+
+
+def fit_args(simulated, case):
+    """fit flags for one of the cases icar, grf, fsa, selection-spline."""
+    if case in ("icar", "selection-spline"):
+        args = ["--data", str(simulated / "sim1-ph.csv"), "--location-col", "location",
+                "--adjacency", str(simulated / "sim1-ph_adjacency.txt"), "--frailty", "icar"]
+        return args + (["--selection", "--nonlinear", "x2"] if case != "icar" else [])
+    args = ["--data", str(simulated / "sim3-po.csv"), "--lon-col", "lon", "--lat-col", "lat",
+            "--frailty", "grf", "--model", "po"]
+    return args + (["--fsa-knots", "30", "--fsa-blocks", "5"] if case == "fsa" else [])
+
+
+class TestProcess:
+    """What a fresh bpsurv process loads and how many BLAS threads it runs."""
+
+    @pytest.mark.parametrize("case", ["icar", "grf", "fsa", "selection-spline"])
+    def test_dry_run_loads_no_scipy(self, simulated, case):
+        argv = ["fit", *fit_args(simulated, case), "--trunc-col", "trunc", "--dry-run"]
+        # python -m bpsurv.cli: -X importtime lists every module it imports
+        lines = python("-X", "importtime", "-m", "bpsurv.cli", *argv).stderr.splitlines()
+        imported = [line.rsplit("|", 1)[-1].strip() for line in lines]
+        assert "bpsurv.sampler" in imported
+        assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+        code = ("import sys; from bpsurv.cli import main; assert main(sys.argv[1:]) == 0; "
+                "print('loaded:', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert python("-c", code, *argv).stdout.splitlines()[-1] == "loaded: []"
+
+    @pytest.mark.parametrize("fsa", [None, (10, 3)], ids=["dense", "fsa"])
+    def test_range_worker_imports_nothing(self, fsa):
+        # the chain's first structure is built before the worker forks, so
+        # the worker finds scipy.linalg loaded and its factors import nothing
+        code = textwrap.dedent(f"""
+            import os, sys
+            from bpsurv import frailty as fr, sampler as sm
+            from bpsurv.simulate import SimDesign
+            ds, _ = SimDesign(model="po", m=40, n_per_site=3, frailty_kind="grf").generate(5)
+            spec = fr.FrailtySpec(kind="grf", coords=ds.coords, fsa={fsa!r})
+            cfg = sm.McmcConfig(model="po", J=6, nburn=10, nsave=10, seed=7, frailty=spec)
+            s = sm.ChainSampler(ds, cfg)
+            print("scipy.linalg loaded:", "scipy.linalg" in sys.modules)
+            r, w = os.pipe()
+            serve = fr._serve
+            def serve_and_report(*args):
+                before = set(sys.modules)
+                serve(*args)
+                os.write(w, repr(sorted(set(sys.modules) - before)).encode())
+            fr._serve = serve_and_report
+            s.run()
+            os.close(w)
+            print("worker imported:", os.read(r, 1 << 16).decode())
+        """)
+        out = python("-c", code).stdout.splitlines()
+        assert out == ["scipy.linalg loaded: True", "worker imported: []"]
+
+    @pytest.mark.parametrize("case", ["grf", "fsa"])
+    def test_fit_runs_blas_on_one_thread_by_default(self, simulated, tmp_path, case):
+        # a second BLAS thread sums in another order, so the draws would differ
+        argv = ["-m", "bpsurv.cli", "fit", *fit_args(simulated, case), "--trunc-col", "trunc",
+                "--nburn", "20", "--nsave", "20", "--seed", "1", "--outdir"]
+        python(*argv, str(tmp_path / "default"))
+        python(*argv, str(tmp_path / "pinned"), OPENBLAS_NUM_THREADS="1")
+        draws = [(tmp_path / d / "draws.csv").read_bytes() for d in ("default", "pinned")]
+        assert draws[0] == draws[1]
+
+    @pytest.mark.parametrize("chosen", [None, *BLAS_THREADS])
+    def test_a_set_thread_count_wins(self, chosen):
+        code = ("import os, bpsurv; print([os.environ.get(v) for v in "
+                f"{BLAS_THREADS!r}])")
+        got = python("-c", code, **({chosen: "2"} if chosen else {})).stdout.strip()
+        want = [("2" if v == chosen else None) if chosen else "1" for v in BLAS_THREADS]
+        assert got == repr(want)
+
+    def test_numpy_loaded_first_keeps_its_threads(self):
+        code = ("import os, numpy, bpsurv; print([os.environ.get(v) for v in "
+                f"{BLAS_THREADS!r}])")
+        assert python("-c", code).stdout.strip() == "[None, None, None]"
 
 
 def tiny_data_args(tmp_path):

@@ -59,3 +59,12 @@ class TestBuildBasis:
         # symmetric positive definite
         np.linalg.cholesky(term.prior_cov)
         assert np.max(np.abs(term.prior_cov - term.prior_cov.T)) == 0.0
+
+
+def test_gprior_scale_matches_scipys_quantile():
+    # the constant stands in for ndtri(0.9), so a spline or selection fit
+    # need not load scipy.special; every scale must stay bit-equal
+    from scipy.special import ndtri
+    assert sp._G_QUANTILE == float(ndtri(0.9))
+    for p in range(1, 13):
+        assert sp.gprior_scale(p) == float((np.log(10.0) / ndtri(0.9)) ** 2 / p)
