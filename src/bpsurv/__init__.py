@@ -31,11 +31,8 @@ from .criteria import (
     waic,
 )
 from .data import (
-    CensoredObservation,
     CsvSchema,
     Dataset,
-    TimeVaryingSubject,
-    expand_time_varying,
     load_adjacency,
     load_csv,
 )

@@ -1,21 +1,25 @@
-"""Domain records and file ingestion for arbitrarily censored survival data.
+"""Arbitrarily censored survival data as arrays, and file ingestion.
 
-An observation is the interval (a, b) known to contain the survival time,
-with 0 <= a <= b <= inf, plus an optional left-truncation time u <= a, a
-covariate vector, and a location index.  The censoring kind is never stored;
-it is always inferred from (u, a, b):
+Row i of a dataset is the interval (a_i, b_i] known to contain the survival
+time, with 0 <= a_i <= b_i <= inf, a left-truncation time u_i <= a_i (0 when
+there is none), a covariate vector X[i] and a 1-based location index loc_i.
+The censoring kind is never stored; it is always inferred from (u, a, b):
 
     exact     a == b
     right     b == inf
     left      a == u (u is 0 when there is no truncation)
     interval  otherwise
+
+A row is one term of the likelihood, not necessarily one subject: a subject
+whose covariates change at known times is entered as counting-process rows,
+one per epoch, each truncated at the start of its epoch (see the README).
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,152 +28,87 @@ INF = math.inf
 EXACT, RIGHT, LEFT, INTERVAL = "exact", "right", "left", "interval"
 
 
-def censoring_kind(u, a, b):
-    """Classify an (u, a, b) triple into one of the four censoring kinds."""
-    if a == b:
-        return EXACT
-    if math.isinf(b):
-        return RIGHT
-    if a == u:
-        return LEFT
-    return INTERVAL
+def _first_invalid(a, b, u, X, loc, m):
+    """(index, message) of the first row that fails a check, or None.
 
-
-@dataclass(frozen=True)
-class CensoredObservation:
-    """One subject: interval (a, b), truncation u, covariates x, location (1-based)."""
-
-    a: float
-    b: float
-    x: tuple
-    location: int = 1
-    u: float = 0.0
-
-    def __post_init__(self):
-        # normalize to builtin floats so records compare, hash, and print cleanly
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "u", float(self.u))
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        object.__setattr__(self, "location", int(self.location))
-        if not (0.0 <= self.u <= self.a <= self.b):
-            raise ValueError(f"need 0 <= u <= a <= b, got u={self.u}, a={self.a}, b={self.b}")
-        if self.a == self.b and math.isinf(self.a):
-            raise ValueError("exact observation at infinity")
-        if self.a == self.b and self.a <= 0.0:
-            raise ValueError("exact observations require a strictly positive time")
-        if self.location < 1:
-            raise ValueError("location indices are 1-based")
-        if any(not math.isfinite(v) for v in self.x):
-            raise ValueError("covariates must be finite")
-
-    @property
-    def kind(self):
-        return censoring_kind(self.u, self.a, self.b)
-
-
-@dataclass(frozen=True)
-class TimeVaryingSubject:
-    """A subject whose covariates change at known epoch times.
-
-    epochs is an ordered list of (t_k, x_k) pairs with t_1 = u and t_o <= a;
-    x is constant on [t_k, t_{k+1}).
+    The message is that of the row's first failing check; a NaN time fails
+    the first.
     """
-
-    a: float
-    b: float
-    epochs: tuple
-    location: int = 1
-    u: float = 0.0
-
-    def __post_init__(self):
-        if not self.epochs:
-            raise ValueError("epochs must be non-empty")
-        times = [t for t, _ in self.epochs]
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-            raise ValueError("epoch times must be strictly increasing")
-        if times[0] != self.u:
-            raise ValueError("first epoch time must equal the truncation time u")
-        if times[-1] > self.a:
-            raise ValueError("last epoch time must not exceed a")
-        dims = {len(x) for _, x in self.epochs}
-        if len(dims) != 1:
-            raise ValueError("covariate dimension must be constant across epochs")
+    exact = a == b
+    checks = (
+        (~((0.0 <= u) & (u <= a) & (a <= b)), "need 0 <= u <= a <= b, got u={u}, a={a}, b={b}"),
+        (exact & np.isinf(a), "exact observation at infinity"),
+        (exact & (a <= 0.0), "exact observations require a strictly positive time"),
+        (loc < 1, "location indices are 1-based"),
+        (loc > m, "location {loc} exceeds m = {m}"),
+        (~np.isfinite(X).all(axis=1), "covariates must be finite"),
+    )
+    bad = np.column_stack([mask for mask, _ in checks])
+    rows = np.flatnonzero(bad.any(axis=1))
+    if not rows.size:
+        return None
+    i = rows[0]
+    message = checks[np.argmax(bad[i])][1]
+    return i, message.format(u=float(u[i]), a=float(a[i]), b=float(b[i]), loc=loc[i], m=m)
 
 
-def expand_time_varying(subject):
-    """Split a time-varying subject into one record per covariate epoch.
-
-    Epoch k < o becomes a right-censored record truncated at t_k with b = t_{k+1};
-    the final epoch carries the subject's own (u=t_o, a, b) interval.  The summed
-    log-likelihood over the pieces equals the subject's conditional-survival
-    product.
-    """
-    out = []
-    times = [t for t, _ in subject.epochs]
-    for k, (t_k, x_k) in enumerate(subject.epochs):
-        if k + 1 < len(subject.epochs):
-            out.append(CensoredObservation(
-                a=times[k + 1], b=INF, x=tuple(x_k), location=subject.location, u=t_k))
-        else:
-            out.append(CensoredObservation(
-                a=subject.a, b=subject.b, x=tuple(x_k), location=subject.location, u=t_k))
-    return out
-
-
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    """Immutable-after-construction collection of observations.
+    """n rows of survival data: vectors a, b, u and loc, and the n x p matrix X.
 
-    Caches the raw design matrix, its mean-centered version (used by the
-    variable-selection g-prior), truncation/censoring masks, and the per-site
-    observation index lists used by frailty updates.
+    The arrays are checked once, here, and are read-only by convention
+    afterwards: 0 <= u <= a <= b, an exact time finite and positive,
+    covariates finite, loc an integer in 1..m, and every site 1..m present
+    (when there are rows).  location_ids holds the original site labels,
+    index i -> label of site i+1; coords the (m, 2) coordinates of
+    georeferenced sites.
     """
 
-    observations: list
+    a: np.ndarray
+    b: np.ndarray
+    u: np.ndarray
+    X: np.ndarray
+    loc: np.ndarray
     m: int
     covariate_names: list
-    location_ids: list = None  # original labels, index i -> label of site i+1
-    coords: np.ndarray = None  # (m, 2) site coordinates for georeferenced data
-
-    # derived arrays, filled in __post_init__
-    a: np.ndarray = field(init=False, repr=False)
-    b: np.ndarray = field(init=False, repr=False)
-    u: np.ndarray = field(init=False, repr=False)
-    X: np.ndarray = field(init=False, repr=False)
-    Xc: np.ndarray = field(init=False, repr=False)
-    loc: np.ndarray = field(init=False, repr=False)
+    location_ids: list = None
+    coords: np.ndarray = None
 
     def __post_init__(self):
-        obs = self.observations
-        n = len(obs)
-        p = len(self.covariate_names)
-        if any(len(o.x) != p for o in obs):
-            raise ValueError("covariate dimension mismatch")
-        self.a = np.array([o.a for o in obs], dtype=float)
-        self.b = np.array([o.b for o in obs], dtype=float)
-        self.u = np.array([o.u for o in obs], dtype=float)
-        self.X = np.array([o.x for o in obs], dtype=float).reshape(n, p)
-        self.Xc = self.X - self.X.mean(axis=0) if n else self.X.copy()
-        self.loc = np.array([o.location for o in obs], dtype=int)
-        if n:
-            present = set(self.loc.tolist())
-            if present != set(range(1, self.m + 1)):
-                missing = sorted(set(range(1, self.m + 1)) - present)
-                raise ValueError(f"every location in 1..m must occur; missing {missing}")
+        self.a, self.b, self.u = (np.ascontiguousarray(v, dtype=float)
+                                  for v in (self.a, self.b, self.u))
+        loc = np.asarray(self.loc)
+        if loc.size and loc.dtype.kind not in "iu":
+            raise ValueError(f"location indices must be integers, got dtype {loc.dtype}")
+        self.loc = np.ascontiguousarray(loc, dtype=int)
+        if self.a.ndim != 1 or len({v.shape for v in (self.a, self.b, self.u, self.loc)}) != 1:
+            raise ValueError("a, b, u and loc must be vectors of one length")
+        self.X = np.ascontiguousarray(self.X, dtype=float)
+        if self.X.shape != (self.n, self.p):
+            raise ValueError(f"covariate dimension mismatch: X is {self.X.shape}, "
+                             f"expected ({self.n}, {self.p})")
+        bad = _first_invalid(self.a, self.b, self.u, self.X, self.loc, self.m)
+        if bad:
+            raise ValueError(f"observation {bad[0]}: {bad[1]}")
+        if self.n:
+            missing = np.setdiff1d(np.arange(1, self.m + 1), self.loc)
+            if missing.size:
+                raise ValueError(f"every location in 1..m must occur; missing {missing.tolist()}")
         if self.location_ids is None:
             self.location_ids = [str(i + 1) for i in range(self.m)]
 
     @property
     def n(self):
-        return len(self.observations)
+        return len(self.a)
 
     @property
     def p(self):
         return len(self.covariate_names)
 
     def kinds(self):
-        return [o.kind for o in self.observations]
+        """Each row's censoring kind, by the rules of the module docstring."""
+        return np.select([self.a == self.b, np.isinf(self.b), self.a == self.u],
+                         [EXACT, RIGHT, LEFT], INTERVAL)
 
     def column(self, name):
         if name not in self.covariate_names:
@@ -180,28 +119,30 @@ class Dataset:
         """Write in the standard schema (t1, t2, trunc, covariates..., location).
 
         Georeferenced data (coords set) end in lon, lat columns instead of
-        location.  An infinite upper endpoint is written as an empty t2 field
-        so the file round-trips exactly.
+        location.  Every number is written as repr(float), and an infinite
+        upper endpoint as an empty t2 field, so the file round-trips exactly.
         """
         if self.coords is None:
             site_cols = ["location"]
             sites = [[label] for label in self.location_ids]
         else:
             site_cols = ["lon", "lat"]
-            sites = [[repr(float(lon)), repr(float(lat))] for lon, lat in self.coords]
+            sites = [[repr(lon), repr(lat)] for lon, lat in self.coords.tolist()]
+        rows = zip(self.a.tolist(), self.b.tolist(), self.u.tolist(), self.X.tolist(),
+                   self.loc.tolist())
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t1", "t2", "trunc", *self.covariate_names, *site_cols])
-            for o in self.observations:
-                t2 = "" if math.isinf(o.b) else repr(o.b)
-                writer.writerow([repr(o.a), t2, repr(o.u), *[repr(v) for v in o.x],
-                                 *sites[o.location - 1]])
+            for a, b, u, x, loc in rows:
+                writer.writerow([repr(a), "" if math.isinf(b) else repr(b), repr(u),
+                                 *map(repr, x), *sites[loc - 1]])
 
 
 @dataclass(frozen=True)
 class CsvSchema:
     """Column names for load_csv.  covariates=None means every column not
-    otherwise claimed is a covariate."""
+    otherwise claimed is a covariate.  Sites are named by a location column
+    alone, by lon and lat together, or not at all (one site)."""
 
     t1: str = "t1"
     t2: str = "t2"
@@ -210,6 +151,12 @@ class CsvSchema:
     lon: str = None
     lat: str = None
     covariates: tuple = None
+
+    def __post_init__(self):
+        if bool(self.lon) != bool(self.lat) or (self.location and self.lon):
+            raise ValueError(
+                "name the sites by a location column alone or by lon and lat columns "
+                f"together, not location={self.location!r}, lon={self.lon!r}, lat={self.lat!r}")
 
 
 def _parse_time(text, row_no, what, allow_empty_inf=False):
@@ -233,8 +180,10 @@ def load_csv(path, schema=None):
     Returns a Dataset.  Location labels (or deduplicated coordinate pairs) are
     densely re-indexed to 1..m; the original labels are kept on
     Dataset.location_ids.  Censoring kinds follow the (u, a, b) rules; an
-    empty t2 field means +inf.  A row with more or fewer fields than the
-    header, and a covariate column with one value on every row, are rejected.
+    empty t2 field means +inf.  Blank rows are skipped.  A row with more or
+    fewer fields than the header, a blank location label, a non-finite
+    coordinate, and a covariate column with one value on every row are
+    rejected; every row error names the file's row number.
     """
     schema = schema or CsvSchema()
     with open(path, newline="") as fh:
@@ -263,63 +212,64 @@ def load_csv(path, schema=None):
             cov_names = list(schema.covariates)
         i_cov = [col(c) for c in cov_names]
 
-        rows = []
+        row_nos, times, xs, keys = [], [], [], []  # one entry per data row
         for row_no, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != len(header):
                 raise ValueError(f"row {row_no}: expected {len(header)} fields, got {len(row)}")
             a = _parse_time(row[i_t1], row_no, "t1")
-            bval = _parse_time(row[i_t2], row_no, "t2", allow_empty_inf=True)
-            uval = _parse_time(row[i_tr], row_no, "trunc") if i_tr is not None else 0.0
-            if bval < a:
-                raise ValueError(f"row {row_no}: t2 < t1 ({bval} < {a})")
+            b = _parse_time(row[i_t2], row_no, "t2", allow_empty_inf=True)
+            u = _parse_time(row[i_tr], row_no, "trunc") if i_tr is not None else 0.0
+            if b < a:
+                raise ValueError(f"row {row_no}: t2 < t1 ({b} < {a})")
             try:
-                x = tuple(float(row[i]) for i in i_cov)
+                xs.append([float(row[i]) for i in i_cov])
             except ValueError:
                 raise ValueError(f"row {row_no}: malformed covariate value") from None
             if i_loc is not None:
                 key = row[i_loc].strip()
-            elif i_lon is not None and i_lat is not None:
+                if not key:
+                    raise ValueError(f"row {row_no}: missing location")
+            elif i_lon is not None:
                 try:
                     key = (float(row[i_lon]), float(row[i_lat]))
                 except ValueError:
                     raise ValueError(f"row {row_no}: malformed lon/lat value "
                                      f"({row[i_lon]!r}, {row[i_lat]!r})") from None
+                if not (math.isfinite(key[0]) and math.isfinite(key[1])):
+                    raise ValueError(f"row {row_no}: non-finite lon/lat value "
+                                     f"({row[i_lon]!r}, {row[i_lat]!r})")
             else:
                 key = "1"
-            rows.append((row_no, uval, a, bval, x, key))
-
-    keys = []
-    key_index = {}
-    for _, _, _, _, _, key in rows:
-        if key not in key_index:
-            key_index[key] = len(keys) + 1
+            row_nos.append(row_no)
+            times.append((a, b, u))
             keys.append(key)
 
-    observations = []
-    for row_no, uval, a, bval, x, key in rows:
-        try:
-            observations.append(CensoredObservation(
-                a=a, b=bval, x=x, location=key_index[key], u=uval))
-        except ValueError as exc:
-            raise ValueError(f"row {row_no}: {exc}") from None
+    sites = {}
+    loc = np.array([sites.setdefault(key, len(sites) + 1) for key in keys], dtype=int)
+    a, b, u = np.array(times, dtype=float).reshape(-1, 3).T.copy()
+    X = np.array(xs, dtype=float).reshape(len(xs), len(cov_names))
+    bad = _first_invalid(a, b, u, X, loc, len(sites))
+    if bad:
+        raise ValueError(f"row {row_nos[bad[0]]}: {bad[1]}")
 
-    for j, name in enumerate(cov_names):
-        if len({row[4][j] for row in rows}) == 1:
-            raise ValueError(
-                f"{path}: covariate column {name!r} has the same value on every row, "
-                f"so its coefficient is not identified; if it holds truncation "
-                f"times, name it with --trunc-col {name}")
+    constant = np.flatnonzero((X == X[:1]).all(axis=0)) if len(X) else ()
+    if len(constant):
+        name = cov_names[constant[0]]
+        raise ValueError(
+            f"{path}: covariate column {name!r} has the same value on every row, "
+            f"so its coefficient is not identified; if it holds truncation "
+            f"times, name it with --trunc-col {name}")
 
     coords = None
-    if rows and isinstance(keys[0], tuple):
-        coords = np.array(keys, dtype=float)
-        location_ids = [f"{k[0]:g},{k[1]:g}" for k in keys]
+    if i_lon is not None and sites:
+        coords = np.array(list(sites), dtype=float)
+        location_ids = [f"{k[0]:g},{k[1]:g}" for k in sites]
     else:
-        location_ids = [str(k) for k in keys]
-    return Dataset(observations=observations, m=max(len(keys), 1) if rows else 0,
-                   covariate_names=cov_names, location_ids=location_ids, coords=coords)
+        location_ids = list(sites)
+    return Dataset(a=a, b=b, u=u, X=X, loc=loc, m=len(sites), covariate_names=cov_names,
+                   location_ids=location_ids, coords=coords)
 
 
 def load_adjacency(path, m=None, labels=None):

@@ -340,7 +340,8 @@ class ChainSampler:
         blocks = []
         if self.p:
             if cfg.selection:
-                xtx = self.ds.Xc.T @ self.ds.Xc
+                Xc = self.ds.X - self.ds.X.mean(axis=0)
+                xtx = Xc.T @ Xc
                 try:
                     xtx_inv = np.linalg.inv(xtx)
                 except np.linalg.LinAlgError:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import frailty as fr
 from ._deferred import deferred
-from .data import CensoredObservation, Dataset, load_adjacency
+from .data import Dataset, load_adjacency
 from .models import model_time, survival_transform
 
 ndtr = deferred("scipy.special", "ndtr", globals())
@@ -229,10 +229,8 @@ class SimDesign:
         eta = X @ beta + v[loc - 1]
         times = sample_survival_time(self.model, eta, BimodalBaseline(), rng.uniform(size=n))
         a, b = apply_censoring(times, rng)
-        obs = [CensoredObservation(a=float(a[i]), b=float(b[i]), x=tuple(X[i]),
-                                   location=int(loc[i])) for i in range(n)]
-        ds = Dataset(observations=obs, m=m, covariate_names=[f"x{j + 1}" for j in range(p)],
-                     coords=coords)
+        ds = Dataset(a=a, b=b, u=np.zeros(n), X=X, loc=loc, m=m,
+                     covariate_names=[f"x{j + 1}" for j in range(p)], coords=coords)
         truth = SimTruth(model=self.model, beta=beta, v=v, tau2=_TAU2,
                          phi=_PHI if self.frailty_kind == "grf" else None)
         return ds, truth

@@ -279,22 +279,23 @@ def dens(model, t, eta, baseline):
     return r * baseline.density(t) / ((1.0 - s0) + r * s0) ** 2
 
 
-def obs_loglik(model, obs, eta, baseline):
-    """Log-likelihood of one observation at a given linear predictor.
+def obs_loglik(model, a, b, u, eta, baseline):
+    """Log-likelihood of the observation (a, b] truncated at u, at a given
+    linear predictor.
 
     Returns -inf (rather than raising) when the observation interval carries
     no probability mass under the current parameters.
     """
-    if obs.a == obs.b:
-        f = dens(model, obs.a, eta, baseline)
+    if a == b:
+        f = dens(model, a, eta, baseline)
         ll = math.log(max(f, _FLOOR)) if f > 0.0 else -math.inf
     else:
-        sa = surv(model, obs.a, eta, baseline) if obs.a > 0 else 1.0
-        sb = surv(model, obs.b, eta, baseline) if math.isfinite(obs.b) else 0.0
+        sa = surv(model, a, eta, baseline) if a > 0 else 1.0
+        sb = surv(model, b, eta, baseline) if math.isfinite(b) else 0.0
         mass = sa - sb
         ll = math.log(max(mass, _FLOOR)) if mass > 0.0 else -math.inf
-    if obs.u > 0.0:
-        su = surv(model, obs.u, eta, baseline)
+    if u > 0.0:
+        su = surv(model, u, eta, baseline)
         ll -= math.log(max(su, _FLOOR))
     return ll
 

@@ -213,6 +213,26 @@ class TestFit:
         assert rc == 2
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows, flags, message", [
+        (["1.0,1.0,0.2,1.5,2.5,A", "2.0,,0.1,nan,2.5,B"], ["--lon-col", "lon", "--lat-col", "lat",
+                                                          "--frailty", "grf"],
+         "error: row 3: non-finite lon/lat value ('nan', '2.5')"),
+        (["1.0,1.0,0.2,1.5,2.5,A", "2.0,,0.1,1.5,inf,B"], ["--lon-col", "lon", "--lat-col", "lat"],
+         "error: row 3: non-finite lon/lat value ('1.5', 'inf')"),
+        (["1.0,1.0,0.2,1.5,2.5,A", "2.0,,0.1,3.0,4.0,B"], ["--lon-col", "lon", "--frailty", "grf"],
+         "lon and lat columns together, not location=None, lon='lon', lat=None"),
+        (["1.0,1.0,0.2,1.5,2.5,A", "2.0,,0.1,3.0,4.0,B"],
+         ["--location-col", "site", "--lon-col", "lon", "--lat-col", "lat"],
+         "lon and lat columns together, not location='site', lon='lon', lat='lat'"),
+        (["1.0,1.0,0.2,1.5,2.5,A", "2.0,,0.1,3.0,4.0, "], ["--location-col", "site"],
+         "error: row 3: missing location"),
+    ], ids=["nan-lon", "inf-lat", "lon-without-lat", "location-and-lon-lat", "blank-location"])
+    def test_bad_sites_are_input_errors(self, tmp_path, capsys, rows, flags, message):
+        path = tmp_path / "sites.csv"
+        path.write_text("\n".join(["t1,t2,x,lon,lat,site", *rows]) + "\n")
+        assert main(["fit", "--data", str(path), "--covariates", "x", *flags, "--dry-run"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_unknown_nonlinear_covariate_is_an_error(self, tmp_path, capsys):
         path = tiny_dataset_csv(tmp_path)
         rc = main(["fit", "--data", str(path), "--location-col", "location",
@@ -230,7 +250,7 @@ class TestFit:
         path = tmp_path / "stamps.csv"
         path.write_text("\n".join(rows) + "\n")
         ds = load_csv(path)
-        assert ds.n == 740 and np.all(np.isfinite(ds.Xc))
+        assert ds.n == 740 and np.all(np.isfinite(ds.X - ds.X.mean(axis=0)))
         assert main(["fit", "--data", str(path), "--dry-run"]) == 0
 
     @pytest.mark.parametrize("text", ["1 2\n2 3\n", "0 1 0\n1 0 1\n0 1 0\n"],

@@ -81,8 +81,8 @@ class TestDic:
 
         def loglik(w):
             base = oracle.TbpBaseline(J=3, w=w, family=family)
-            return sum(oracle.obs_loglik("po", o, float(eta[i]), base)
-                       for i, o in enumerate(ds.observations))
+            return sum(oracle.obs_loglik("po", ds.a[i], ds.b[i], ds.u[i], float(eta[i]), base)
+                       for i in range(ds.n))
 
         expected = loglik(arch.weights().mean(axis=0))
         assert s._loglik_at_posterior_mean(arch) == pytest.approx(expected, rel=1e-12)

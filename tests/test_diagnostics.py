@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 from bpsurv import diagnostics as dg
 from bpsurv import frailty as fr
 from bpsurv import sampler as sm
-from bpsurv.data import CensoredObservation, Dataset
 from bpsurv.simulate import SimDesign
 
 import oracle
@@ -208,10 +208,7 @@ class TestCoxSnellResiduals:
     def test_spline_selection_frailty_match_oracle(self, model):
         ds, _ = SimDesign(model=model, m=4, n_per_site=10, frailty_kind="iid").generate(2)
         # left-truncate every third record with a positive left end
-        obs = [CensoredObservation(a=o.a, b=o.b, x=o.x, location=o.location,
-                                   u=0.5 * o.a if k % 3 == 0 else 0.0)
-               for k, o in enumerate(ds.observations)]
-        ds = Dataset(observations=obs, m=ds.m, covariate_names=ds.covariate_names)
+        ds = replace(ds, u=np.where(np.arange(ds.n) % 3 == 0, 0.5 * ds.a, 0.0))
         cfg = sm.McmcConfig(model=model, J=4, nburn=20, nsave=10, seed=5,
                             selection=True, nonlinear=("x2",), spline_K=4,
                             frailty=fr.FrailtySpec(kind="iid"))
@@ -230,16 +227,16 @@ class TestCoxSnellResiduals:
             def r(t, i):  # with the residuals' floor of 1e-300 on S
                 return -math.log(max(oracle.surv(model, t, float(eta[i]), base), 1e-300))
 
-            for i, o in enumerate(ds.observations):
-                assert lo[k, i] == pytest.approx(r(o.a, i) if o.a > 0 else 0.0,
+            for i, (a, b, u) in enumerate(zip(ds.a, ds.b, ds.u)):
+                assert lo[k, i] == pytest.approx(r(a, i) if a > 0 else 0.0,
                                                  rel=1e-9, abs=1e-12)
-                if o.a == o.b:
+                if a == b:
                     assert hi[k, i] == lo[k, i]
-                elif math.isinf(o.b):
+                elif math.isinf(b):
                     assert hi[k, i] == math.inf
                 else:
-                    assert hi[k, i] == pytest.approx(r(o.b, i), rel=1e-9, abs=1e-12)
-                assert trunc[k, i] == pytest.approx(r(o.u, i) if o.u > 0 else 0.0,
+                    assert hi[k, i] == pytest.approx(r(b, i), rel=1e-9, abs=1e-12)
+                assert trunc[k, i] == pytest.approx(r(u, i) if u > 0 else 0.0,
                                                     rel=1e-9, abs=1e-12)
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,21 +85,19 @@ class TestSurvDens:
 class TestObsLoglik:
     def test_right_censored_eta_zero(self):
         base = make_baseline(seed=7)
-        o = dm.CensoredObservation(a=1.7, b=math.inf, x=())
-        assert oracle.obs_loglik("ph", o, 0.0, base) == pytest.approx(
+        assert oracle.obs_loglik("ph", 1.7, math.inf, 0.0, 0.0, base) == pytest.approx(
             math.log(base.survival(1.7)), abs=1e-12)
 
     def test_left_truncated_exact(self):
         base = make_baseline(seed=8)
-        o = dm.CensoredObservation(a=2.0, b=2.0, x=(), u=1.0)
         expected = base.log_density(2.0) - math.log(base.survival(1.0))
-        assert oracle.obs_loglik("aft", o, 0.0, base) == pytest.approx(expected, abs=1e-12)
+        assert oracle.obs_loglik("aft", 2.0, 2.0, 1.0, 0.0, base) == pytest.approx(expected,
+                                                                                abs=1e-12)
 
     def test_interval_ph_matches_quadrature(self):
         base = make_baseline(seed=9)
         eta = 1.0  # beta=(1,), x=1, v=0
-        o = dm.CensoredObservation(a=1.0, b=2.0, x=(1.0,))
-        ll = oracle.obs_loglik("ph", o, eta, base)
+        ll = oracle.obs_loglik("ph", 1.0, 2.0, 0.0, eta, base)
         mass, _ = quad(lambda t: oracle.dens("ph", t, eta, base), 1.0, 2.0, limit=200)
         assert ll == pytest.approx(math.log(mass), rel=1e-6)
         direct = math.log(base.survival(1.0) ** math.e - base.survival(2.0) ** math.e)
@@ -107,8 +106,7 @@ class TestObsLoglik:
     def test_zero_mass_interval_is_minus_inf(self):
         # an interval so far in the tail that S_x(a) == S_x(b) == 0 exactly
         base = make_baseline(seed=10)
-        o = dm.CensoredObservation(a=1e300, b=2e300, x=())
-        assert oracle.obs_loglik("ph", o, 0.0, base) == -math.inf
+        assert oracle.obs_loglik("ph", 1e300, 2e300, 0.0, 0.0, base) == -math.inf
 
 
 def simulate_dataset(model, n, seed, family="lognormal", theta=(0.0, 0.0), m=3):
@@ -120,42 +118,38 @@ def simulate_dataset(model, n, seed, family="lognormal", theta=(0.0, 0.0), m=3):
     loc = rng.integers(1, m + 1, n)
     loc[:m] = np.arange(1, m + 1)  # ensure every site occurs
     beta = np.array([1.0, 0.5])
-    obs = []
+    a, b, u = np.empty(n), np.empty(n), np.zeros(n)
     for i in range(n):
-        eta = float(X[i] @ beta + v[loc[i] - 1])
         t = rng.uniform(0.3, 3.0)
         kind = rng.integers(0, 5)
         if kind == 0:
-            o = dm.CensoredObservation(a=t, b=t, x=tuple(X[i]), location=int(loc[i]))
+            a[i], b[i] = t, t
         elif kind == 1:
-            o = dm.CensoredObservation(a=t, b=math.inf, x=tuple(X[i]), location=int(loc[i]))
+            a[i], b[i] = t, math.inf
         elif kind == 2:
-            o = dm.CensoredObservation(a=0.0, b=t, x=tuple(X[i]), location=int(loc[i]))
+            a[i], b[i] = 0.0, t
         elif kind == 3:
-            o = dm.CensoredObservation(a=t, b=t + rng.uniform(0.1, 1.0), x=tuple(X[i]),
-                                       location=int(loc[i]))
+            a[i], b[i] = t, t + rng.uniform(0.1, 1.0)
         else:
-            uu = t * 0.4
-            o = dm.CensoredObservation(a=t, b=t + 0.8, x=tuple(X[i]), location=int(loc[i]), u=uu)
-        obs.append(o)
-    ds = dm.Dataset(observations=obs, m=m, covariate_names=["x1", "x2"])
+            a[i], b[i], u[i] = t, t + 0.8, t * 0.4
+    ds = dm.Dataset(a=a, b=b, u=u, X=X, loc=loc, m=m, covariate_names=["x1", "x2"])
     return ds, base, oracle.RegressionState(beta=beta, v=v)
 
 
 class TestTotalLoglik:
     def test_empty_dataset(self):
-        ds = dm.Dataset(observations=[], m=0, covariate_names=[])
+        ds = dm.Dataset(a=[], b=[], u=[], X=np.zeros((0, 0)), loc=[], m=0, covariate_names=[])
         base = make_baseline()
         total, vec = oracle.total_loglik("aft", ds, oracle.RegressionState(beta=np.zeros(0)), base)
         assert total == 0.0 and vec.shape == (0,)
 
     def test_singleton_equals_obs_loglik(self):
         base = make_baseline(seed=11)
-        o = dm.CensoredObservation(a=1.0, b=2.0, x=(1.0,))
-        ds = dm.Dataset(observations=[o], m=1, covariate_names=["x"])
+        ds = dm.Dataset(a=[1.0], b=[2.0], u=[0.0], X=[[1.0]], loc=[1], m=1, covariate_names=["x"])
         state = oracle.RegressionState(beta=np.array([0.7]))
         total, vec = oracle.total_loglik("po", ds, state, base)
-        assert total == pytest.approx(oracle.obs_loglik("po", o, 0.7, base), abs=1e-12)
+        assert total == pytest.approx(oracle.obs_loglik("po", 1.0, 2.0, 0.0, 0.7, base),
+                                      abs=1e-12)
         assert vec[0] == pytest.approx(total, abs=1e-12)
 
     @pytest.mark.parametrize("model", md.MODELS)
@@ -164,8 +158,8 @@ class TestTotalLoglik:
         ds, base, state = simulate_dataset(model, 50, seed=100)
         total, vec = oracle.total_loglik(model, ds, state, base)
         eta = oracle.linear_predictor(ds, state)
-        expected = [oracle.obs_loglik(model, o, float(eta[i], ), base)
-                    for i, o in enumerate(ds.observations)]
+        expected = [oracle.obs_loglik(model, ds.a[i], ds.b[i], ds.u[i], float(eta[i]), base)
+                    for i in range(ds.n)]
         assert np.max(np.abs(vec - expected)) < 1e-12
         assert total == pytest.approx(sum(expected), abs=1e-12)
 
@@ -182,16 +176,13 @@ class TestTotalLoglik:
         ds, base, state = simulate_dataset("aft", 45, seed=102, family="loglogistic",
                                            theta=(0.3, 0.2))
         c = 1.7
-        scaled_obs = [dm.CensoredObservation(
-            a=o.a * c, b=o.b * c if math.isfinite(o.b) else math.inf,
-            x=o.x, location=o.location, u=o.u * c) for o in ds.observations]
-        ds_c = dm.Dataset(observations=scaled_obs, m=ds.m, covariate_names=ds.covariate_names)
+        ds_c = replace(ds, a=ds.a * c, b=ds.b * c, u=ds.u * c)
         th1, th2 = base.family.theta
         base_c = TbpBaseline(J=base.J, w=base.w,
                              family=CenteringFamily("loglogistic", (th1 - math.log(c), th2)))
         t0, _ = oracle.total_loglik("aft", ds, state, base)
         t1, _ = oracle.total_loglik("aft", ds_c, state, base_c)
-        n_exact = sum(1 for o in ds.observations if o.kind == dm.EXACT)
+        n_exact = np.count_nonzero(ds.kinds() == dm.EXACT)
         assert t1 == pytest.approx(t0 - n_exact * math.log(c), abs=1e-10)
 
 
@@ -227,19 +218,19 @@ class TestEvaluator:
         ev = md.LikelihoodEvaluator(ds, model, base.family.name, base.J)
         eta = oracle.linear_predictor(ds, state)
         Sa, Sb, Su = ev.survival_probs(np.array(base.family.theta), base.w, eta)
-        for i, o in enumerate(ds.observations):
-            if o.a > 0:
-                expected = oracle.surv(model, o.a, float(eta[i]), base)
+        for i, (a, b, u) in enumerate(zip(ds.a, ds.b, ds.u)):
+            if a > 0:
+                expected = oracle.surv(model, a, float(eta[i]), base)
                 assert Sa[i] == pytest.approx(expected, abs=1e-10)
             else:
                 assert Sa[i] == 1.0
-            if math.isfinite(o.b):
-                expected = oracle.surv(model, o.b, float(eta[i]), base)
+            if math.isfinite(b):
+                expected = oracle.surv(model, b, float(eta[i]), base)
                 assert Sb[i] == pytest.approx(expected, abs=1e-10)
             else:
                 assert Sb[i] == 0.0
-            if o.u > 0:
-                expected = oracle.surv(model, o.u, float(eta[i]), base)
+            if u > 0:
+                expected = oracle.surv(model, u, float(eta[i]), base)
                 assert Su[i] == pytest.approx(expected, abs=1e-10)
             else:
                 assert Su[i] == 1.0

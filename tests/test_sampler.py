@@ -21,11 +21,18 @@ import oracle
 
 
 def two_obs_dataset():
-    obs = [
-        dm.CensoredObservation(a=1.0, b=1.0, x=(0.5,), location=1),
-        dm.CensoredObservation(a=0.8, b=2.5, x=(-1.0,), location=1),
-    ]
-    return dm.Dataset(observations=obs, m=1, covariate_names=["x"])
+    return dm.Dataset(a=[1.0, 0.8], b=[1.0, 2.5], u=[0.0, 0.0], X=[[0.5], [-1.0]], loc=[1, 1],
+                      m=1, covariate_names=["x"])
+
+
+def empty_dataset(m):
+    return dm.Dataset(a=[], b=[], u=[], X=np.zeros((0, 0)), loc=[], m=m, covariate_names=[])
+
+
+def exact_dataset(t, x):
+    n = len(t)
+    return dm.Dataset(a=t, b=t, u=np.zeros(n), X=np.reshape(x, (n, 1)),
+                      loc=np.ones(n, dtype=int), m=1, covariate_names=["x"])
 
 
 def make_sampler(dataset, **kw):
@@ -115,7 +122,7 @@ class TestMcmcConfigValidation:
 
 class TestPrerun:
     def test_empty_data_errors(self):
-        ds = dm.Dataset(observations=[], m=0, covariate_names=[])
+        ds = empty_dataset(0)
         cfg = sm.McmcConfig()
         with pytest.raises(ValueError, match="at least one observation"):
             sm.parametric_prerun(ds, cfg)
@@ -126,9 +133,7 @@ class TestPrerun:
         x = rng.normal(size=n)
         k = 2.0
         t = np.exp(rng.logistic(0.0, 1.0 / k, size=n) - 1.0 * x)
-        obs = [dm.CensoredObservation(a=float(tt), b=float(tt), x=(float(xx),))
-               for tt, xx in zip(t, x)]
-        ds = dm.Dataset(observations=obs, m=1, covariate_names=["x"])
+        ds = exact_dataset(t, x)
         cfg = sm.McmcConfig(model="aft", family="loglogistic", seed=3)
         est = sm.parametric_prerun(ds, cfg)
         # truth: theta = (0, log 2), beta = 1
@@ -145,9 +150,7 @@ class TestPrerun:
         rng = np.random.default_rng(4)
         x = rng.normal(size=300)
         t = np.exp(0.7 - 1.3 * x + 0.6 * rng.normal(size=300))
-        obs = [dm.CensoredObservation(a=float(tt), b=float(tt), x=(float(xx),))
-               for tt, xx in zip(t, x)]
-        ds = dm.Dataset(observations=obs, m=1, covariate_names=["x"])
+        ds = exact_dataset(t, x)
         Z = np.column_stack([np.ones(ds.n), ds.X[:, 0]])
         logt = np.log(ds.a)
         c, rss = np.linalg.lstsq(Z, logt, rcond=None)[:2]
@@ -181,9 +184,8 @@ class TestPrerun:
         # reference's pinned-weights random walk, within its Monte Carlo error
         ds = SimDesign(model=model, m=5, n_per_site=12, frailty_kind="none").generate(6)[0]
         if not covariates:
-            ds = dm.Dataset(observations=[dm.CensoredObservation(a=o.a, b=o.b, x=())
-                                          for o in ds.observations],
-                            m=1, covariate_names=[])
+            ds = dm.Dataset(a=ds.a, b=ds.b, u=ds.u, X=np.zeros((ds.n, 0)),
+                            loc=np.ones(ds.n, dtype=int), m=1, covariate_names=[])
         cfg = sm.McmcConfig(model=model, J=5, seed=1, nonlinear=("x2",) if spline else (),
                             spline_K=4)
         got = sm.parametric_prerun(ds, cfg)
@@ -249,7 +251,7 @@ class TestBlockFullConditionals:
 
     def test_alpha_block_against_grid(self):
         # w fixed at 1/J: alpha's conditional is Dirichlet-likelihood x Gamma prior
-        ds = dm.Dataset(observations=[], m=0, covariate_names=[])
+        ds = empty_dataset(0)
         s = make_sampler(ds, J=15)
         s.state.z = np.zeros(14)
         s.state.w = weights_from_logits(s.state.z)
@@ -284,7 +286,7 @@ class TestBlockFullConditionals:
         # GRF on three sites with v and tau2 fixed: phi | v, tau2 only
         coords = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 6.9]])
         spec = fr.FrailtySpec(kind="grf", coords=coords)
-        ds = dm.Dataset(observations=[], m=3, covariate_names=[])
+        ds = empty_dataset(3)
         s = make_sampler(ds, frailty=spec)
         s.state.tau2 = 0.8
         # unit proposal factor: mixes faster than the 0.16 seed and often
@@ -309,7 +311,7 @@ class TestBlockFullConditionals:
 
     def test_iid_frailty_prior_only_ks(self):
         # empty data, m=1, fixed tau2: v_1 targets N(0, tau2)
-        ds = dm.Dataset(observations=[], m=1, covariate_names=[])
+        ds = empty_dataset(1)
         s = make_sampler(ds, frailty=fr.FrailtySpec(kind="iid"))
         s.state.tau2 = 2.0
         draws = self.collect(s, s.update_frailties, lambda: s.state.v[0], iters=60000)
@@ -543,7 +545,7 @@ class TestRangeWorker:
 
 class TestTau2Gibbs:
     def test_moments_at_zero_field(self):
-        ds = dm.Dataset(observations=[], m=3, covariate_names=[])
+        ds = empty_dataset(3)
         s = make_sampler(ds, frailty=fr.FrailtySpec(kind="iid"), a_tau=2.0, b_tau=3.0)
         s.state.v = np.zeros(3)
         draws = np.empty(100000)
@@ -557,7 +559,7 @@ class TestTau2Gibbs:
     def test_icar_path_rate(self):
         E = np.zeros((3, 3), dtype=int)
         E[0, 1] = E[1, 0] = E[1, 2] = E[2, 1] = 1
-        ds = dm.Dataset(observations=[], m=3, covariate_names=[])
+        ds = empty_dataset(3)
         s = make_sampler(ds, frailty=fr.FrailtySpec(kind="icar", adjacency=E),
                          a_tau=1.0, b_tau=1.0)
         s.state.v = np.array([1.0, 0.0, -1.0])  # v'Cv = 2, so rate = b_tau + 1
@@ -696,8 +698,7 @@ class TestRunChain:
         # one covariate: numpy sums a one-column block pairwise, but a column
         # of a wider matrix row by row; the plug-in keeps the block's sum
         ds = self.dataset()
-        ds = dm.Dataset(observations=[dm.CensoredObservation(a=o.a, b=o.b, x=o.x[1:])
-                                      for o in ds.observations],
+        ds = dm.Dataset(a=ds.a, b=ds.b, u=ds.u, X=ds.X[:, 1:], loc=np.ones(ds.n, dtype=int),
                         m=1, covariate_names=["x2"])
         cfg = self.small_config(nonlinear=("x2",), spline_K=4, nsave=300, nskip=1)
         s = sm.ChainSampler(ds, cfg, sm.parametric_prerun(ds, cfg))
