@@ -87,6 +87,8 @@ def _model_names(text):
     names = _split(text)
     if not set(names) <= set(MODELS):
         raise argparse.ArgumentTypeError(f"models must be among {list(MODELS)}, got {text!r}")
+    if len(set(names)) < len(names):
+        raise argparse.ArgumentTypeError(f"each model may be listed once, got {text!r}")
     return names
 
 
@@ -264,6 +266,9 @@ def cmd_diagnose(args):
     if args.adjacency:
         load_adjacency(args.adjacency, labels=dataset.location_ids)
     archive = load_archive(args.fit, dataset=dataset)
+    if archive.L < 2:
+        raise ValueError(f"the fit retained {archive.L} draw(s) and diagnose needs at least 2; "
+                         "refit with --nsave 2 or more")
     check_fit_data(archive, dataset)
 
     # The criteria are the stored ones; LPML is recomputed to catch a fit

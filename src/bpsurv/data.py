@@ -205,12 +205,19 @@ def load_csv(path, schema=None):
         i_loc = col(schema.location) if schema.location else None
         i_lon = col(schema.lon) if schema.lon else None
         i_lat = col(schema.lat) if schema.lat else None
-        claimed = {i_t1, i_t2} | {i for i in (i_tr, i_loc, i_lon, i_lat) if i is not None}
+        roles = dict(t1=i_t1, t2=i_t2, trunc=i_tr, location=i_loc, lon=i_lon, lat=i_lat)
+        claimed = {i: role for role, i in roles.items() if i is not None}
         if schema.covariates is None:
             cov_names = [h for i, h in enumerate(header) if i not in claimed]
         else:
             cov_names = list(schema.covariates)
         i_cov = [col(c) for c in cov_names]
+        for k, (name, i) in enumerate(zip(cov_names, i_cov)):
+            if name in cov_names[:k]:
+                raise ValueError(f"{path}: covariate column {name!r} is listed twice")
+            if i in claimed:
+                raise ValueError(f"{path}: covariate column {name!r} is the {claimed[i]} "
+                                 "column, not a covariate")
 
         row_nos, times, xs, keys = [], [], [], []  # one entry per data row
         for row_no, row in enumerate(reader, start=2):

@@ -13,14 +13,14 @@ Its C = R^{-1} is formed from L once per accepted range, and only the frailty
 scan reads it, so a range proposal pays for the factor alone.
 
 A chain's run() may hand that linear algebra to ForkedRanges, one forked
-worker process: submit(phi) when a proposal is drawn, result() when its
-factor is needed, accept(structure) when it becomes the chain's.  The worker
-runs the same build_structure and the same inverse, factoring a proposal
-while the chain runs the rest of its sweep and forming C as soon as the range
-is accepted; factors and inverses land in two shared-memory slots that swap
-roles on acceptance.  It makes one factorisation per proposal and one
-inversion per accepted range, on the matrices a build in this process would
-use, so its structures are bit-identical to build_structure's.
+worker process: submit(phi) when a sweep draws its proposal, result() when
+its factor is needed, accept(structure) when it becomes the chain's.  With
+each proposal the worker first forms the C of the range accepted since the
+last one, then factors the proposal, while the chain runs the rest of its
+sweep; factors and inverses land in two shared-memory slots that swap roles
+on acceptance.  It runs the same build_structure and the same inverse on the
+matrices a build in this process would use, so its structures are
+bit-identical to build_structure's.
 """
 
 from __future__ import annotations
@@ -294,7 +294,7 @@ class FieldStructure(PrecisionStructure):
     logdet_half = -sum log L_ii and quad_form(v) = |L^{-1} v|^2 come from L
     at construction and per call.  C = R^{-1} (precision_from_factor) is
     formed on first read; a structure in a ForkedRanges slot reads the one
-    its worker formed after the range was accepted.
+    its worker formed with the next proposal.
     """
 
     def __init__(self, L):
@@ -379,17 +379,17 @@ _OK, _SINGULAR, _FAILED = 0, 1, 2  # the status of a worker's answer
 
 class _SlotStructure(FieldStructure):
     """A FieldStructure whose factor lives in a ForkedRanges slot.  Its C is
-    the inverse the worker forms in the slot once the range is accepted."""
+    the inverse the worker forms in the slot, or formed here if none is asked."""
 
     def __init__(self, ranges, slot):
         super().__init__(ranges.slots[slot][0])
         self.slot = slot
         self._ranges = ranges
-        self._inverse = None  # the answer to the inverse request, once accepted
+        self._inverse = None  # the answer to the inverse request, once sent
 
     @cached_property
     def C(self):
-        if self._inverse is None:  # accepted without a request: form it here
+        if self._inverse is None:  # no request sent: form it here
             return precision_from_factor(self.L)
         self._ranges.wait(self._inverse)
         return self._ranges.slots[self.slot][1]
@@ -400,18 +400,19 @@ class ForkedRanges:
 
     The worker shares two slots with this process, each an (m, m) factor L and
     an (m, m) inverse C in Fortran order, in one anonymous shared mapping.
-    submit(phi) asks it to factor build_structure(spec, phi) into the free
-    slot; result() waits for that factor and raises SingularCorrelation as
-    build_structure does; accept(structure) asks it to form the structure's C
-    in its slot (precision_from_factor), which the structure's first read of C
-    waits for.  The accepted slot is then the chain's and the other takes the
-    next proposal, so nothing is copied.  Requests and answers travel over
-    one duplex multiprocessing pipe, answered in order; each answer fills the
-    list the request queued in _due, and wait_s totals the time this process
-    blocked on one.  A worker failure other than SingularCorrelation, or a
-    worker that exits, is raised here as RuntimeError.  close() hangs up and
-    reaps the worker, which exits (os._exit) when the pipe reaches end of
-    file, so it cannot outlive this process either.
+    submit(phi) asks it to form the C of the structure accepted since the last
+    submit in its slot (precision_from_factor), which the structure's first
+    read of C waits for, then to factor build_structure(spec, phi) into the
+    free slot unless phi is None; result() waits for that factor and raises
+    SingularCorrelation as build_structure does.  accept(structure) makes its
+    slot the chain's and the other takes the next proposal, so nothing is
+    copied.  Requests and answers travel over one duplex multiprocessing
+    pipe, answered in order; each answer fills the list the request queued in
+    _due, and wait_s totals the time this process blocked on one.  A worker
+    failure other than SingularCorrelation, or a worker that exits, is raised
+    here as RuntimeError.  close() hangs up and reaps the worker, which exits
+    (os._exit) when the pipe reaches end of file, so it cannot outlive this
+    process either.
     """
 
     def __init__(self, spec, m):
@@ -423,6 +424,7 @@ class ForkedRanges:
         self._due = deque()    # the answer list of every request not yet answered
         self._pending = None   # (slot, answer) of the submitted factor
         self._free = 0         # the slot the next proposal is factored into
+        self._accepted = None  # the structure accepted since the last submit
         self._conn, child = Pipe()
         try:
             self.pid = os.fork()
@@ -462,7 +464,11 @@ class ForkedRanges:
             raise RuntimeError(f"the range worker failed: {message}")
 
     def submit(self, phi):
-        self._pending = self._free, self._send(self._free, phi)
+        accepted, self._accepted = self._accepted, None
+        if accepted is not None:
+            accepted._inverse = self._send(accepted.slot, None)
+        if phi is not None:
+            self._pending = self._free, self._send(self._free, phi)
 
     def result(self):
         slot, answer = self._pending
@@ -472,7 +478,7 @@ class ForkedRanges:
         return _SlotStructure(self, slot)
 
     def accept(self, structure):
-        structure._inverse = self._send(structure.slot, None)
+        self._accepted = structure
         self._free = 1 - structure.slot
 
     def close(self):

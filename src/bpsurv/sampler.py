@@ -15,10 +15,10 @@ a loaded archive all build the spline terms by splines.build_terms.
 A random-field chain spends much of a sweep on the range phi: a Cholesky
 factor per proposal and an inverse per accepted range.  ChainSampler.run
 forks one worker process (frailty.ForkedRanges) for that linear algebra.
-Only update_phi draws from the phi stream or moves phi, so it draws the next
-sweep's proposal as soon as it has decided the current one, and the worker
-factors it while the other blocks run; after an accepted range the worker
-forms C before the next frailty scan reads it.  The worker makes the same
+Only update_phi moves phi and each block draws from its own stream, so a
+sweep with a worker draws its range proposal first and submits it, with the
+inverse of a range the previous sweep accepted; the worker forms that C and
+factors the proposal while the other blocks run.  The worker makes the same
 calls on the same matrices as the serial chain, so the draws equal those of
 sweeps called one by one, which call frailty.build_structure in process, as
 run() does where no worker can be forked.
@@ -103,6 +103,9 @@ class McmcConfig:
         for name in ("nburn", "nsave"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        for k, name in enumerate(self.nonlinear):
+            if name in self.nonlinear[:k]:
+                raise ValueError(f"nonlinear covariate {name!r} is listed twice")
 
 
 @dataclass
@@ -320,12 +323,7 @@ class ChainSampler:
         if self.has_frailty:
             self.structure = fr.build_structure(spec, phi=phi_init if self.has_phi else None,
                                                 m=self.m)
-        # range proposals: run()'s worker (None without one), a drawn
-        # (step, log u) not yet used, and how many more update_phi calls of
-        # run() draw one ahead
-        self.ranges = None
-        self._phi_drawn = None
-        self._phi_ahead = 0
+        self.ranges = None  # run()'s range worker, None without one
         self.structure_wait = 0.0
         self.accept = {k: 0 for k in ("z", "theta", "beta", "alpha", "phi")}
         self.accept_frailty = 0
@@ -404,7 +402,7 @@ class ChainSampler:
         """One random-walk Metropolis step of `block` from state x.
 
         Takes the step and log u from _draw(block), or from drawn when the
-        caller drew them ahead; x* = x + step.
+        caller drew them already; x* = x + step.
         When x* is in the support (x*[0] > 0 for a positive block), target(x*)
         returns (ll*, log_ratio, extra): the proposal's per-observation
         log-likelihood (None for a block the likelihood does not see), the
@@ -560,20 +558,18 @@ class ChainSampler:
         rate = self.cfg.b_tau + 0.5 * self.structure.quad_form(st.v)
         st.tau2 = 1.0 / self.rngs["tau2"].gamma(shape, 1.0 / rate)
 
-    def update_phi(self):
-        """Random-walk Metropolis on the range phi.
+    def update_phi(self, drawn=None):
+        """Random-walk Metropolis on the range phi, with the step and log u
+        drawn (by sweep() when a worker runs) or drawn here.
 
         A proposal's structure is its correlation matrix factored, with
         logdet_half and v'R^{-1}v read from the factor: frailty.build_structure
-        here, or run()'s worker (self.ranges) when it has one.  A proposal
-        forms no inverse; the accepted structure's C is formed by the next
-        frailty scan's first read, or by the worker as soon as the range is
-        accepted.  A proposal whose correlation has no Cholesky factor is
-        rejected and counted in nonfinite_rejects.
-
-        Only this block draws from the phi stream or moves phi, so while a
-        worker has sweeps to go the next proposal is drawn here, one sweep
-        ahead, and submitted to it: the same draws in the same order.
+        here, or run()'s worker (self.ranges), to which sweep() submitted the
+        proposal, when it has one.  A proposal forms no inverse; the accepted
+        structure's C is formed by the next frailty scan's first read, or by
+        the worker when the next sweep submits its proposal.  A proposal
+        whose correlation has no Cholesky factor is rejected and counted in
+        nonfinite_rejects.
         """
         if not self.has_phi:
             return
@@ -593,25 +589,11 @@ class ChainSampler:
                 return None, -math.inf, None
             return None, logpost(struct, phi) - logpost(self.structure, st.phi), struct
 
-        drawn, self._phi_drawn = self._phi_drawn, None
         hit = self._metropolis("phi", np.array([st.phi]), target, positive=True, drawn=drawn)
         if hit:
             st.phi, self.structure = float(hit[0][0]), hit[2]
-        if self._phi_ahead:
-            self._phi_ahead -= 1
-            if hit:
+            if self.ranges is not None:
                 self.ranges.accept(self.structure)
-            self._draw_phi_ahead()
-
-    def _draw_phi_ahead(self):
-        """Draw the next range proposal, unless one is drawn already, and
-        submit it to the worker when it is positive."""
-        if self._phi_drawn is None:
-            self._phi_drawn = self._draw("phi")
-        step = self._phi_drawn[0]
-        phi = float((np.array([self.state.phi]) + step)[0])  # x* as _metropolis forms it
-        if phi > 0.0:
-            self.ranges.submit(phi)
 
     def update_gamma(self):
         """Gibbs sweep over inclusion indicators (Bernoulli full conditionals)."""
@@ -642,13 +624,18 @@ class ChainSampler:
                 self.eta_lin, self.eta, self.cache = eta_lin_alt, eta_alt, cache_alt
 
     def sweep(self):
+        drawn = None
+        if self.ranges is not None:  # the worker factors the proposal meanwhile
+            drawn = self._draw("phi")
+            phi = float((np.array([self.state.phi]) + drawn[0])[0])  # x* as _metropolis forms it
+            self.ranges.submit(phi if phi > 0.0 else None)
         self.update_z()
         self.update_theta()
         self.update_beta()
         self.update_alpha()
         self.update_frailties()
         self.update_tau2()
-        self.update_phi()
+        self.update_phi(drawn)
         self.update_gamma()
         self.n_sweeps += 1
 
@@ -694,27 +681,19 @@ class ChainSampler:
     def _range_worker(self, sweeps):
         """For a random-field chain of `sweeps` sweeps, fork the worker
         (frailty.ForkedRanges) of the enclosed sweeps where this process can
-        fork one: each sweep's proposal is drawn and submitted one sweep
-        ahead, the first one here.  On exit, normal or not, the worker is
-        reaped and its wait added to structure_wait.  Without a worker the
-        sweeps build in process and draw nothing ahead."""
+        fork one.  On exit, normal or not, the worker is reaped and its wait
+        added to structure_wait.  Without a worker the sweeps build in
+        process."""
         if self.has_phi and sweeps and hasattr(os, "fork"):
             with contextlib.suppress(OSError):  # no process to spare
                 self.ranges = fr.ForkedRanges(self.spec, self.m)
-        if self.ranges is None:
-            yield
-            return
         try:
-            self._phi_ahead = sweeps - 1
-            self._draw_phi_ahead()
             yield
         finally:
-            self._phi_ahead = 0
-            try:
-                self.ranges.close()
-            finally:
-                self.structure_wait += self.ranges.wait_s
-                self.ranges = None
+            ranges, self.ranges = self.ranges, None
+            if ranges is not None:
+                self.structure_wait += ranges.wait_s
+                ranges.close()
 
     def run(self, t_start=None):
         """Burn-in and saved sweeps; elapsed counts from t_start (default: now).

@@ -240,6 +240,21 @@ class TestFit:
         assert rc == 2
         assert "unknown covariate 'x9'; the data has ['x1', 'x2']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--covariates", "x1,x1"], "covariate column 'x1' is listed twice"),
+        (["--covariates", "x1,t1"], "covariate column 't1' is the t1 column, not a covariate"),
+        (["--covariates", "x1,location"],
+         "covariate column 'location' is the location column, not a covariate"),
+        (["--nonlinear", "x2,x2"], "nonlinear covariate 'x2' is listed twice"),
+    ], ids=["repeated-covariate", "t1-covariate", "location-covariate", "repeated-nonlinear"])
+    def test_repeated_or_claimed_name_is_an_input_error(self, tmp_path, capsys, flags, message):
+        argv = ["fit", *tiny_data_args(tmp_path), *flags, *FAST]
+        for last in (["--dry-run"], ["--outdir", str(tmp_path / "fit")]):
+            capsys.readouterr()
+            assert main(argv + last) == 2
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "fit").exists()
+
     def test_large_magnitude_covariate(self, tmp_path, capsys):
         # epoch seconds: numpy's centering leaves |sum Xc| far above 1e-10 n
         rng = np.random.default_rng(0)
@@ -568,6 +583,18 @@ class TestDiagnose:
         return fit, ["diagnose", "--fit", str(fit), "--data", str(path),
                      "--location-col", "location", "--trunc-col", "trunc", "--draws", "3"]
 
+    @pytest.mark.parametrize("nsave", ["0", "1"])
+    def test_fit_with_fewer_than_two_draws_is_an_input_error(self, tmp_path, capsys, nsave):
+        data = tiny_data_args(tmp_path)
+        fit, out = tmp_path / "fit", tmp_path / "diagnosed"
+        assert main(["fit", *data, "--nburn", "5", "--nsave", nsave, "--outdir", str(fit)]) == 0
+        capsys.readouterr()
+        assert main(["diagnose", "--fit", str(fit), *data, "--outdir", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: the fit retained {nsave} draw(s) and "
+                                           "diagnose needs at least 2; refit with --nsave 2 "
+                                           "or more\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("draws", ["0", "-2"])
     def test_draws_must_be_positive(self, tmp_path, capsys, draws):
         fit, argv = self.fit_dir(tmp_path)
@@ -705,6 +732,15 @@ class TestMcStudy:
                   "--outdir", str(tmp_path / "none")])
         assert exc.value.code == 2
         assert "--models: models must be among ['aft', 'ph', 'po']" in capsys.readouterr().err
+        assert not (tmp_path / "none").exists()
+
+    def test_repeated_model_is_a_usage_error(self, tmp_path, capsys):
+        # fitted twice, the second fit's criteria would overwrite the first's
+        with pytest.raises(SystemExit) as exc:
+            main(["mc-study", "--design", "sim1-ph", "--replicates", "1", "--models", "ph,ph",
+                  "--nburn", "20", "--nsave", "10", "--outdir", str(tmp_path / "none")])
+        assert exc.value.code == 2
+        assert "--models: each model may be listed once, got 'ph,ph'" in capsys.readouterr().err
         assert not (tmp_path / "none").exists()
 
     def test_one_replicate_writes_strict_json(self, tmp_path):

@@ -408,12 +408,13 @@ def forks(monkeypatch):
 
 @pytest.fixture
 def linalg_counts(monkeypatch):
-    """[structure builds, inverses formed], counted in this process and in
-    any process forked from it through a shared mapping."""
-    counts = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)
+    """[structure builds, inverses formed], counted in this process (row 0)
+    and in any process forked from it (row 1) through a shared mapping."""
+    counts = np.frombuffer(mmap.mmap(-1, 32), dtype=np.int64).reshape(2, 2)
+    main = os.getpid()
     for k, name in enumerate(("build_structure", "precision_from_factor")):
         def counted(*args, _f=getattr(fr, name), _k=k, **kw):
-            counts[_k] += 1
+            counts[int(os.getpid() != main), _k] += 1
             return _f(*args, **kw)
         monkeypatch.setattr(fr, name, counted)
     return counts
@@ -434,20 +435,26 @@ def swept(s):
 
 
 class TestRangeWorker:
-    def geo_samplers(self, fsa=None, **kw):
+    def geo_samplers(self, fsa=None, spread=1.0, **kw):
         ds, _ = SimDesign(model="po", m=40, n_per_site=3, frailty_kind="grf").generate(5)
-        spec = fr.FrailtySpec(kind="grf", coords=ds.coords, fsa=fsa)
+        spec = fr.FrailtySpec(kind="grf", coords=spread * ds.coords, fsa=fsa)
         cfg = sm.McmcConfig(**{**dict(model="po", J=6, nburn=30, nsave=40, nskip=2, seed=7,
                                       frailty=spec), **kw})
         est = sm.parametric_prerun(ds, cfg)
         return sm.ChainSampler(ds, cfg, est), sm.ChainSampler(ds, cfg, est)
 
-    @pytest.mark.parametrize("fsa", [None, (10, 3)], ids=["dense", "fsa"])
-    def test_run_equals_sweeps_in_process(self, forks, linalg_counts, fsa):
-        got, ref = self.geo_samplers(fsa)
+    # sites 30 times as far apart hold phi near 0, where many proposals are
+    # non-positive: a sweep submits no factor, yet the inverse of a range the
+    # previous sweep accepted
+    @pytest.mark.parametrize("fsa, selection, spread",
+                             [(None, False, 1.0), ((10, 3), False, 1.0), (None, True, 1.0),
+                              (None, False, 30.0)],
+                             ids=["dense", "fsa", "selection", "non-positive"])
+    def test_run_equals_sweeps_in_process(self, forks, linalg_counts, fsa, selection, spread):
+        got, ref = self.geo_samplers(fsa, spread, selection=selection)
         linalg_counts[:] = 0
         arch = got.run()
-        worker_counts = linalg_counts.copy()
+        run_counts = linalg_counts.copy()
         linalg_counts[:] = 0
         rows, lls = swept(ref)
         assert len(forks) == 1 and arch.structure_wait > 0.0
@@ -456,7 +463,25 @@ class TestRangeWorker:
         assert got.accept == ref.accept and got.accept_frailty == ref.accept_frailty
         assert 0 < got.accept["phi"] < got.n_sweeps  # the slots swapped roles
         # one factor per positive proposal, one inverse per range a scan reads
-        assert np.array_equal(worker_counts, linalg_counts)
+        assert np.array_equal(run_counts.sum(axis=0), linalg_counts.sum(axis=0))
+        # this process builds nothing and forms only the initial structure's C
+        assert run_counts[0].tolist() == [0, 1]
+        # a range accepted in the last sweep is never sent: its C is formed here
+        linalg_counts[:] = 0
+        C = got.structure.C
+        last_accepted = "C" not in vars(ref.structure)  # no scan read it
+        assert linalg_counts.tolist() == [[0, int(last_accepted)], [0, 0]]
+        assert C.tobytes() == ref.structure.C.tobytes()
+
+    def test_successive_runs_equal_sweeps_in_process(self, forks):
+        got, ref = self.geo_samplers(nburn=5, nsave=20, nskip=1)
+        runs = [got.run() for _ in range(2)]
+        assert len(forks) == 2
+        for arch in runs:
+            rows, lls = swept(ref)
+            assert arch.matrix.tobytes() == rows.tobytes()
+            assert arch.loglik_obs.tobytes() == lls.tobytes()
+        assert got.accept == ref.accept and got.n_sweeps == ref.n_sweeps
 
     @pytest.mark.parametrize("platform", ["no fork", "fork fails"])
     def test_run_without_a_worker_builds_in_process(self, monkeypatch, platform):
